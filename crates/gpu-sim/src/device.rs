@@ -758,8 +758,11 @@ fn decide_workers(
     }
     let mut workers = requested.min(blocks);
     if cfg.detect_races {
-        // Each worker owns a full shadow copy of the buffers; cap the
-        // fleet so race-checked runs stay within a sane memory budget.
+        // Each worker owns a shadow cell (16 bytes) per buffer element;
+        // cap the fleet so race-checked runs stay within a sane memory
+        // budget: 256 MB is 2^24 elements across all workers. The bound
+        // is on address space — the arrays start as zeroed pages and
+        // only the ranges a worker's blocks touch become resident.
         let per = crate::race::shadow_bytes_per_worker(global_lens, shared_lens).max(1);
         let budget: u64 = 256 << 20;
         workers = workers.min(usize::try_from((budget / per).max(1)).unwrap_or(1));
@@ -786,7 +789,7 @@ fn run_grid_warp(
     cfg: &LaunchConfig,
     tracing: bool,
 ) -> Result<(LaunchStats, Vec<BlockTrace>, Vec<WorkerSpan>), SimError> {
-    use crate::race::{fold_min, CrossBlockMerge, ShadowMemory};
+    use crate::race::{cross_block_race, fold_min, ShadowMemory};
     use crate::warp::{run_block, BlockOutcome, BlockScratch, GridCtx};
     let views: Vec<&[std::sync::atomic::AtomicU64]> = global
         .iter_mut()
@@ -800,6 +803,8 @@ fn run_grid_warp(
         local_count,
         global: &views,
         global_elems,
+        global_lens: &global_lens,
+        shared_lens: &shared_lens,
         shared_decls: &kernel.shared,
         grid_dim,
         block_dim,
@@ -866,8 +871,8 @@ fn run_grid_warp(
     let mut block_cycles = Vec::with_capacity(outcomes.len());
     let mut block_traces = Vec::new();
     let mut best: Option<crate::race::RaceReport> = None;
-    let mut merge = cfg.detect_races.then(|| CrossBlockMerge::new(&global_lens));
-    for (b, outcome) in outcomes.into_iter().enumerate() {
+    let mut summaries = Vec::with_capacity(if cfg.detect_races { blocks } else { 0 });
+    for outcome in outcomes {
         let mut outcome = outcome?;
         block_cycles.push(outcome.cycles);
         if let Some(t) = outcome.trace.take() {
@@ -877,14 +882,12 @@ fn run_grid_warp(
         if let Some(r) = outcome.race {
             fold_min(&mut best, r);
         }
-        if let Some(m) = merge.as_mut() {
-            m.feed(b as u32, &outcome.touched);
+        if cfg.detect_races {
+            summaries.push(outcome.runs);
         }
     }
-    if let Some(m) = merge {
-        if let Some(r) = m.finish() {
-            fold_min(&mut best, r);
-        }
+    if let Some(r) = cross_block_race(&summaries) {
+        fold_min(&mut best, r);
     }
     if let Some(r) = best {
         return Err(SimError::DataRace(r));

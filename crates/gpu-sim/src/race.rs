@@ -15,6 +15,7 @@
 //! (transcribed to the IR) must be flagged.
 
 use crate::interp::AccessRec;
+use crate::warp::for_lanes;
 use descend_trace::SrcSpan;
 use std::collections::HashMap;
 
@@ -272,339 +273,458 @@ impl RaceDetector {
 //
 // The log-replay detector above costs a log append per access plus a hash
 // lookup per replayed access — at paper-scale footprints that dominates
-// the whole simulation. The shadow detector keeps one cell per buffer
-// element holding the interval's last reader/writer/atomic parties, so
-// each access is one O(1) array probe. Intervals and blocks are closed by
+// the whole simulation. The shadow detector keeps one 16-byte cell per
+// buffer element holding the interval's reader/writer/atomic parties and
+// is updated once per *warp memory instruction* ([`ShadowMemory::group`]):
+// the cell slice, epoch and access kind are resolved once, then every
+// masked lane is one array probe. Intervals and blocks are closed by
 // bumping an epoch instead of clearing the (large) cell arrays; a cell
-// whose epoch is stale reads as empty. Cross-block detection cannot use
-// worker-local cells, so each block records which global locations it
-// touched (read/write/atomic flags, first-touch order) and the device
-// merges those summaries sequentially in block order after all blocks ran.
+// whose epoch is stale reads as empty, and an all-zero cell is empty too,
+// so fresh arrays come from zeroed pages and untouched ranges are never
+// written.
+//
+// Cross-block detection cannot use worker-local cells, so each block
+// summarizes the global locations it touched as *runs* — dense element
+// ranges of one access kind with the pc that touched them first — and
+// [`cross_block_race`] merges the summaries after the launch by
+// sort-and-sweep, replaying through the cell logic only where runs of
+// different blocks overlap with a conflicting mix of kinds. A block that
+// reads a contiguous slice and writes another therefore costs two runs,
+// whatever the buffers weigh.
 
-/// Which block-level access kinds touched a global location (bitmask).
-pub(crate) const TOUCH_READ: u8 = 1;
-pub(crate) const TOUCH_WRITE: u8 = 2;
-pub(crate) const TOUCH_ATOMIC: u8 = 4;
+/// How an instruction accesses memory. The order is the one in which
+/// the cross-block merge applies a block's accesses to one location.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum AccessKind {
+    /// Plain load.
+    Read = 0,
+    /// Plain store.
+    Write = 1,
+    /// Atomic read-modify-write.
+    Atomic = 2,
+}
 
-/// One global location a block touched, with the access kinds seen and
-/// the bytecode pc of the first access of each kind (read/write/atomic
-/// order; [`PC_UNKNOWN`] for kinds never seen).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct TouchRec {
+/// [`AccessKind`] as the const parameter of [`ShadowMemory::group`].
+pub(crate) const READ: u8 = AccessKind::Read as u8;
+pub(crate) const WRITE: u8 = AccessKind::Write as u8;
+pub(crate) const ATOMIC: u8 = AccessKind::Atomic as u8;
+
+/// A dense range of one global buffer that a block touched with one
+/// access kind: every element of `start..end` was accessed from
+/// bytecode location `pc`. A block's summary is a list of runs in
+/// first-touch order; where several runs of the same `buf` and `kind`
+/// cover an element, the earliest one names the pc that touched it
+/// first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// Global buffer index.
     pub buf: u32,
-    pub idx: u64,
-    pub flags: u8,
-    pub pcs: [u32; 3],
+    /// How the range was accessed.
+    pub kind: AccessKind,
+    /// Bytecode pc of the access.
+    pub pc: u32,
+    /// First element.
+    pub start: u64,
+    /// One past the last element.
+    pub end: u64,
 }
 
-/// Sentinel for "no party yet" in a shadow cell.
-const NONE: u32 = u32::MAX;
+/// Shadow state of one location: `[tag, reader, writer, atomic]`. The
+/// three parties are stored as `who + 1` (0 = none yet) and the tag is
+/// `epoch << 3 | flags`, so the all-zero cell is empty in every epoch
+/// (epochs start at 1). A plain array rather than a struct because
+/// `vec![[0u32; 4]; n]` is a zeroed allocation, not a fill.
+type Cell = [u32; 4];
 
-/// Per-location shadow state: epoch-tagged so a whole interval (or
-/// block) is invalidated by bumping [`ShadowMemory::epoch`] in O(1).
-#[derive(Clone, Copy, Debug)]
-struct ShadowCell {
-    epoch: u64,
-    writer: u32,
-    reader: u32,
-    atomic: u32,
-    /// MULTI_WRITER | OTHER_READER | MULTI_ATOMIC bits.
-    flags: u8,
+const TAG: usize = 0;
+/// Party slot of an access kind.
+const fn slot(kind: u8) -> usize {
+    1 + kind as usize
 }
+const READER: usize = slot(READ);
+const WRITER: usize = slot(WRITE);
+const ATOMIC_PARTY: usize = slot(ATOMIC);
 
-const MULTI_WRITER: u8 = 1;
-const OTHER_READER: u8 = 2;
-const MULTI_ATOMIC: u8 = 4;
+/// Tag flags: a second party of the same kind touched the location.
+const MULTI_WRITER: u32 = 1;
+const OTHER_READER: u32 = 2;
+const MULTI_ATOMIC: u32 = 4;
+const FLAG_BITS: u32 = 3;
 
-const EMPTY_CELL: ShadowCell = ShadowCell {
-    epoch: 0,
-    writer: NONE,
-    reader: NONE,
-    atomic: NONE,
-    flags: 0,
-};
+/// Epochs live in the tag's upper 29 bits; reaching the limit clears the
+/// cells and restarts at 1.
+const EPOCH_LIMIT: u32 = 1 << (32 - FLAG_BITS);
 
-impl ShadowCell {
-    /// Mirrors [`CellState::read`].
-    fn read(&mut self, who: u32) -> Option<(u32, u32, bool)> {
-        if self.writer != NONE && self.writer != who {
-            return Some((self.writer, who, false));
-        }
-        if self.atomic != NONE && (self.atomic != who || self.flags & MULTI_ATOMIC != 0) {
-            return Some((self.atomic, who, false));
-        }
-        if self.reader == NONE {
-            self.reader = who;
-        } else if self.reader != who {
-            self.flags |= OTHER_READER;
-        }
-        None
+/// Applies one access to a cell whose tag is current. Mirrors
+/// [`CellState::read`], [`CellState::write`] and [`CellState::atomic`];
+/// returns the conflicting `(earlier party, who, write_write)`.
+#[inline(always)]
+fn apply<const KIND: u8>(c: &mut Cell, who: u32) -> Option<(u32, u32, bool)> {
+    let me = who + 1;
+    let (flags, r, w, a) = (c[TAG], c[READER], c[WRITER], c[ATOMIC_PARTY]);
+    if w != 0 && (w != me || (KIND != READ && flags & MULTI_WRITER != 0)) {
+        return Some((w - 1, who, KIND != READ));
     }
-
-    /// Mirrors [`CellState::write`].
-    fn write(&mut self, who: u32) -> Option<(u32, u32, bool)> {
-        if self.writer != NONE && (self.writer != who || self.flags & MULTI_WRITER != 0) {
-            return Some((self.writer, who, true));
-        }
-        if self.reader != NONE && (self.reader != who || self.flags & OTHER_READER != 0) {
-            return Some((self.reader, who, false));
-        }
-        if self.atomic != NONE && (self.atomic != who || self.flags & MULTI_ATOMIC != 0) {
-            return Some((self.atomic, who, true));
-        }
-        if self.writer == NONE {
-            self.writer = who;
-        } else if self.writer != who {
-            self.flags |= MULTI_WRITER;
-        }
-        None
+    if KIND != READ && r != 0 && (r != me || flags & OTHER_READER != 0) {
+        return Some((r - 1, who, false));
     }
-
-    /// Mirrors [`CellState::atomic`].
-    fn atomic(&mut self, who: u32) -> Option<(u32, u32, bool)> {
-        if self.writer != NONE && (self.writer != who || self.flags & MULTI_WRITER != 0) {
-            return Some((self.writer, who, true));
-        }
-        if self.reader != NONE && (self.reader != who || self.flags & OTHER_READER != 0) {
-            return Some((self.reader, who, false));
-        }
-        if self.atomic == NONE {
-            self.atomic = who;
-        } else if self.atomic != who {
-            self.flags |= MULTI_ATOMIC;
-        }
-        None
+    if KIND != ATOMIC && a != 0 && (a != me || flags & MULTI_ATOMIC != 0) {
+        return Some((a - 1, who, KIND == WRITE));
     }
-
-    fn apply(&mut self, who: u32, write: bool, atomic: bool) -> Option<(u32, u32, bool)> {
-        if atomic {
-            self.atomic(who)
-        } else if write {
-            self.write(who)
-        } else {
-            self.read(who)
-        }
+    let (own, multi) = match KIND {
+        READ => (r, OTHER_READER),
+        WRITE => (w, MULTI_WRITER),
+        _ => (a, MULTI_ATOMIC),
+    };
+    if own == 0 {
+        c[slot(KIND)] = me;
+    } else if own != me && flags & multi == 0 {
+        // (Guarded so that the lanes of a broadcast access, which all
+        // land here, do not serialize on a store to the same cell.)
+        c[TAG] |= multi;
     }
-}
-
-/// Epoch-tagged per-location touch flags for the cross-block summary,
-/// with the first-touch pc per access kind (read/write/atomic).
-#[derive(Clone, Copy, Debug)]
-struct TouchCell {
-    epoch: u64,
-    flags: u8,
-    pcs: [u32; 3],
+    None
 }
 
 /// Worker-local shadow memory: intra-block detection for one block at a
-/// time, plus the block's cross-block touch summary. One instance per
+/// time, plus the block's cross-block run summary. One instance per
 /// pool worker, reused across all blocks that worker simulates.
 #[derive(Debug, Default)]
 pub(crate) struct ShadowMemory {
-    global: Vec<Vec<ShadowCell>>,
-    shared: Vec<Vec<ShadowCell>>,
-    touch: Vec<Vec<TouchCell>>,
-    /// Current intra-block interval epoch (cells below it are empty).
-    epoch: u64,
-    /// Current block epoch for the touch flags.
-    touch_epoch: u64,
-    /// Locations first touched this block, in access order.
-    touched: Vec<(u32, u64)>,
+    global: Vec<Vec<Cell>>,
+    shared: Vec<Vec<Cell>>,
+    /// Current intra-block interval epoch (cells tagged otherwise are
+    /// empty). Always in `1..EPOCH_LIMIT` once a block has begun.
+    epoch: u32,
     /// Minimum-key intra-block race of the current block.
     best: Option<RaceReport>,
+    /// The current block's global accesses, in first-touch order.
+    runs: Vec<Run>,
+    /// Per global buffer and kind: 1 + the index in `runs` of the
+    /// latest run (0 = none), the only one a new range may extend.
+    latest: Vec<[usize; 3]>,
 }
 
 /// Bytes of worker-local shadow state per worker for the given buffer
 /// sizes (used to cap the worker count so race-checked parallel runs
 /// stay within a sane memory budget).
 pub(crate) fn shadow_bytes_per_worker(global_lens: &[usize], shared_lens: &[usize]) -> u64 {
-    let cell = std::mem::size_of::<ShadowCell>() as u64;
-    let touch = std::mem::size_of::<TouchCell>() as u64;
-    let g: u64 = global_lens.iter().map(|l| *l as u64).sum();
-    let s: u64 = shared_lens.iter().map(|l| *l as u64).sum();
-    g * (cell + touch) + s * cell
+    let elems: u64 = global_lens
+        .iter()
+        .chain(shared_lens)
+        .map(|l| *l as u64)
+        .sum();
+    elems * std::mem::size_of::<Cell>() as u64
 }
 
 impl ShadowMemory {
-    /// Sizes (or resizes) the shadow to the launch's buffers. Cheap when
-    /// the sizes already match (the worker-reuse case).
-    pub(crate) fn ensure(&mut self, global_lens: &[usize], shared_lens: &[usize]) {
+    /// Enters a block: sizes (or resizes) the shadow to the launch's
+    /// buffers — free when the sizes already match, the worker-reuse
+    /// case — and empties every cell by moving to a fresh epoch.
+    pub(crate) fn begin_block(&mut self, global_lens: &[usize], shared_lens: &[usize]) {
         resize_cells(&mut self.global, global_lens);
         resize_cells(&mut self.shared, shared_lens);
-        if self.touch.len() != global_lens.len()
-            || self
-                .touch
-                .iter()
-                .zip(global_lens)
-                .any(|(v, l)| v.len() != *l)
-        {
-            self.touch = global_lens
-                .iter()
-                .map(|l| {
-                    vec![
-                        TouchCell {
-                            epoch: 0,
-                            flags: 0,
-                            pcs: [PC_UNKNOWN; 3],
-                        };
-                        *l
-                    ]
-                })
-                .collect();
-            self.touch_epoch = 0;
-        }
-        // Entering a fresh launch/block: invalidate everything.
-        self.epoch += 1;
-        self.touch_epoch += 1;
-        self.touched.clear();
+        self.latest.clear();
+        self.latest.resize(global_lens.len(), [0; 3]);
+        self.runs.clear();
         self.best = None;
+        self.next_epoch();
     }
 
-    /// Records one access (the executor has already bounds-checked
-    /// `idx`). `who` is the block-linear thread id; `pc` attributes a
-    /// detected conflict (and the cross-block touch summary) to the
-    /// bytecode location of the access.
+    /// Empties every cell in O(1); on epoch wrap, by clearing them.
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+        if self.epoch == EPOCH_LIMIT {
+            for cells in self.global.iter_mut().chain(self.shared.iter_mut()) {
+                cells.fill([0; 4]);
+            }
+            self.epoch = 1;
+        }
+    }
+
+    /// Records one warp memory instruction: lane `l` of `mask` accessed
+    /// element `addrs[l]` (already bounds-checked by the executor) as
+    /// block-linear thread `base_tid + l`. `pc` attributes a detected
+    /// conflict, and the cross-block summary, to the bytecode location.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // one flag per access dimension
-    pub(crate) fn access(
+    pub(crate) fn group<const KIND: u8>(
         &mut self,
         global: bool,
         buf: usize,
-        idx: u64,
-        who: u32,
-        write: bool,
-        atomic: bool,
+        addrs: &[u64; 32],
+        base_tid: u32,
+        mask: u32,
         pc: u32,
     ) {
         let cells = if global {
-            &mut self.global
+            self.global[buf].as_mut_slice()
         } else {
-            &mut self.shared
+            self.shared[buf].as_mut_slice()
         };
-        let cell = &mut cells[buf][idx as usize];
-        if cell.epoch != self.epoch {
-            *cell = EMPTY_CELL;
-            cell.epoch = self.epoch;
-        }
-        if let Some((p1, p2, ww)) = cell.apply(who, write, atomic) {
-            fold_min(
-                &mut self.best,
-                RaceReport {
-                    global,
-                    buf: buf as u32,
-                    idx,
-                    cross_block: false,
-                    parties: (p1.min(p2), p1.max(p2)),
-                    write_write: ww,
-                    pc,
-                    span: SrcSpan::DUMMY,
-                },
-            );
-        }
-        if global {
-            let t = &mut self.touch[buf][idx as usize];
-            if t.epoch != self.touch_epoch {
-                t.epoch = self.touch_epoch;
-                t.flags = 0;
-                t.pcs = [PC_UNKNOWN; 3];
-                self.touched.push((buf as u32, idx));
-            }
-            let kind = if atomic {
-                2
-            } else if write {
-                1
-            } else {
-                0
+        let epoch = self.epoch;
+        let best = &mut self.best;
+        // Lanes whose element this block had not yet touched with this
+        // kind in the current interval; the rest are already in `runs`.
+        let mut first_touch = 0u32;
+        for_lanes(
+            mask,
+            // Forced: left to the inliner's judgement, a full warp
+            // becomes 32 calls of this body through a captured
+            // environment, which costs more than the body itself.
+            #[inline(always)]
+            |l| {
+                let cell = &mut cells[addrs[l] as usize];
+                if cell[TAG] >> FLAG_BITS != epoch {
+                    *cell = [epoch << FLAG_BITS, 0, 0, 0];
+                }
+                first_touch |= u32::from(cell[slot(KIND)] == 0) << l;
+                if let Some((p1, p2, ww)) = apply::<KIND>(cell, base_tid + l as u32) {
+                    intra_block_conflict(best, global, buf, addrs[l], (p1, p2), ww, pc);
+                }
+            },
+        );
+        if global && first_touch != 0 {
+            let kind = match KIND {
+                READ => AccessKind::Read,
+                WRITE => AccessKind::Write,
+                _ => AccessKind::Atomic,
             };
-            let bit = 1u8 << kind;
-            if t.flags & bit == 0 {
-                t.pcs[kind] = pc;
-            }
-            t.flags |= bit;
+            self.summarize(kind, buf, addrs, first_touch, pc);
         }
+    }
+
+    /// Adds the elements `addrs[l]`, `l` in `lanes`, to the block's run
+    /// summary, coalescing consecutive lanes that continue a range in
+    /// either direction or repeat an element of it.
+    fn summarize(&mut self, kind: AccessKind, buf: usize, addrs: &[u64; 32], lanes: u32, pc: u32) {
+        let mut range: Option<(u64, u64)> = None;
+        for_lanes(lanes, |l| {
+            let a = addrs[l];
+            match &mut range {
+                Some((_, end)) if a == *end => *end += 1,
+                Some((start, _)) if a + 1 == *start => *start = a,
+                Some((start, end)) if *start <= a && a < *end => {}
+                _ => {
+                    if let Some((start, end)) = range.replace((a, a + 1)) {
+                        self.push_run(kind, buf, start, end, pc);
+                    }
+                }
+            }
+        });
+        if let Some((start, end)) = range {
+            self.push_run(kind, buf, start, end, pc);
+        }
+    }
+
+    /// Appends the range to the summary, or folds it into the latest run
+    /// of the same buffer and kind. Only that run may change: every
+    /// other run of the pair precedes it, so growing it never takes a
+    /// first touch away from an earlier run.
+    fn push_run(&mut self, kind: AccessKind, buf: usize, start: u64, end: u64, pc: u32) {
+        let latest = &mut self.latest[buf][kind as usize];
+        if let Some(r) = latest.checked_sub(1).map(|i| &mut self.runs[i]) {
+            if r.start <= start && end <= r.end {
+                return;
+            }
+            if r.pc == pc && start <= r.end && r.start <= end {
+                r.start = r.start.min(start);
+                r.end = r.end.max(end);
+                return;
+            }
+        }
+        self.runs.push(Run {
+            buf: buf as u32,
+            kind,
+            pc,
+            start,
+            end,
+        });
+        *latest = self.runs.len();
     }
 
     /// A barrier closed the interval: intra-block state empties in O(1).
     pub(crate) fn end_interval(&mut self) {
-        self.epoch += 1;
+        self.next_epoch();
     }
 
     /// Finishes the block: returns its minimum-key intra-block race and
-    /// the cross-block touch summary, and resets for the next block.
-    pub(crate) fn end_block(&mut self) -> (Option<RaceReport>, Vec<TouchRec>) {
-        let recs = self
-            .touched
-            .drain(..)
-            .map(|(buf, idx)| {
-                let cell = &self.touch[buf as usize][idx as usize];
-                TouchRec {
-                    buf,
-                    idx,
-                    flags: cell.flags,
-                    pcs: cell.pcs,
-                }
-            })
-            .collect();
-        self.epoch += 1;
-        self.touch_epoch += 1;
-        (self.best.take(), recs)
+    /// its cross-block summary as one exact-size allocation (none when
+    /// the block touched no global memory).
+    pub(crate) fn end_block(&mut self) -> (Option<RaceReport>, Box<[Run]>) {
+        (self.best.take(), Box::from(self.runs.as_slice()))
     }
 }
 
-fn resize_cells(cells: &mut Vec<Vec<ShadowCell>>, lens: &[usize]) {
+/// Folds an intra-block conflict into the block's minimum (cold: only
+/// racy kernels get here).
+#[cold]
+fn intra_block_conflict(
+    best: &mut Option<RaceReport>,
+    global: bool,
+    buf: usize,
+    idx: u64,
+    parties: (u32, u32),
+    write_write: bool,
+    pc: u32,
+) {
+    fold_min(
+        best,
+        RaceReport {
+            global,
+            buf: buf as u32,
+            idx,
+            cross_block: false,
+            parties: (parties.0.min(parties.1), parties.0.max(parties.1)),
+            write_write,
+            pc,
+            span: SrcSpan::DUMMY,
+        },
+    );
+}
+
+fn resize_cells(cells: &mut Vec<Vec<Cell>>, lens: &[usize]) {
     if cells.len() == lens.len() && cells.iter().zip(lens).all(|(v, l)| v.len() == *l) {
         return;
     }
-    *cells = lens.iter().map(|l| vec![EMPTY_CELL; *l]).collect();
+    *cells = lens.iter().map(|l| vec![[0; 4]; *l]).collect();
 }
 
-/// Merges per-block touch summaries into cross-block race verdicts.
+/// Whether accesses of these kinds (a bit per [`AccessKind`]) by two
+/// different parties can conflict: a plain write conflicts with
+/// everything, a plain read with an atomic.
+fn kinds_conflict(kinds: u8) -> bool {
+    kinds & (1 << WRITE) != 0 || kinds == (1 << READ | 1 << ATOMIC)
+}
+
+/// A run with the block that recorded it and its position in that
+/// block's summary.
+#[derive(Clone, Copy)]
+struct BlockRun {
+    run: Run,
+    block: u32,
+    seq: u32,
+}
+
+/// Merges per-block run summaries (`blocks[b]` is linear block `b`'s)
+/// into the cross-block race verdict.
 ///
-/// Fed strictly in linear block order (whatever schedule produced the
-/// summaries), so the outcome is schedule-independent. Mirrors the
-/// log-replay detector's cross-block pass, including its "parties must
-/// differ" guard.
-#[derive(Debug, Default)]
-pub(crate) struct CrossBlockMerge {
-    cells: Vec<Vec<ShadowCell>>,
-    best: Option<RaceReport>,
-}
-
-impl CrossBlockMerge {
-    pub(crate) fn new(global_lens: &[usize]) -> CrossBlockMerge {
-        CrossBlockMerge {
-            cells: global_lens.iter().map(|l| vec![EMPTY_CELL; *l]).collect(),
-            best: None,
+/// The outcome is what feeding every touched element through a shadow
+/// cell would give — blocks in linear order, each block's kinds in
+/// read, write, atomic order with the first-touch pc of that kind,
+/// block ids as the parties, equal parties never a conflict, minimum
+/// [`RaceReport::sort_key`] reported — so it does not depend on the
+/// schedule that produced the summaries. The work does not depend on
+/// the buffers' sizes: buffers that are only read or only updated
+/// atomically are dropped outright, the remaining runs are sorted by
+/// position, and only clusters of overlapping runs that involve two
+/// blocks and a conflicting mix of kinds are replayed per element.
+pub fn cross_block_race(blocks: &[Box<[Run]>]) -> Option<RaceReport> {
+    let mut buf_kinds: Vec<u8> = Vec::new();
+    for r in blocks.iter().flat_map(|runs| runs.iter()) {
+        let buf = r.buf as usize;
+        if buf >= buf_kinds.len() {
+            buf_kinds.resize(buf + 1, 0);
+        }
+        buf_kinds[buf] |= 1 << r.kind as u8;
+    }
+    if !buf_kinds.iter().any(|k| kinds_conflict(*k)) {
+        return None;
+    }
+    let mut runs: Vec<BlockRun> = Vec::new();
+    for (block, summary) in blocks.iter().enumerate() {
+        for (seq, run) in summary.iter().enumerate() {
+            if kinds_conflict(buf_kinds[run.buf as usize]) {
+                runs.push(BlockRun {
+                    run: *run,
+                    block: block as u32,
+                    seq: seq as u32,
+                });
+            }
         }
     }
+    runs.sort_unstable_by_key(|r| (r.run.buf, r.run.start));
 
-    /// Applies one block's touch summary (block ids are the parties).
-    pub(crate) fn feed(&mut self, block: u32, touched: &[TouchRec]) {
-        for t in touched {
-            let cell = &mut self.cells[t.buf as usize][t.idx as usize];
-            for (kind, (bit, write, atomic)) in [
-                (TOUCH_READ, false, false),
-                (TOUCH_WRITE, true, false),
-                (TOUCH_ATOMIC, true, true),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if t.flags & bit == 0 {
+    let mut best = None;
+    let mut replay = Replay::default();
+    let mut i = 0;
+    while i < runs.len() {
+        // The cluster of runs transitively overlapping `runs[i]`.
+        let Run {
+            buf,
+            start,
+            mut end,
+            ..
+        } = runs[i].run;
+        let mut kinds = 1 << runs[i].run.kind as u8;
+        let mut two_blocks = false;
+        let mut j = i + 1;
+        while j < runs.len() && runs[j].run.buf == buf && runs[j].run.start < end {
+            end = end.max(runs[j].run.end);
+            kinds |= 1 << runs[j].run.kind as u8;
+            two_blocks |= runs[j].block != runs[i].block;
+            j += 1;
+        }
+        if two_blocks && kinds_conflict(kinds) {
+            replay.cluster(&mut runs[i..j], start, end, &mut best);
+        }
+        i = j;
+    }
+    best
+}
+
+/// Scratch for the per-element replay of suspicious clusters.
+#[derive(Default)]
+struct Replay {
+    cells: Vec<Cell>,
+    /// Per element, the last (block, kind) group applied to it, so that
+    /// only a group's first covering run — the first touch — applies.
+    applied: Vec<u64>,
+}
+
+impl Replay {
+    fn cluster(
+        &mut self,
+        runs: &mut [BlockRun],
+        start: u64,
+        end: u64,
+        best: &mut Option<RaceReport>,
+    ) {
+        runs.sort_unstable_by_key(|r| (r.block, r.run.kind, r.seq));
+        let len = end.saturating_sub(start) as usize;
+        self.cells.clear();
+        self.cells.resize(len, [0; 4]);
+        self.applied.clear();
+        self.applied.resize(len, 0);
+        let mut group = 0u64;
+        let mut prev = None;
+        for r in runs.iter() {
+            if prev != Some((r.block, r.run.kind)) {
+                prev = Some((r.block, r.run.kind));
+                group += 1;
+            }
+            for idx in r.run.start..r.run.end {
+                let at = (idx - start) as usize;
+                if std::mem::replace(&mut self.applied[at], group) == group {
                     continue;
                 }
-                if let Some((p1, p2, ww)) = cell.apply(block, write, atomic) {
+                let cell = &mut self.cells[at];
+                let conflict = match r.run.kind {
+                    AccessKind::Read => apply::<READ>(cell, r.block),
+                    AccessKind::Write => apply::<WRITE>(cell, r.block),
+                    AccessKind::Atomic => apply::<ATOMIC>(cell, r.block),
+                };
+                if let Some((p1, p2, write_write)) = conflict {
                     if p1 != p2 {
                         fold_min(
-                            &mut self.best,
+                            best,
                             RaceReport {
                                 global: true,
-                                buf: t.buf,
-                                idx: t.idx,
+                                buf: r.run.buf,
+                                idx,
                                 cross_block: true,
                                 parties: (p1.min(p2), p1.max(p2)),
-                                write_write: ww,
-                                pc: t.pcs[kind],
+                                write_write,
+                                pc: r.run.pc,
                                 span: SrcSpan::DUMMY,
                             },
                         );
@@ -612,10 +732,6 @@ impl CrossBlockMerge {
                 }
             }
         }
-    }
-
-    pub(crate) fn finish(self) -> Option<RaceReport> {
-        self.best
     }
 }
 
@@ -825,5 +941,272 @@ mod tests {
         let first = d.race.clone().unwrap();
         d.interval(0, &[acc(false, 2, true, 0), acc(false, 2, true, 1)]);
         assert_eq!(d.race.unwrap(), first);
+    }
+
+    // ---- shadow memory, run summaries, cross-block merge ----
+
+    /// A shadow over one global buffer and one shared allocation of
+    /// `len` elements, inside its first block.
+    fn shadow(len: usize) -> ShadowMemory {
+        let mut sh = ShadowMemory::default();
+        sh.begin_block(&[len], &[len]);
+        sh
+    }
+
+    fn lanes(f: impl Fn(u64) -> u64) -> [u64; 32] {
+        std::array::from_fn(|l| f(l as u64))
+    }
+
+    fn run(kind: AccessKind, pc: u32, start: u64, end: u64) -> Run {
+        Run {
+            buf: 0,
+            kind,
+            pc,
+            start,
+            end,
+        }
+    }
+
+    fn merge(blocks: &[&[Run]]) -> Option<RaceReport> {
+        let blocks: Vec<Box<[Run]>> = blocks.iter().map(|b| Box::from(*b)).collect();
+        cross_block_race(&blocks)
+    }
+
+    #[test]
+    fn shadow_cells_mirror_the_log_detector() {
+        // Every sequence of three accesses to one shared location by
+        // threads 0/1: the shadow flags a race exactly when the
+        // log-replay detector does, with the same parties.
+        let kinds = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic];
+        for code in 0..6usize.pow(3) {
+            let seq: Vec<(AccessKind, u32)> = (0..3)
+                .map(|i| {
+                    let c = code / 6usize.pow(i) % 6;
+                    (kinds[c / 2], (c % 2) as u32)
+                })
+                .collect();
+            let mut log = RaceDetector::new();
+            let recs: Vec<AccessRec> = seq
+                .iter()
+                .map(|(k, tid)| AccessRec {
+                    pc: 0,
+                    global: false,
+                    buf: 0,
+                    idx: 3,
+                    write: *k != AccessKind::Read,
+                    atomic: *k == AccessKind::Atomic,
+                    tid: *tid,
+                })
+                .collect();
+            log.interval(0, &recs);
+            let mut sh = shadow(8);
+            let mut first = None;
+            for (k, tid) in &seq {
+                let addrs = lanes(|_| 3);
+                match k {
+                    AccessKind::Read => sh.group::<READ>(false, 0, &addrs, *tid, 1, 0),
+                    AccessKind::Write => sh.group::<WRITE>(false, 0, &addrs, *tid, 1, 0),
+                    AccessKind::Atomic => sh.group::<ATOMIC>(false, 0, &addrs, *tid, 1, 0),
+                }
+                if first.is_none() {
+                    first = sh.best.clone();
+                }
+            }
+            let want = log
+                .race
+                .map(|r| (r.parties.0.min(r.parties.1), r.write_write));
+            let got = first.map(|r| (r.parties.0, r.write_write));
+            assert_eq!(got, want, "{seq:?}");
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_clears_instead_of_aliasing() {
+        let mut sh = shadow(8);
+        // Epoch 1: thread 0 writes shared element 7.
+        assert_eq!(sh.epoch, 1);
+        sh.group::<WRITE>(false, 0, &lanes(|_| 7), 0, 1, 0);
+        // Fast-forward to the last epoch before the wrap; verdicts on
+        // either side of it are the usual ones.
+        sh.epoch = EPOCH_LIMIT - 2;
+        sh.end_interval();
+        sh.group::<WRITE>(false, 0, &lanes(|_| 2), 0, 1, 0);
+        sh.group::<READ>(false, 0, &lanes(|_| 2), 0, 1, 0);
+        assert!(sh.best.is_none(), "same thread, same interval");
+        sh.end_interval();
+        assert_eq!(sh.epoch, 1, "wrapped");
+        // Element 7 still carries a tag of epoch 1 from the first
+        // interval unless the wrap cleared it: a stale writer would
+        // turn this read by another thread into a false race.
+        sh.group::<READ>(false, 0, &lanes(|_| 7), 1, 1, 0);
+        sh.group::<READ>(false, 0, &lanes(|_| 2), 1, 1, 0);
+        assert!(sh.best.is_none(), "barriers separate the accesses");
+        // And real races are still seen after the wrap.
+        sh.group::<WRITE>(false, 0, &lanes(|_| 7), 0, 1, 4);
+        let r = sh.best.clone().expect("read by 1, write by 0");
+        assert_eq!(
+            (r.idx, r.parties, r.write_write, r.pc),
+            (7, (0, 1), false, 4)
+        );
+    }
+
+    #[test]
+    fn contiguous_warps_coalesce_into_one_run() {
+        let mut sh = shadow(256);
+        for w in 0..4u32 {
+            sh.group::<READ>(true, 0, &lanes(|l| u64::from(w) * 32 + l), w * 32, !0, 5);
+        }
+        // A halo read at the same pc touches one new element…
+        sh.group::<READ>(true, 0, &lanes(|l| 97 + l), 96, !0, 5);
+        // …while another statement's accesses are runs of their own,
+        // even where they continue a range: the pc differs.
+        sh.group::<WRITE>(true, 0, &lanes(|l| 200 + l), 0, !0, 6);
+        sh.group::<READ>(true, 0, &lanes(|l| 129 + l), 0, !0, 7);
+        let (race, runs) = sh.end_block();
+        assert!(race.is_none());
+        assert_eq!(
+            &*runs,
+            [
+                run(AccessKind::Read, 5, 0, 129),
+                run(AccessKind::Write, 6, 200, 232),
+                run(AccessKind::Read, 7, 129, 161)
+            ]
+        );
+    }
+
+    #[test]
+    fn broadcast_reversed_and_partial_warps_coalesce() {
+        let mut sh = shadow(256);
+        sh.group::<READ>(true, 0, &lanes(|_| 9), 0, !0, 1);
+        let mut expect = vec![run(AccessKind::Read, 1, 9, 10)];
+        sh.group::<WRITE>(true, 0, &lanes(|l| 131 - l), 0, !0, 2);
+        expect.push(run(AccessKind::Write, 2, 100, 132));
+        // Lanes outside the mask hold garbage and are never looked at.
+        let partial = lanes(|l| if l < 5 { 40 + l } else { u64::MAX });
+        sh.group::<ATOMIC>(true, 0, &partial, 0, 0b11111, 3);
+        expect.push(run(AccessKind::Atomic, 3, 40, 45));
+        // A strided access is one run per element.
+        sh.group::<WRITE>(true, 0, &lanes(|l| 140 + 2 * l), 32, 0b111, 4);
+        expect.extend([140, 142, 144].map(|s| run(AccessKind::Write, 4, s, s + 1)));
+        let (race, runs) = sh.end_block();
+        assert!(race.is_none());
+        assert_eq!(&*runs, expect);
+    }
+
+    #[test]
+    fn scattered_accesses_are_bounded_by_distinct_elements() {
+        // 1024 threads scatter into 8 bins, atomically and then with
+        // plain writes by one thread per bin: the summary holds each
+        // (element, kind) once, however many lanes hit it.
+        let mut sh = shadow(8);
+        for w in 0..32u32 {
+            sh.group::<ATOMIC>(
+                true,
+                0,
+                &lanes(|l| (l * 5 + u64::from(w)) % 8),
+                w * 32,
+                !0,
+                1,
+            );
+        }
+        sh.end_interval();
+        for _ in 0..4 {
+            sh.group::<WRITE>(true, 0, &lanes(|l| 7u64.wrapping_sub(l)), 0, 0xff, 2);
+        }
+        let (race, runs) = sh.end_block();
+        assert!(race.is_none());
+        let covered = |kind| -> u64 {
+            runs.iter()
+                .filter(|r| r.kind == kind)
+                .map(|r| r.end - r.start)
+                .sum()
+        };
+        assert_eq!(covered(AccessKind::Atomic), 8);
+        assert_eq!(covered(AccessKind::Write), 8);
+        assert!(runs.len() <= 9, "{runs:?}");
+    }
+
+    #[test]
+    fn a_reread_at_another_pc_keeps_the_first_pc() {
+        // Block 1 reads 0..32 at pc 5, then (next interval) 16..48 at
+        // pc 9 and once more at pc 7; block 0 wrote elements 20 and 40.
+        // The conflict on 20 belongs to the first read, the one on 40
+        // to the second.
+        let mut sh = shadow(64);
+        sh.group::<READ>(true, 0, &lanes(|l| l), 0, !0, 5);
+        sh.end_interval();
+        sh.group::<READ>(true, 0, &lanes(|l| 16 + l), 0, !0, 9);
+        sh.end_interval();
+        sh.group::<READ>(true, 0, &lanes(|l| 16 + l), 0, !0, 7);
+        let (_, reader) = sh.end_block();
+        assert_eq!(
+            &*reader,
+            [
+                run(AccessKind::Read, 5, 0, 32),
+                run(AccessKind::Read, 9, 16, 48)
+            ],
+            "the pc-7 reread is covered by the run before it"
+        );
+        for (idx, pc) in [(20, 5), (40, 9)] {
+            let writer = [run(AccessKind::Write, 3, idx, idx + 1)];
+            let r = merge(&[&writer, &reader]).expect("write by 0, read by 1");
+            assert_eq!(
+                (r.idx, r.parties, r.write_write, r.pc),
+                (idx, (0, 1), false, pc)
+            );
+        }
+    }
+
+    #[test]
+    fn halo_reads_of_neighbouring_blocks_are_clean() {
+        // Block b reads 32b-1..32b+33 of buffer 0 and writes 32b..32b+32
+        // of buffer 1: the reads of neighbours overlap, nothing races.
+        let block = |b: u64, out: u32| {
+            vec![
+                run(AccessKind::Read, 1, 32 * b + 31, 32 * b + 65),
+                Run {
+                    buf: out,
+                    ..run(AccessKind::Write, 2, 32 * b + 32, 32 * b + 64)
+                },
+            ]
+        };
+        let blocks: Vec<Vec<Run>> = (0..8).map(|b| block(b, 1)).collect();
+        let refs: Vec<&[Run]> = blocks.iter().map(|b| &b[..]).collect();
+        assert_eq!(merge(&refs), None);
+        // Written in place, block 1's halo read meets block 0's write.
+        let blocks: Vec<Vec<Run>> = (0..8).map(|b| block(b, 0)).collect();
+        let refs: Vec<&[Run]> = blocks.iter().map(|b| &b[..]).collect();
+        let r = merge(&refs).expect("in-place stencil races");
+        assert_eq!(
+            (r.buf, r.idx, r.parties, r.write_write),
+            (0, 63, (0, 1), false)
+        );
+        assert!(r.cross_block && r.global);
+    }
+
+    #[test]
+    fn merge_orders_kinds_within_a_block_and_skips_equal_parties() {
+        use AccessKind::{Atomic, Read, Write};
+        // Atomics of all blocks on one element are ordered by hardware.
+        let atomics = [run(Atomic, 1, 4, 5)];
+        assert_eq!(merge(&[&atomics, &atomics, &atomics]), None);
+        // A block may read, write and update its own element.
+        let own = [
+            run(Write, 3, 4, 5),
+            run(Atomic, 2, 4, 5),
+            run(Read, 1, 4, 5),
+        ];
+        assert_eq!(merge(&[&own, &[]]), None);
+        // Against another block's atomic, the read is applied first and
+        // reported with its own pc.
+        let r = merge(&[&atomics, &own]).expect("atomic by 0, plain by 1");
+        assert_eq!((r.parties, r.write_write, r.pc), ((0, 1), false, 1));
+        // Two plain writers: the later block completes the pair.
+        let w = |pc| [run(Write, pc, 0, 8)];
+        let r = merge(&[&[], &w(6), &[], &w(7)]).expect("write-write");
+        assert_eq!(
+            (r.idx, r.parties, r.write_write, r.pc),
+            (0, (1, 3), true, 7)
+        );
     }
 }

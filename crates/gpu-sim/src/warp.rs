@@ -19,7 +19,7 @@ use crate::cost::{BlockCost, CostModel, LaunchStats};
 use crate::device::{lift_err, SimError, WARP_SIZE};
 use crate::interp::{apply_atomic, apply_bin, Instr, InterpError, Value};
 use crate::ir::{Axis, BinOp, Expr, SharedDecl, ShflOp, UnOp};
-use crate::race::{RaceReport, ShadowMemory, TouchRec};
+use crate::race::{RaceReport, Run, ShadowMemory, ATOMIC, READ, WRITE};
 use descend_trace::{BlockTrace, NullSink, Recorder, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,6 +36,10 @@ pub(crate) struct GridCtx<'a> {
     pub(crate) global: &'a [&'a [AtomicU64]],
     /// Element types of the global buffers.
     pub(crate) global_elems: &'a [crate::ir::ElemTy],
+    /// Lengths of the global buffers and of the shared allocations (what
+    /// the race shadow is sized to).
+    pub(crate) global_lens: &'a [usize],
+    pub(crate) shared_lens: &'a [usize],
     /// Shared-memory declarations.
     pub(crate) shared_decls: &'a [SharedDecl],
     /// Blocks per grid.
@@ -57,8 +61,8 @@ pub(crate) struct BlockOutcome {
     pub(crate) stats: LaunchStats,
     /// Minimum-key intra-block race, if any.
     pub(crate) race: Option<RaceReport>,
-    /// Cross-block touch summary (empty when races are off).
-    pub(crate) touched: Vec<TouchRec>,
+    /// Cross-block run summary (empty when races are off).
+    pub(crate) runs: Box<[Run]>,
     /// Structured trace of this block's execution (only when tracing).
     pub(crate) trace: Option<BlockTrace>,
 }
@@ -153,11 +157,6 @@ impl Warp {
         for slot in self.regs.iter_mut() {
             *slot = [Value::I(0); 32];
         }
-    }
-
-    /// Linear tid of a lane.
-    fn tid(&self, lane: usize) -> u32 {
-        self.base + lane as u32
     }
 
     /// Runs the warp to the end of the current barrier interval: every
@@ -339,8 +338,6 @@ impl Warp {
                 let elem = env.ctx.global_elems[*buf];
                 let mut group = [0u64; 32];
                 let mut n = 0;
-                let shadow = &mut env.shadow;
-                let base = self.base;
                 let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
@@ -349,15 +346,15 @@ impl Warp {
                     }
                     let bits = vals[l].to_elem_bits(elem).map_err(ev)?;
                     view[i as usize].store(bits, Ordering::Relaxed);
-                    if let Some(sh) = shadow.as_deref_mut() {
-                        sh.access(true, *buf, i, base + l as u32, true, false, pc as u32);
-                    }
                     group[n] = i;
                     n += 1;
                     pcs[l] = pc + 1;
                     sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
+                if let Some(sh) = env.shadow.as_deref_mut() {
+                    sh.group::<WRITE>(true, *buf, &addrs, self.base, mask, pc as u32);
+                }
                 let gc = env
                     .cost
                     .global_group(&mut group[..n], elem.size_bytes(), false);
@@ -376,10 +373,8 @@ impl Warp {
                 let elem = decl.elem;
                 let mut group = [0u64; 32];
                 let mut n = 0;
-                let Env { shared, shadow, .. } = env;
-                let buf_mem = &mut shared[*buf];
+                let buf_mem = &mut env.shared[*buf];
                 let len = buf_mem.len() as u64;
-                let base = self.base;
                 let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
@@ -388,15 +383,15 @@ impl Warp {
                     }
                     let bits = vals[l].to_elem_bits(elem).map_err(ev)?;
                     buf_mem[i as usize] = bits;
-                    if let Some(sh) = shadow.as_deref_mut() {
-                        sh.access(false, *buf, i, base + l as u32, true, false, pc as u32);
-                    }
                     group[n] = i;
                     n += 1;
                     pcs[l] = pc + 1;
                     sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
+                if let Some(sh) = env.shadow.as_deref_mut() {
+                    sh.group::<WRITE>(false, *buf, &addrs, self.base, mask, pc as u32);
+                }
                 let gc = env
                     .cost
                     .shared_group(&mut group[..n], elem.size_bytes(), false);
@@ -421,8 +416,6 @@ impl Warp {
                 let elem = env.ctx.global_elems[*buf];
                 let mut group = [0u64; 32];
                 let mut n = 0;
-                let shadow = &mut env.shadow;
-                let base = self.base;
                 let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
@@ -447,15 +440,15 @@ impl Warp {
                             Err(seen) => cur = seen,
                         }
                     }
-                    if let Some(sh) = shadow.as_deref_mut() {
-                        sh.access(true, *buf, i, base + l as u32, true, true, pc as u32);
-                    }
                     group[n] = i;
                     n += 1;
                     pcs[l] = pc + 1;
                     sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
+                if let Some(sh) = env.shadow.as_deref_mut() {
+                    sh.group::<ATOMIC>(true, *buf, &addrs, self.base, mask, pc as u32);
+                }
                 let gc = env
                     .cost
                     .global_group(&mut group[..n], elem.size_bytes(), true);
@@ -479,10 +472,8 @@ impl Warp {
                 let elem = decl.elem;
                 let mut group = [0u64; 32];
                 let mut n = 0;
-                let Env { shared, shadow, .. } = env;
-                let buf_mem = &mut shared[*buf];
+                let buf_mem = &mut env.shared[*buf];
                 let len = buf_mem.len() as u64;
-                let base = self.base;
                 let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
@@ -492,15 +483,15 @@ impl Warp {
                     let old = Value::from_bits(buf_mem[i as usize], elem);
                     let new = apply_atomic(*op, old, vals[l]).map_err(ev)?;
                     buf_mem[i as usize] = new.to_elem_bits(elem).map_err(ev)?;
-                    if let Some(sh) = shadow.as_deref_mut() {
-                        sh.access(false, *buf, i, base + l as u32, true, true, pc as u32);
-                    }
                     group[n] = i;
                     n += 1;
                     pcs[l] = pc + 1;
                     sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
+                if let Some(sh) = env.shadow.as_deref_mut() {
+                    sh.group::<ATOMIC>(false, *buf, &addrs, self.base, mask, pc as u32);
+                }
                 let gc = env
                     .cost
                     .shared_group(&mut group[..n], elem.size_bytes(), true);
@@ -714,23 +705,24 @@ fn eval_vec<S: TraceSink>(
                 .copied()
                 .ok_or_else(|| ev(format!("global buffer {buf} missing")))?;
             let elem = env.ctx.global_elems[*buf];
+            let mut addrs = [0u64; 32];
             let mut group = [0u64; 32];
             let mut n = 0;
             let block_lin = env.block_lin;
-            let shadow = &mut env.shadow;
             try_lanes(mask, |l| {
                 let i = out[l].as_index().map_err(ev)?;
                 if i >= view.len() as u64 {
                     return Err(oob(block_lin, "global", *buf, i, view.len() as u64, pc));
                 }
-                if let Some(sh) = shadow.as_deref_mut() {
-                    sh.access(true, *buf, i, warp.tid(l), false, false, pc as u32);
-                }
                 out[l] = Value::from_bits(view[i as usize].load(Ordering::Relaxed), elem);
+                addrs[l] = i;
                 group[n] = i;
                 n += 1;
                 Ok(())
             })?;
+            if let Some(sh) = env.shadow.as_deref_mut() {
+                sh.group::<READ>(true, *buf, &addrs, warp.base, mask, pc as u32);
+            }
             let gc = env
                 .cost
                 .global_group(&mut group[..n], elem.size_bytes(), false);
@@ -747,25 +739,26 @@ fn eval_vec<S: TraceSink>(
                 .get(*buf)
                 .ok_or_else(|| ev(format!("shared buffer {buf} missing")))?;
             let elem = decl.elem;
+            let mut addrs = [0u64; 32];
             let mut group = [0u64; 32];
             let mut n = 0;
             let block_lin = env.block_lin;
-            let Env { shared, shadow, .. } = env;
-            let buf_mem = &shared[*buf];
+            let buf_mem = &env.shared[*buf];
             let len = buf_mem.len() as u64;
             try_lanes(mask, |l| {
                 let i = out[l].as_index().map_err(ev)?;
                 if i >= len {
                     return Err(oob(block_lin, "shared", *buf, i, len, pc));
                 }
-                if let Some(sh) = shadow.as_deref_mut() {
-                    sh.access(false, *buf, i, warp.tid(l), false, false, pc as u32);
-                }
                 out[l] = Value::from_bits(buf_mem[i as usize], elem);
+                addrs[l] = i;
                 group[n] = i;
                 n += 1;
                 Ok(())
             })?;
+            if let Some(sh) = env.shadow.as_deref_mut() {
+                sh.group::<READ>(false, *buf, &addrs, warp.base, mask, pc as u32);
+            }
             let gc = env
                 .cost
                 .shared_group(&mut group[..n], elem.size_bytes(), false);
@@ -910,7 +903,7 @@ fn bin_fast(op: BinOp, mask: u32, out: &mut [Value; 32], rhs: &[Value; 32]) -> E
 /// loop-carried dependency per lane, which dominated the executor
 /// before this split.
 #[inline(always)]
-fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+pub(crate) fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
     if mask == u32::MAX {
         for l in 0..WARP_SIZE {
             f(l);
@@ -1057,9 +1050,7 @@ fn run_block_sink<S: TraceSink>(
         (block_lin / (gd[0] * gd[1])) as i64,
     ];
     if let Some(sh) = shadow.as_deref_mut() {
-        let glens: Vec<usize> = ctx.global.iter().map(|g| g.len()).collect();
-        let slens: Vec<usize> = ctx.shared_decls.iter().map(|s| s.len as usize).collect();
-        sh.ensure(&glens, &slens);
+        sh.begin_block(ctx.global_lens, ctx.shared_lens);
     }
     bs.reset();
     let BlockScratch {
@@ -1155,16 +1146,16 @@ fn run_block_sink<S: TraceSink>(
             }
         }
     }
-    let (race, touched) = match env.shadow.as_deref_mut() {
+    let (race, runs) = match env.shadow.as_deref_mut() {
         Some(sh) => sh.end_block(),
-        None => (None, Vec::new()),
+        None => (None, Box::default()),
     };
     let (cycles, stats) = env.cost.finish();
     Ok(BlockOutcome {
         cycles,
         stats,
         race,
-        touched,
+        runs,
         trace: None,
     })
 }

@@ -58,9 +58,13 @@ fn matmul_matches_reference_at_scale() {
     run_benchmark(BenchKind::Matmul, 256, 42, &warp_cfg());
 }
 
-/// Shadow-memory race detection carries its own cost; run one
-/// paper-scale benchmark with it enabled to pin the O(1)-per-access
-/// claim (an O(n log n) log replay would time this test out).
+/// Shadow-memory race detection carries its own cost; run paper-scale
+/// benchmarks with it enabled to pin the O(1)-per-access claim (an
+/// O(n log n) log replay would time this test out). Reduce is the
+/// contiguous case; Histogram scatters 2^20 atomics into 64 bins and
+/// Transpose touches one short row segment per warp, the two shapes a
+/// degenerate cross-block run summary (a run per access, a quadratic
+/// merge) would blow up on.
 #[test]
 fn race_detection_stays_cheap_at_paper_scale() {
     let cfg = LaunchConfig {
@@ -68,6 +72,8 @@ fn race_detection_stays_cheap_at_paper_scale() {
         ..warp_cfg()
     };
     run_benchmark(BenchKind::Reduce, 1 << 20, 42, &cfg);
+    run_benchmark(BenchKind::Histogram, 1 << 20, 42, &cfg);
+    run_benchmark(BenchKind::Transpose, 1024, 42, &cfg);
 }
 
 /// Warp-vectorized and reference lane-stepping execution agree on
