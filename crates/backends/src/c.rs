@@ -43,18 +43,16 @@
 //! every CPU buffer. A generated `main` dispatches on `argv[1]`.
 
 use crate::shared::{
-    access_index_expr, atomic_index_expr, atomic_targets, axis_name, for_each_stmt, indent,
-    render_ir_expr, render_ir_expr_named, space_coord, Builtin, HostSizes, SlotMap,
+    atomic_targets, axis_name, buffer_name, for_each_stmt, indent, render_access, scatter_index,
+    space_coord, Builtin, HostSizes,
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, BinOp as AstBinOp, ShflKind, UnOp as AstUnOp};
-use descend_codegen::ir_gen::idx_to_expr_subst;
 use descend_codegen::CodegenError;
-use descend_places::{lower_scalar_access, DYN_IDX};
 use descend_typeck::{
     CheckedProgram, ElabAccess, ElabExpr, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind,
 };
-use gpu_sim::ir::{Axis, Expr};
+use gpu_sim::ir::Axis;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -301,20 +299,12 @@ impl KernelBackend for CBackend {
         out
     }
 
-    fn emit_program(&self, checked: &CheckedProgram) -> Result<String, CodegenError> {
-        let mut out = self.prelude(checked);
-        for k in &checked.kernels {
-            out.push_str(&self.emit_kernel(k)?);
-            out.push('\n');
+    fn epilogue(&self, checked: &CheckedProgram) -> String {
+        if checked.host_fns.is_empty() {
+            String::new()
+        } else {
+            dispatcher(checked)
         }
-        for (name, stmts) in &checked.host_fns {
-            out.push_str(&self.emit_host_fn(name, stmts, &checked.kernels)?);
-            out.push('\n');
-        }
-        if !checked.host_fns.is_empty() {
-            out.push_str(&dispatcher(checked));
-        }
-        Ok(out)
     }
 }
 
@@ -544,9 +534,9 @@ struct Chunk {
 /// The C kernel walker. Unlike [`crate::shared::BodyCx`] (which renders
 /// nested `if`/barrier statements in place), this walker *fissions* the
 /// body into phases at `sync` and shuffle-staging points, then renders
-/// each phase as its own thread loop — the local-name and IR-slot
-/// discipline is kept statement-for-statement identical to `BodyCx` so
-/// the C text stays node-identical to the simulator IR.
+/// each phase as its own thread loop — the local-name discipline is
+/// kept statement-for-statement identical to `BodyCx`, and every index
+/// comes from the same [`render_access`] / [`scatter_index`].
 struct CKernelCx<'a> {
     be: &'a CBackend,
     kernel: &'a MonoKernel,
@@ -555,10 +545,6 @@ struct CKernelCx<'a> {
     /// Declared element kind per live local (for shuffle staging).
     local_elems: HashMap<String, ScalarKind>,
     decl_counter: usize,
-    /// IR slot per live local, mirroring the IR lowering's assignment.
-    slots: SlotMap,
-    /// Rendered *use* text per IR slot (`name[__t]`).
-    slot_names: Vec<String>,
     atomic_bufs: HashSet<MemKind>,
     scatter_counter: usize,
     /// Hoisted per-thread local arrays, in declaration order.
@@ -578,8 +564,6 @@ impl<'a> CKernelCx<'a> {
             local_names: HashMap::new(),
             local_elems: HashMap::new(),
             decl_counter: 0,
-            slots: SlotMap::new(),
-            slot_names: Vec::new(),
             atomic_bufs: atomic_targets(kernel),
             scatter_counter: 0,
             decls: Vec::new(),
@@ -690,15 +674,7 @@ impl<'a> CKernelCx<'a> {
     }
 
     fn access(&self, a: &ElabAccess, out: &mut String) -> Result<(), CodegenError> {
-        let name = match a.mem {
-            MemKind::GlobalParam(i) => &self.kernel.params[i].name,
-            MemKind::Shared(i) => &self.kernel.shared[i].name,
-        };
-        let idx = access_index_expr(a)?;
-        let _ = write!(out, "{name}[");
-        render_ir_expr(self.be, &idx, self.kernel, out);
-        out.push(']');
-        Ok(())
+        render_access(self.be, self.kernel, a, out)
     }
 
     fn stmts(&mut self, body: &[ElabStmt]) -> Result<(), CodegenError> {
@@ -718,9 +694,6 @@ impl<'a> CKernelCx<'a> {
                     };
                     self.local_names.insert(name.clone(), rendered.clone());
                     self.local_elems.insert(name.clone(), *elem);
-                    let slot = self.slots.declare(name);
-                    debug_assert_eq!(slot, self.slot_names.len());
-                    self.slot_names.push(format!("{rendered}[__t]"));
                     self.decls.push((rendered.clone(), *elem));
                     self.emit_line(format!("{rendered}[__t] = {init_text};"));
                 }
@@ -775,24 +748,11 @@ impl<'a> CKernelCx<'a> {
                 } => {
                     let mut value_text = String::new();
                     self.expr(value, &mut value_text)?;
-                    let name = match access.mem {
-                        MemKind::GlobalParam(i) => &self.kernel.params[i].name,
-                        MemKind::Shared(i) => &self.kernel.shared[i].name,
-                    };
                     let global = matches!(access.mem, MemKind::GlobalParam(_));
                     match index {
                         None => {
-                            let slots = &self.slots;
-                            let idx = atomic_index_expr(access, None, &|n| slots.get(n))?;
-                            let mut target = format!("{name}[");
-                            render_ir_expr_named(
-                                self.be,
-                                &idx,
-                                self.kernel,
-                                &self.slot_names,
-                                &mut target,
-                            );
-                            target.push(']');
+                            let mut target = String::new();
+                            self.access(access, &mut target)?;
                             let call =
                                 self.be
                                     .atomic_rmw(*op, access.elem, global, &target, &value_text);
@@ -808,28 +768,13 @@ impl<'a> CKernelCx<'a> {
                             let tmp = format!("descend_idx_{}", self.scatter_counter);
                             self.scatter_counter += 1;
                             let init = self.be.cast(ScalarKind::I32, &idx_init);
-                            let raw = lower_scalar_access(&access.path, &access.root_dims)
-                                .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-                            let mut names = self.slot_names.clone();
-                            let tmp_slot = names.len();
-                            names.push(self.be.scatter_index_use(&tmp));
-                            let idx = idx_to_expr_subst(&raw, &|v| {
-                                (v == DYN_IDX).then_some(Expr::Local(tmp_slot))
-                            })?;
-                            let mut idx_text = String::new();
-                            render_ir_expr_named(self.be, &idx, self.kernel, &names, &mut idx_text);
-                            let target = format!("{name}[{idx_text}]");
+                            let (idx_text, total) =
+                                scatter_index(self.be, self.kernel, access, &tmp)?;
+                            let target =
+                                format!("{}[{idx_text}]", buffer_name(self.kernel, access.mem));
                             let call =
                                 self.be
                                     .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            let mut total = 1u64;
-                            for d in &access.root_dims {
-                                total *= d.as_lit().ok_or_else(|| {
-                                    CodegenError::Lowering(format!(
-                                        "non-literal root dimension `{d}` in atomic scatter bound"
-                                    ))
-                                })?;
-                            }
                             let mut text = String::new();
                             let _ = writeln!(text, "int32_t {tmp} = {init};");
                             let _ =

@@ -31,21 +31,32 @@
 //! `atomic_add((volatile __global int*)&p, v)` plus f32 CAS-loop
 //! helpers, WGSL `atomicAdd` on `array<atomic<T>>` with
 //! `atomicStore`/`atomicLoad` for plain accesses to the same buffer),
-//! and the kernel/host-stub framing
-//! ([`KernelBackend::emit_kernel`], [`KernelBackend::emit_host_fn`]).
+//! and the framing: one kernel ([`KernelBackend::emit_kernel`]), one
+//! host stub ([`KernelBackend::emit_host_fn`]), the translation unit's
+//! [`KernelBackend::prelude`] and, where a target needs one (C's
+//! `main`), its [`KernelBackend::epilogue`].
 //!
 //! Everything *semantic* is shared and non-overridable in practice:
-//! statement and expression bodies render through [`shared::BodyCx`],
-//! and — crucially — every memory-access index goes through
-//! [`shared::access_index_expr`], the single
-//! `lower_scalar_access` → `idx_to_expr` path that also feeds the
-//! simulator IR ([`descend_codegen::kernel_to_ir`]). No backend has its
-//! own copy of index-expression printing, so all targets stay
-//! structurally consistent with what the simulator executes; the
-//! cross-backend consistency test in the workspace root pins this.
+//! statement and expression bodies render through [`shared::BodyCx`]
+//! (the C backend's phase-fissioning walker keeps the same discipline),
+//! and — crucially — every memory-access index is built by
+//! [`descend_codegen::ir_gen::access_index_expr`], the one function the
+//! simulator IR ([`descend_codegen::kernel_to_ir`]) is lowered with, and
+//! printed by [`render_ir_expr`]. No backend has its own copy of index
+//! lowering or index printing, so all targets are structurally what the
+//! simulator executes by construction; the cross-backend consistency
+//! test in the workspace root checks the printed text against the IR.
+//!
+//! The layout of a translation unit is decided once as well:
+//! [`KernelBackend::assemble_program`] joins already rendered kernel
+//! texts with the prelude, host stubs and epilogue, and
+//! [`KernelBackend::emit_program`] is "render each kernel, then
+//! assemble". A caller that already holds the kernel texts (the
+//! incremental compiler caches them per kernel) assembles without
+//! rendering anything twice.
 //!
 //! Adding a target (Metal, a PTX-like sim dialect, ...) means
-//! implementing the syntax hooks plus the two framing methods and
+//! implementing the syntax hooks plus the framing methods and
 //! registering the backend in [`all_backends`] — the lowering itself is
 //! untouched.
 //!
@@ -71,11 +82,7 @@ pub mod wgsl;
 pub use c::CBackend;
 pub use cuda::CudaBackend;
 pub use opencl::OpenClBackend;
-pub use shared::{
-    access_index_expr, atomic_index_expr, atomic_targets, for_each_stmt, ir_index_exprs,
-    kernel_index_exprs, kernel_inline_index_exprs, render_ir_expr, render_ir_expr_named, Builtin,
-    SlotMap,
-};
+pub use shared::{atomic_targets, for_each_stmt, ir_index_exprs, render_ir_expr, Builtin};
 pub use wgsl::WgslBackend;
 
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -89,7 +96,7 @@ use gpu_sim::ir::Axis;
 /// arithmetic, statement structure) come from the shared lowering in
 /// [`shared`]. See the crate docs for the full contract.
 pub trait KernelBackend {
-    /// The registry name (`"cuda"`, `"opencl"`, `"wgsl"`).
+    /// The registry name (`"cuda"`, `"opencl"`, `"wgsl"`, `"c"`).
     fn name(&self) -> &'static str;
 
     /// Conventional source-file extension (without the dot).
@@ -217,23 +224,52 @@ pub trait KernelBackend {
     /// needed.
     fn prelude(&self, checked: &CheckedProgram) -> String;
 
-    /// Renders a complete translation unit: prelude, all kernels, all
-    /// host stubs.
+    /// Target-specific translation-unit trailer, after the host stubs
+    /// (default: none; C appends the `main` that dispatches to them).
+    fn epilogue(&self, _checked: &CheckedProgram) -> String {
+        String::new()
+    }
+
+    /// Lays out a complete translation unit from already rendered
+    /// kernels: prelude, `kernel_texts` (one per `checked.kernels`
+    /// entry, in order), host stubs, epilogue. The one place the layout
+    /// is decided — backends do not override it.
     ///
     /// # Errors
     ///
-    /// Propagates lowering failures (see [`CodegenError`]).
-    fn emit_program(&self, checked: &CheckedProgram) -> Result<String, CodegenError> {
+    /// Propagates host-stub lowering failures (see [`CodegenError`]).
+    fn assemble_program(
+        &self,
+        checked: &CheckedProgram,
+        kernel_texts: &[String],
+    ) -> Result<String, CodegenError> {
         let mut out = self.prelude(checked);
-        for k in &checked.kernels {
-            out.push_str(&self.emit_kernel(k)?);
+        for text in kernel_texts {
+            out.push_str(text);
             out.push('\n');
         }
         for (name, stmts) in &checked.host_fns {
             out.push_str(&self.emit_host_fn(name, stmts, &checked.kernels)?);
             out.push('\n');
         }
+        out.push_str(&self.epilogue(checked));
         Ok(out)
+    }
+
+    /// Renders a complete translation unit: every kernel through
+    /// [`KernelBackend::emit_kernel`], then
+    /// [`KernelBackend::assemble_program`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering failures (see [`CodegenError`]).
+    fn emit_program(&self, checked: &CheckedProgram) -> Result<String, CodegenError> {
+        let kernel_texts = checked
+            .kernels
+            .iter()
+            .map(|k| self.emit_kernel(k))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.assemble_program(checked, &kernel_texts)
     }
 }
 
@@ -284,6 +320,7 @@ mod tests {
                 ScalarKind::F64,
                 ScalarKind::F32,
                 ScalarKind::I32,
+                ScalarKind::U32,
                 ScalarKind::Bool,
             ] {
                 assert!(!be.scalar_type(k).is_empty(), "{}/{k:?}", be.name());

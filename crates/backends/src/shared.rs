@@ -1,21 +1,19 @@
-//! The shared lowering layer every backend renders through.
+//! The shared rendering layer every backend emits through.
 //!
-//! Index expressions are lowered exactly once, by
-//! [`descend_places::lower_scalar_access`] followed by
-//! [`descend_codegen::ir_gen::idx_to_expr`] — the same pipeline that
-//! produces the simulator IR. [`render_ir_expr`] then prints the lowered
+//! Index expressions are built exactly once, by
+//! [`descend_codegen::ir_gen::access_index_expr`] — the same function the
+//! simulator IR is lowered with. [`render_ir_expr`] then prints the
 //! expression with backend-supplied coordinate spellings, so no backend
-//! owns a private copy of index-expression printing and every target's
-//! text is structurally the expression the simulator executes.
+//! owns a private copy of index lowering or index printing and every
+//! target's text is structurally the expression the simulator executes.
 
 use crate::KernelBackend;
 use descend_ast::term::BinOp as AstBinOp;
 use descend_ast::term::UnOp as AstUnOp;
 use descend_ast::ty::DimCompo;
-use descend_codegen::ir_gen::{elab_expr_to_ir, idx_to_expr, idx_to_expr_subst};
+use descend_codegen::ir_gen::access_index_expr;
 use descend_codegen::CodegenError;
 use descend_exec::Space;
-use descend_places::{lower_scalar_access, DYN_IDX};
 use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::{Axis, Expr, KernelIr, Stmt};
 use std::collections::{HashMap, HashSet};
@@ -38,54 +36,6 @@ pub enum Builtin {
 pub fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
         out.push_str("    ");
-    }
-}
-
-/// Lowers one elaborated access to its flat element-index expression.
-///
-/// This is the *only* path from accesses to index expressions in the
-/// emission layer; it is byte-for-byte the lowering the simulator IR is
-/// built from ([`descend_codegen::kernel_to_ir`]).
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn access_index_expr(a: &ElabAccess) -> Result<Expr, CodegenError> {
-    let idx = lower_scalar_access(&a.path, &a.root_dims)
-        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-    idx_to_expr(&idx)
-}
-
-/// Mirrors the slot assignment of the IR lowering
-/// (`descend_codegen`'s `LowerCx`): every `Local` declaration takes the
-/// next slot, rebinding a name takes a fresh slot. Walking an elaborated
-/// body in syntactic order with this map reproduces the exact `Local`
-/// indices the simulator IR uses, which is what lets the emission layer
-/// build atomic-scatter index expressions that equal the IR's node for
-/// node.
-#[derive(Default)]
-pub struct SlotMap {
-    map: HashMap<String, usize>,
-    next: usize,
-}
-
-impl SlotMap {
-    /// A fresh, empty map.
-    pub fn new() -> SlotMap {
-        SlotMap::default()
-    }
-
-    /// Declares (or rebinds) a local, returning its slot.
-    pub fn declare(&mut self, name: &str) -> usize {
-        let slot = self.next;
-        self.next += 1;
-        self.map.insert(name.to_string(), slot);
-        slot
-    }
-
-    /// The live slot of a name.
-    pub fn get(&self, name: &str) -> Option<usize> {
-        self.map.get(name).copied()
     }
 }
 
@@ -159,31 +109,6 @@ pub fn atomic_targets(k: &MonoKernel) -> HashSet<MemKind> {
     out
 }
 
-/// Builds the full element-index IR expression of an atomic access: the
-/// static part comes from the shared `lower_scalar_access` pipeline; the
-/// scatter form splices the runtime index (converted by
-/// [`elab_expr_to_ir`]) in place of the [`DYN_IDX`] sentinel. This is
-/// exactly the expression `kernel_to_ir` puts in the simulator IR.
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn atomic_index_expr(
-    access: &ElabAccess,
-    index: Option<&ElabExpr>,
-    locals: &dyn Fn(&str) -> Option<usize>,
-) -> Result<Expr, CodegenError> {
-    let raw = lower_scalar_access(&access.path, &access.root_dims)
-        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-    match index {
-        Some(ie) => {
-            let ie = elab_expr_to_ir(ie, locals)?;
-            idx_to_expr_subst(&raw, &|v| (v == DYN_IDX).then(|| ie.clone()))
-        }
-        None => idx_to_expr(&raw),
-    }
-}
-
 /// The rendered coordinate of an execution space along a dimension:
 /// the backend's block/thread builtin, or the derived
 /// `threadIdx.x / 32` / `threadIdx.x % 32` warp and lane coordinates —
@@ -194,7 +119,7 @@ pub fn atomic_index_expr(
 pub fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKernel) -> String {
     let expr = descend_codegen::ir_gen::space_coord_expr(space, dim);
     let mut out = String::new();
-    render_ir_expr(be, &expr, k, &mut out);
+    render_ir_expr(be, &expr, k, None, &mut out);
     out
 }
 
@@ -254,21 +179,15 @@ fn ir_binop(op: gpu_sim::ir::BinOp) -> &'static str {
 
 /// Renders an IR expression with the backend's coordinate and buffer
 /// spellings. Used for the index expressions, so every target's text
-/// matches the simulated lowering exactly. Local slots render as `l<i>`
-/// (hand-built IR); bodies with named locals go through
-/// [`render_ir_expr_named`].
-pub fn render_ir_expr(be: &dyn KernelBackend, e: &Expr, k: &MonoKernel, out: &mut String) {
-    render_ir_expr_named(be, e, k, &[], out);
-}
-
-/// Like [`render_ir_expr`], but renders `Local(i)` with the kernel's
-/// declared local names (slot-indexed, as mirrored by [`SlotMap`]); slots
-/// beyond the table fall back to `l<i>`.
-pub fn render_ir_expr_named(
+/// matches the simulated lowering exactly. The only `Local` an emitter
+/// ever prints this way is the temporary an atomic scatter bound its
+/// runtime index to; `scatter_tmp` is that temporary's spelling
+/// (hand-built IR rendered without one falls back to `l<i>`).
+pub fn render_ir_expr(
     be: &dyn KernelBackend,
     e: &Expr,
     k: &MonoKernel,
-    local_names: &[String],
+    scatter_tmp: Option<&str>,
     out: &mut String,
 ) {
     match e {
@@ -285,7 +204,7 @@ pub fn render_ir_expr_named(
         Expr::ThreadIdx(a) => out.push_str(&be.builtin(Builtin::ThreadIdx, *a)),
         Expr::BlockDim(a) => out.push_str(&be.builtin(Builtin::BlockDim, *a)),
         Expr::GridDim(a) => out.push_str(&be.builtin(Builtin::GridDim, *a)),
-        Expr::Local(i) => match local_names.get(*i) {
+        Expr::Local(i) => match scatter_tmp {
             Some(n) => out.push_str(n),
             None => {
                 let _ = write!(out, "l{i}");
@@ -293,26 +212,26 @@ pub fn render_ir_expr_named(
         },
         Expr::LoadGlobal { buf, idx } => {
             let _ = write!(out, "{}[", k.params[*buf].name);
-            render_ir_expr_named(be, idx, k, local_names, out);
+            render_ir_expr(be, idx, k, scatter_tmp, out);
             out.push(']');
         }
         Expr::LoadShared { buf, idx } => {
             let _ = write!(out, "{}[", k.shared[*buf].name);
-            render_ir_expr_named(be, idx, k, local_names, out);
+            render_ir_expr(be, idx, k, scatter_tmp, out);
             out.push(']');
         }
         Expr::Bin(op @ (gpu_sim::ir::BinOp::Min | gpu_sim::ir::BinOp::Max), a, b) => {
             let _ = write!(out, "{}(", ir_binop(*op));
-            render_ir_expr_named(be, a, k, local_names, out);
+            render_ir_expr(be, a, k, scatter_tmp, out);
             out.push_str(", ");
-            render_ir_expr_named(be, b, k, local_names, out);
+            render_ir_expr(be, b, k, scatter_tmp, out);
             out.push(')');
         }
         Expr::Bin(op, a, b) => {
             out.push('(');
-            render_ir_expr_named(be, a, k, local_names, out);
+            render_ir_expr(be, a, k, scatter_tmp, out);
             let _ = write!(out, " {} ", ir_binop(*op));
-            render_ir_expr_named(be, b, k, local_names, out);
+            render_ir_expr(be, b, k, scatter_tmp, out);
             out.push(')');
         }
         Expr::Un(op, a) => {
@@ -321,10 +240,66 @@ pub fn render_ir_expr_named(
                 gpu_sim::ir::UnOp::Not => "!",
             });
             out.push('(');
-            render_ir_expr_named(be, a, k, local_names, out);
+            render_ir_expr(be, a, k, scatter_tmp, out);
             out.push(')');
         }
     }
+}
+
+/// The declared name of the buffer an access targets.
+pub(crate) fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
+    match mem {
+        MemKind::GlobalParam(i) => &k.params[i].name,
+        MemKind::Shared(i) => &k.shared[i].name,
+    }
+}
+
+/// Renders a statically addressed access as `buffer[index]`:
+/// [`access_index_expr`] printed by [`render_ir_expr`].
+///
+/// # Errors
+///
+/// Propagates lowering failures (see [`CodegenError`]).
+pub(crate) fn render_access(
+    be: &dyn KernelBackend,
+    k: &MonoKernel,
+    a: &ElabAccess,
+    out: &mut String,
+) -> Result<(), CodegenError> {
+    let _ = write!(out, "{}[", buffer_name(k, a.mem));
+    render_ir_expr(be, &access_index_expr(a, None)?, k, None, out);
+    out.push(']');
+    Ok(())
+}
+
+/// The target of an atomic scatter whose runtime index was bound to the
+/// temporary `tmp`: the rendered element index (the same
+/// [`access_index_expr`], with the temporary in the runtime index's
+/// place) and the element count it must be guarded against.
+///
+/// # Errors
+///
+/// Propagates lowering failures; [`CodegenError::Lowering`] for a
+/// non-literal root dimension.
+pub(crate) fn scatter_index(
+    be: &dyn KernelBackend,
+    k: &MonoKernel,
+    a: &ElabAccess,
+    tmp: &str,
+) -> Result<(String, u64), CodegenError> {
+    let tmp_use = be.scatter_index_use(tmp);
+    let mut text = String::new();
+    let idx = access_index_expr(a, Some(&Expr::Local(0)))?;
+    render_ir_expr(be, &idx, k, Some(&tmp_use), &mut text);
+    let mut len = 1u64;
+    for d in &a.root_dims {
+        len *= d.as_lit().ok_or_else(|| {
+            CodegenError::Lowering(format!(
+                "non-literal root dimension `{d}` in atomic scatter bound"
+            ))
+        })?;
+    }
+    Ok((text, len))
 }
 
 fn binop_str(op: AstBinOp) -> &'static str {
@@ -356,15 +331,10 @@ pub struct BodyCx<'a> {
     /// Rendered name per live local (uniquified on rebinding).
     local_names: HashMap<String, String>,
     decl_counter: usize,
-    /// IR slot per live local, mirroring the IR lowering's assignment.
-    slots: SlotMap,
-    /// Rendered name per IR slot (for [`render_ir_expr_named`]).
-    slot_names: Vec<String>,
     /// Buffers updated atomically anywhere in the kernel.
     atomic_bufs: HashSet<MemKind>,
     /// Counter for emitted scatter-index temporaries (`descend_idx_<n>`;
-    /// text-only locals the IR does not have, so they stay out of the
-    /// slot tables).
+    /// text-only locals the IR does not have).
     scatter_counter: usize,
 }
 
@@ -376,8 +346,6 @@ impl<'a> BodyCx<'a> {
             kernel,
             local_names: HashMap::new(),
             decl_counter: 0,
-            slots: SlotMap::new(),
-            slot_names: Vec::new(),
             atomic_bufs: atomic_targets(kernel),
             scatter_counter: 0,
         }
@@ -427,15 +395,7 @@ impl<'a> BodyCx<'a> {
     }
 
     fn access(&self, a: &ElabAccess, out: &mut String) -> Result<(), CodegenError> {
-        let name = match a.mem {
-            MemKind::GlobalParam(i) => &self.kernel.params[i].name,
-            MemKind::Shared(i) => &self.kernel.shared[i].name,
-        };
-        let idx = access_index_expr(a)?;
-        let _ = write!(out, "{name}[");
-        render_ir_expr(self.be, &idx, self.kernel, out);
-        out.push(']');
-        Ok(())
+        render_access(self.be, self.kernel, a, out)
     }
 
     /// Renders a statement list at the given indentation level.
@@ -466,12 +426,9 @@ impl<'a> BodyCx<'a> {
                     // after lowering the init.
                     let mut init_text = String::new();
                     self.expr(init, &mut init_text)?;
-                    self.local_names.insert(name.clone(), rendered.clone());
-                    let slot = self.slots.declare(name);
-                    debug_assert_eq!(slot, self.slot_names.len());
-                    self.slot_names.push(rendered.clone());
                     out.push_str(&self.be.local_decl(*elem, &rendered, &init_text));
                     out.push('\n');
+                    self.local_names.insert(name.clone(), rendered);
                 }
                 ElabStmt::AssignLocal { name, value } => {
                     indent(out, level);
@@ -535,28 +492,14 @@ impl<'a> BodyCx<'a> {
                     indent(out, level);
                     let mut value_text = String::new();
                     self.expr(value, &mut value_text)?;
-                    let name = match access.mem {
-                        MemKind::GlobalParam(i) => &self.kernel.params[i].name,
-                        MemKind::Shared(i) => &self.kernel.shared[i].name,
-                    };
                     let global = matches!(access.mem, MemKind::GlobalParam(_));
                     match index {
                         None => {
                             // Static target: the full element index,
                             // node-for-node the simulator IR's, rendered
-                            // with this backend's spellings and the
-                            // declared local names.
-                            let slots = &self.slots;
-                            let idx = atomic_index_expr(access, None, &|n| slots.get(n))?;
-                            let mut target = format!("{name}[");
-                            render_ir_expr_named(
-                                self.be,
-                                &idx,
-                                self.kernel,
-                                &self.slot_names,
-                                &mut target,
-                            );
-                            target.push(']');
+                            // with this backend's spellings.
+                            let mut target = String::new();
+                            self.access(access, &mut target)?;
                             out.push_str(&self.be.atomic_rmw(
                                 *op,
                                 access.elem,
@@ -585,28 +528,13 @@ impl<'a> BodyCx<'a> {
                             out.push_str(&self.be.local_decl(ScalarKind::I32, &tmp, &init));
                             out.push('\n');
                             indent(out, level);
-                            let raw = lower_scalar_access(&access.path, &access.root_dims)
-                                .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-                            let mut names = self.slot_names.clone();
-                            let tmp_slot = names.len();
-                            names.push(self.be.scatter_index_use(&tmp));
-                            let idx = idx_to_expr_subst(&raw, &|v| {
-                                (v == DYN_IDX).then_some(Expr::Local(tmp_slot))
-                            })?;
-                            let mut idx_text = String::new();
-                            render_ir_expr_named(self.be, &idx, self.kernel, &names, &mut idx_text);
-                            let target = format!("{name}[{idx_text}]");
+                            let (idx_text, total) =
+                                scatter_index(self.be, self.kernel, access, &tmp)?;
+                            let target =
+                                format!("{}[{idx_text}]", buffer_name(self.kernel, access.mem));
                             let call =
                                 self.be
                                     .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            let mut total = 1u64;
-                            for d in &access.root_dims {
-                                total *= d.as_lit().ok_or_else(|| {
-                                    CodegenError::Lowering(format!(
-                                        "non-literal root dimension `{d}` in atomic scatter bound"
-                                    ))
-                                })?;
-                            }
                             let _ = write!(
                                 out,
                                 "if (0 <= {idx_text} && {idx_text} < {total}) {{ {call} }}"
@@ -668,112 +596,25 @@ impl HostSizes {
     }
 }
 
-/// Collects the lowered index expression of every memory access in an
-/// elaborated kernel body (loads and stores, in syntactic order).
+/// Collects the index expressions of a simulator kernel that every
+/// backend prints inline (bracketed): all loads and stores, plus the
+/// targets of statically addressed atomics. A scatter atomic's address
+/// carries its runtime index — recognised here by the load or local it
+/// contains — and is printed through a bound, guarded temporary instead,
+/// so it is left out; the loads *inside* it do appear inline (in the
+/// temporary's initializer) and are included.
 ///
-/// This is what the emitters print; comparing it against
-/// [`ir_index_exprs`] of the lowered [`KernelIr`] proves text and
-/// simulation share one lowering.
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn kernel_index_exprs(k: &MonoKernel) -> Result<Vec<Expr>, CodegenError> {
-    collect_index_exprs(k, false)
-}
-
-/// The index expressions that appear *inline* (bracketed) in every
-/// backend's emitted text: all plain accesses plus static-form atomic
-/// targets. Scatter atomics are excluded — their runtime index is bound
-/// to an emitted temporary first (one evaluation, guarded), so the full
-/// address never appears inline; the dedicated atomic consistency test
-/// pins that form instead. The loads *inside* a scatter index do appear
-/// inline (in the temporary's initializer) and are included.
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn kernel_inline_index_exprs(k: &MonoKernel) -> Result<Vec<Expr>, CodegenError> {
-    collect_index_exprs(k, true)
-}
-
-/// The one Elab-side index walk behind [`kernel_index_exprs`] and
-/// [`kernel_inline_index_exprs`]; the two differ only in how a scatter
-/// atomic's target contributes (full spliced address vs. nothing beyond
-/// its inline parts).
-fn collect_index_exprs(k: &MonoKernel, inline_only: bool) -> Result<Vec<Expr>, CodegenError> {
-    fn walk_expr(e: &ElabExpr, out: &mut Vec<Expr>) -> Result<(), CodegenError> {
-        match e {
-            ElabExpr::Lit(..) | ElabExpr::Local(_) => {}
-            ElabExpr::Load(a) => out.push(access_index_expr(a)?),
-            ElabExpr::Binary(_, x, y) => {
-                walk_expr(x, out)?;
-                walk_expr(y, out)?;
-            }
-            ElabExpr::Unary(_, x) | ElabExpr::Shfl { value: x, .. } => walk_expr(x, out)?,
-        }
-        Ok(())
-    }
-    fn walk_stmts(
-        body: &[ElabStmt],
-        inline_only: bool,
-        slots: &mut SlotMap,
-        out: &mut Vec<Expr>,
-    ) -> Result<(), CodegenError> {
-        for s in body {
-            match s {
-                ElabStmt::Local { name, init, .. } => {
-                    walk_expr(init, out)?;
-                    slots.declare(name);
-                }
-                ElabStmt::AssignLocal { value, .. } => walk_expr(value, out)?,
-                ElabStmt::Store { access, value } => {
-                    out.push(access_index_expr(access)?);
-                    walk_expr(value, out)?;
-                }
-                ElabStmt::Atomic {
-                    access,
-                    index,
-                    value,
-                    ..
-                } => {
-                    if !inline_only {
-                        // The atomic target contributes its *full* index
-                        // — static part and spliced runtime part —
-                        // exactly as the IR carries it.
-                        out.push(atomic_index_expr(access, index.as_ref(), &|n| {
-                            slots.get(n)
-                        })?);
-                    } else if index.is_none() {
-                        out.push(access_index_expr(access)?);
-                    }
-                    if let Some(ie) = index {
-                        walk_expr(ie, out)?;
-                    }
-                    walk_expr(value, out)?;
-                }
-                ElabStmt::Split { fst, snd, .. } => {
-                    walk_stmts(fst, inline_only, slots, out)?;
-                    walk_stmts(snd, inline_only, slots, out)?;
-                }
-                ElabStmt::Sync | ElabStmt::Src(_) => {}
-            }
-        }
-        Ok(())
-    }
-    let mut out = Vec::new();
-    walk_stmts(&k.body, inline_only, &mut SlotMap::new(), &mut out)?;
-    Ok(out)
-}
-
-/// Collects the index expression of every memory access in a simulator
-/// kernel (loads and stores).
-///
-/// Symmetric with [`kernel_index_exprs`]: each access contributes its
-/// index *as a unit*, without recursing into it — so the two collections
-/// compare as multisets even if a future lowering ever nests an access
-/// inside an index.
+/// Each access contributes its index *as a unit*, without recursing
+/// into it.
 pub fn ir_index_exprs(ir: &KernelIr) -> Vec<Expr> {
+    fn reads_data(e: &Expr) -> bool {
+        match e {
+            Expr::Local(_) | Expr::LoadGlobal { .. } | Expr::LoadShared { .. } => true,
+            Expr::Bin(_, a, b) => reads_data(a) || reads_data(b),
+            Expr::Un(_, a) => reads_data(a),
+            _ => false,
+        }
+    }
     fn walk_expr(e: &Expr, out: &mut Vec<Expr>) {
         match e {
             Expr::LoadGlobal { idx, .. } | Expr::LoadShared { idx, .. } => {
@@ -796,11 +637,11 @@ pub fn ir_index_exprs(ir: &KernelIr) -> Vec<Expr> {
                     walk_expr(value, out);
                 }
                 Stmt::AtomicGlobal { idx, value, .. } | Stmt::AtomicShared { idx, value, .. } => {
-                    out.push(idx.clone());
+                    if !reads_data(idx) {
+                        out.push(idx.clone());
+                    }
                     // A scatter index may itself contain loads (the
-                    // histogram reads its bin from memory); collect their
-                    // indices too, mirroring the Elab-side walk of the
-                    // dynamic index expression.
+                    // histogram reads its bin from memory).
                     walk_expr(idx, out);
                     walk_expr(value, out);
                 }

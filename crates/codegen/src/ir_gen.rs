@@ -4,7 +4,7 @@ use descend_ast::term::{AtomicOp as AstAtomicOp, BinOp as AstBinOp, ShflKind, Un
 use descend_ast::ty::DimCompo;
 use descend_exec::{Space, WARP_SIZE};
 use descend_places::{lower_scalar_access, Coord, IdxExpr, DYN_IDX};
-use descend_typeck::{ElabExpr, ElabStmt, MonoKernel, ScalarKind};
+use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::{
     AtomicOp, Axis, BinOp, ElemTy, Expr, KernelIr, ParamDecl, SharedDecl, ShflOp, Stmt, UnOp,
 };
@@ -96,25 +96,37 @@ pub fn space_coord_expr(space: Space, dim: DimCompo) -> Expr {
     }
 }
 
-/// Converts a lowered index expression to an IR expression.
-pub fn idx_to_expr(idx: &IdxExpr) -> Result<Expr, CodegenError> {
-    idx_to_expr_subst(idx, &|_| None)
+/// Lowers one elaborated access to its flat element-index expression:
+/// the reverse-order view lowering of
+/// [`descend_places::lower_scalar_access`], converted to IR.
+///
+/// This is the *only* path from an access to an index expression — the
+/// kernel lowering calls it for every load, store and atomic, and every
+/// backend calls it for the text it prints — so the simulator and all
+/// emitted targets share one lowering by construction.
+///
+/// `dyn_index` is the runtime index of an atomic scatter, spliced in
+/// place of the [`DYN_IDX`] sentinel (the kernel lowering passes the
+/// lowered index value, the emitters the temporary they bound it to);
+/// `None` for every statically addressed access.
+///
+/// # Errors
+///
+/// [`CodegenError::Lowering`] when the path cannot be flattened,
+/// [`CodegenError::ResidualVar`] when an index variable other than a
+/// supplied scatter index survives.
+pub fn access_index_expr(a: &ElabAccess, dyn_index: Option<&Expr>) -> Result<Expr, CodegenError> {
+    let idx = lower_scalar_access(&a.path, &a.root_dims)
+        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
+    idx_to_expr(&idx, dyn_index)
 }
 
-/// Converts a lowered index expression to an IR expression, substituting
-/// IR expressions for named index variables. The only producer of such
-/// variables after unrolling is the atomic-scatter sentinel
-/// [`DYN_IDX`], whose runtime index expression is spliced in here — the
-/// rest of the address keeps flowing through the one shared lowering.
-pub fn idx_to_expr_subst(
-    idx: &IdxExpr,
-    subst: &dyn Fn(&str) -> Option<Expr>,
-) -> Result<Expr, CodegenError> {
+fn idx_to_expr(idx: &IdxExpr, dyn_index: Option<&Expr>) -> Result<Expr, CodegenError> {
     Ok(match idx {
         IdxExpr::Const(v) => Expr::LitI(*v as i64),
-        IdxExpr::Var(x) => match subst(x) {
-            Some(e) => e,
-            None => return Err(CodegenError::ResidualVar(x.clone())),
+        IdxExpr::Var(x) => match dyn_index {
+            Some(e) if x == DYN_IDX => e.clone(),
+            _ => return Err(CodegenError::ResidualVar(x.clone())),
         },
         IdxExpr::Coord(Coord { space, dim, offset }) => {
             let base = space_coord_expr(*space, *dim);
@@ -128,9 +140,9 @@ pub fn idx_to_expr_subst(
                 }
             }
         }
-        IdxExpr::Add(a, b) => Expr::add(idx_to_expr_subst(a, subst)?, idx_to_expr_subst(b, subst)?),
-        IdxExpr::Sub(a, b) => Expr::sub(idx_to_expr_subst(a, subst)?, idx_to_expr_subst(b, subst)?),
-        IdxExpr::Mul(a, b) => Expr::mul(idx_to_expr_subst(a, subst)?, idx_to_expr_subst(b, subst)?),
+        IdxExpr::Add(a, b) => Expr::add(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
+        IdxExpr::Sub(a, b) => Expr::sub(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
+        IdxExpr::Mul(a, b) => Expr::mul(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
     })
 }
 
@@ -159,80 +171,54 @@ fn un_op(op: AstUnOp) -> UnOp {
     }
 }
 
-/// Converts an elaborated (value) expression to an IR expression, given
-/// a resolver from live local names to slots.
-///
-/// This is the single ElabExpr-to-IR conversion: the kernel lowering uses
-/// it with its slot table, and the emission layer uses it (with a
-/// mirrored table) to build atomic-scatter indices that match the
-/// simulator IR node for node.
-///
-/// # Errors
-///
-/// [`CodegenError::UnknownLocal`] for unresolved names, plus lowering
-/// failures from nested accesses.
-pub fn elab_expr_to_ir(
-    e: &ElabExpr,
-    locals: &dyn Fn(&str) -> Option<usize>,
-) -> Result<Expr, CodegenError> {
-    Ok(match e {
-        ElabExpr::Lit(kind, v) => match kind {
-            ScalarKind::F64 | ScalarKind::F32 => Expr::LitF(*v),
-            ScalarKind::I32 | ScalarKind::U32 => Expr::LitI(*v as i64),
-            ScalarKind::Bool => Expr::LitB(*v != 0.0),
-        },
-        ElabExpr::Local(name) => {
-            Expr::Local(locals(name).ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?)
-        }
-        ElabExpr::Load(access) => {
-            let idx = lower_scalar_access(&access.path, &access.root_dims)
-                .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-            let idx = Box::new(idx_to_expr(&idx)?);
-            match access.mem {
-                descend_typeck::MemKind::GlobalParam(i) => Expr::LoadGlobal { buf: i, idx },
-                descend_typeck::MemKind::Shared(i) => Expr::LoadShared { buf: i, idx },
-            }
-        }
-        ElabExpr::Binary(op, a, b) => Expr::bin(
-            bin_op(*op),
-            elab_expr_to_ir(a, locals)?,
-            elab_expr_to_ir(b, locals)?,
-        ),
-        ElabExpr::Unary(op, a) => Expr::Un(un_op(*op), Box::new(elab_expr_to_ir(a, locals)?)),
-        // A shuffle is a warp-synchronous *instruction*, not a pure
-        // expression: the kernel lowering extracts it into a dedicated
-        // `Stmt::Shfl` (see `LowerCx::expr_in`); in pure-expression
-        // positions (atomic-scatter indices) it cannot appear — the type
-        // checker already rejects it there.
-        ElabExpr::Shfl { .. } => {
-            return Err(CodegenError::Lowering(
-                "warp shuffles cannot appear in index positions".into(),
-            ))
-        }
-    })
-}
-
 struct LowerCx {
     /// Live name -> local slot (rebinding allocates a fresh slot).
     locals: HashMap<String, usize>,
+    /// The one slot counter: named locals and shuffle temporaries both
+    /// take the next slot, in lowering order.
     next_slot: usize,
-    /// Shuffle temporaries allocate from here — *after* every named
-    /// local of the kernel — so the named-local slot assignment stays
-    /// identical to the emission layer's `SlotMap` mirror regardless of
-    /// how many shuffles the body contains.
-    next_shfl_slot: usize,
 }
 
 impl LowerCx {
+    fn fresh_slot(&mut self) -> usize {
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        slot
+    }
+
+    fn slot_of(&self, name: &str) -> Result<usize, CodegenError> {
+        self.locals
+            .get(name)
+            .copied()
+            .ok_or_else(|| CodegenError::UnknownLocal(name.to_string()))
+    }
+
     /// Lowers a value expression, extracting every contained shuffle
     /// into a preceding [`Stmt::Shfl`] on a fresh temporary slot (depth
-    /// first, so nested shuffles exchange in operand order).
+    /// first, so nested shuffles exchange in operand order): a shuffle
+    /// is a warp-synchronous *instruction*, not a pure expression.
     fn expr_in(&mut self, e: &ElabExpr, out: &mut Vec<Stmt>) -> Result<Expr, CodegenError> {
         Ok(match e {
+            ElabExpr::Lit(kind, v) => match kind {
+                ScalarKind::F64 | ScalarKind::F32 => Expr::LitF(*v),
+                ScalarKind::I32 | ScalarKind::U32 => Expr::LitI(*v as i64),
+                ScalarKind::Bool => Expr::LitB(*v != 0.0),
+            },
+            ElabExpr::Local(name) => Expr::Local(self.slot_of(name)?),
+            ElabExpr::Load(access) => {
+                let idx = Box::new(access_index_expr(access, None)?);
+                match access.mem {
+                    MemKind::GlobalParam(i) => Expr::LoadGlobal { buf: i, idx },
+                    MemKind::Shared(i) => Expr::LoadShared { buf: i, idx },
+                }
+            }
+            ElabExpr::Binary(op, a, b) => {
+                Expr::bin(bin_op(*op), self.expr_in(a, out)?, self.expr_in(b, out)?)
+            }
+            ElabExpr::Unary(op, a) => Expr::Un(un_op(*op), Box::new(self.expr_in(a, out)?)),
             ElabExpr::Shfl { kind, value, delta } => {
                 let value = self.expr_in(value, out)?;
-                let slot = self.next_shfl_slot;
-                self.next_shfl_slot += 1;
+                let slot = self.fresh_slot();
                 out.push(Stmt::Shfl {
                     dst: slot,
                     op: shfl_op(*kind),
@@ -241,11 +227,6 @@ impl LowerCx {
                 });
                 Expr::Local(slot)
             }
-            ElabExpr::Binary(op, a, b) => {
-                Expr::bin(bin_op(*op), self.expr_in(a, out)?, self.expr_in(b, out)?)
-            }
-            ElabExpr::Unary(op, a) => Expr::Un(un_op(*op), Box::new(self.expr_in(a, out)?)),
-            other => elab_expr_to_ir(other, &|n| self.locals.get(n).copied())?,
         })
     }
 
@@ -255,31 +236,20 @@ impl LowerCx {
             match s {
                 ElabStmt::Local { name, init, .. } => {
                     let init = self.expr_in(init, &mut out)?;
-                    let slot = self.next_slot;
-                    self.next_slot += 1;
+                    let slot = self.fresh_slot();
                     self.locals.insert(name.clone(), slot);
                     out.push(Stmt::SetLocal(slot, init));
                 }
                 ElabStmt::AssignLocal { name, value } => {
                     let value = self.expr_in(value, &mut out)?;
-                    let slot = *self
-                        .locals
-                        .get(name)
-                        .ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?;
-                    out.push(Stmt::SetLocal(slot, value));
+                    out.push(Stmt::SetLocal(self.slot_of(name)?, value));
                 }
                 ElabStmt::Store { access, value } => {
                     let value = self.expr_in(value, &mut out)?;
-                    let idx = lower_scalar_access(&access.path, &access.root_dims)
-                        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-                    let idx = idx_to_expr(&idx)?;
+                    let idx = access_index_expr(access, None)?;
                     out.push(match access.mem {
-                        descend_typeck::MemKind::GlobalParam(i) => {
-                            Stmt::StoreGlobal { buf: i, idx, value }
-                        }
-                        descend_typeck::MemKind::Shared(i) => {
-                            Stmt::StoreShared { buf: i, idx, value }
-                        }
+                        MemKind::GlobalParam(i) => Stmt::StoreGlobal { buf: i, idx, value },
+                        MemKind::Shared(i) => Stmt::StoreShared { buf: i, idx, value },
                     });
                 }
                 ElabStmt::Split {
@@ -306,24 +276,20 @@ impl LowerCx {
                     value,
                 } => {
                     let value = self.expr_in(value, &mut out)?;
-                    let raw = lower_scalar_access(&access.path, &access.root_dims)
-                        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-                    let idx = match index {
-                        Some(ie) => {
-                            let ie = self.expr_in(ie, &mut out)?;
-                            idx_to_expr_subst(&raw, &|v| (v == DYN_IDX).then(|| ie.clone()))?
-                        }
-                        None => idx_to_expr(&raw)?,
+                    let index = match index {
+                        Some(ie) => Some(self.expr_in(ie, &mut out)?),
+                        None => None,
                     };
+                    let idx = access_index_expr(access, index.as_ref())?;
                     let op = atomic_op(*op);
                     out.push(match access.mem {
-                        descend_typeck::MemKind::GlobalParam(i) => Stmt::AtomicGlobal {
+                        MemKind::GlobalParam(i) => Stmt::AtomicGlobal {
                             op,
                             buf: i,
                             idx,
                             value,
                         },
-                        descend_typeck::MemKind::Shared(i) => Stmt::AtomicShared {
+                        MemKind::Shared(i) => Stmt::AtomicShared {
                             op,
                             buf: i,
                             idx,
@@ -342,23 +308,6 @@ impl LowerCx {
     }
 }
 
-/// Counts the named-local declarations in an elaborated body (both split
-/// branches included) — the slot count the emission layer's `SlotMap`
-/// will assign, and the base offset for shuffle temporaries.
-fn count_local_decls(body: &[ElabStmt]) -> usize {
-    let mut n = 0;
-    for s in body {
-        match s {
-            ElabStmt::Local { .. } => n += 1,
-            ElabStmt::Split { fst, snd, .. } => {
-                n += count_local_decls(fst) + count_local_decls(snd);
-            }
-            _ => {}
-        }
-    }
-    n
-}
-
 /// Lowers one elaborated kernel to the simulator IR.
 ///
 /// # Errors
@@ -369,7 +318,6 @@ pub fn kernel_to_ir(k: &MonoKernel) -> Result<KernelIr, CodegenError> {
     let mut cx = LowerCx {
         locals: HashMap::new(),
         next_slot: 0,
-        next_shfl_slot: count_local_decls(&k.body),
     };
     let body = cx.stmts(&k.body)?;
     Ok(KernelIr {

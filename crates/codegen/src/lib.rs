@@ -9,12 +9,12 @@
 //! condition, and `sync` becomes a barrier.
 //!
 //! This crate owns the *semantic* half of that translation — the
-//! [`kernel_to_ir`] lowering the simulator executes and the
-//! [`ir_gen::idx_to_expr`] index conversion. The *textual* half (CUDA
-//! C++, OpenCL C, WGSL) lives downstream in `descend_backends`, whose
-//! emitters render these same lowered index expressions, so every
-//! target's text and the simulated kernel are renderings of one
-//! lowering.
+//! [`kernel_to_ir`] lowering the simulator executes and
+//! [`ir_gen::access_index_expr`], the one function from an access to its
+//! index expression. The *textual* half (CUDA C++, OpenCL C, WGSL, C)
+//! lives downstream in `descend_backends`, whose emitters call that same
+//! function for every index they print, so every target's text and the
+//! simulated kernel are renderings of one lowering.
 
 #![deny(missing_docs)]
 

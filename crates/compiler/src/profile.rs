@@ -13,6 +13,7 @@
 //! machine JSON document ([`render_json`], schema `descend-profile/1`,
 //! validated against `schemas/profile.schema.json` in CI).
 
+use descend_diag::json_escape;
 use gpu_sim::trace::{LaunchTrace, TraceTotals};
 use gpu_sim::LaunchStats;
 use std::fmt::Write as _;
@@ -219,25 +220,6 @@ pub fn render_text(profiles: &[LaunchProfile]) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders profiles as the machine JSON document, schema
 /// `descend-profile/1` (see `schemas/profile.schema.json`). Hand-rolled
 /// like every JSON producer in the tree — no serde in the dependency
@@ -308,11 +290,5 @@ mod tests {
         assert_eq!(line_col(&starts, 3), (2, 1));
         assert_eq!(line_col(&starts, 6), (3, 1));
         assert_eq!(line_col(&starts, 7), (4, 1));
-    }
-
-    #[test]
-    fn json_escape_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -17,7 +17,8 @@
 //! - **emit**: per kernel instance *and backend*, same key plus the
 //!   backend's registry name;
 //! - **emit-program**: per backend, over every item's slice (the
-//!   translation unit concatenates all kernels and host stubs).
+//!   translation unit is assembled from the emit queries' kernel texts
+//!   plus prelude, host stubs and epilogue; no kernel renders twice).
 //!
 //! Cached values are stored with their source spans intact and *rebased*
 //! on reuse: if a function's text is unchanged but the function moved
@@ -332,7 +333,7 @@ impl CompileSession {
         }
         let mut target_sources = BTreeMap::new();
         for be in &backends {
-            let text = self.emit_program_query(&cx, be.as_ref(), &checked)?;
+            let text = self.emit_program_query(&cx, be.as_ref(), &checked, &compiled_kernels)?;
             target_sources.insert(be.name().to_string(), text);
         }
         Ok(Compiled {
@@ -460,13 +461,15 @@ impl CompileSession {
         }
     }
 
-    /// The per-backend whole-translation-unit query (prelude + kernels
-    /// + host stubs; its input is every item of the program).
+    /// The per-backend whole-translation-unit query (its input is every
+    /// item of the program): assembles the kernel texts the emit queries
+    /// already produced with the prelude, host stubs and epilogue.
     fn emit_program_query(
         &mut self,
         cx: &ProgramCx<'_>,
         be: &dyn KernelBackend,
         checked: &CheckedProgram,
+        kernels: &[CompiledKernel],
     ) -> Result<String, CompileError> {
         let mut h = DefaultHasher::new();
         h.write(b"prog");
@@ -478,7 +481,13 @@ impl CompileSession {
             return Ok(text.clone());
         }
         self.stats.emit_program.miss();
-        let text = be.emit_program(checked).map_err(|e| codegen_err(&e))?;
+        let kernel_texts: Vec<String> = kernels
+            .iter()
+            .map(|ck| ck.targets[be.name()].clone())
+            .collect();
+        let text = be
+            .assemble_program(checked, &kernel_texts)
+            .map_err(|e| codegen_err(&e))?;
         self.program_emit.insert(key, text.clone());
         Ok(text)
     }

@@ -36,8 +36,9 @@
 //! accepts arbitrary JSON including `\uXXXX` escapes and surrogate
 //! pairs.
 
-use crate::profile::{self, json_escape};
+use crate::profile;
 use crate::{CompileSession, Compiled, QueryCounter};
+use descend_diag::json_escape;
 use gpu_sim::LaunchConfig;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -136,7 +137,8 @@ impl Json {
     }
 }
 
-/// Parses one JSON document (surrounding whitespace allowed).
+/// Parses one JSON document (surrounding whitespace allowed). Arrays
+/// and objects may nest at most [`MAX_DEPTH`] deep.
 ///
 /// # Errors
 ///
@@ -145,6 +147,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -155,9 +158,18 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap one request line of a few
+/// hundred thousand `[` overflows the stack and takes the server — and
+/// every client's warm session — down with it. No document this
+/// repository reads or writes nests deeper than ten.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -195,8 +207,20 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
@@ -299,6 +323,9 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err("unpaired surrogate".to_string());
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err("unpaired surrogate".to_string());
@@ -579,6 +606,54 @@ mod tests {
         assert!(parse_json("\"\\q\"").is_err());
     }
 
+    /// A high surrogate must be followed by a *low* one: `\ud800\u0041`
+    /// used to underflow `lo - 0xDC00` (panic in debug builds, U+2441 in
+    /// release).
+    #[test]
+    fn json_rejects_a_high_surrogate_without_a_low_one() {
+        for bad in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800""#,
+        ] {
+            assert_eq!(
+                parse_json(bad),
+                Err("unpaired surrogate".to_string()),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            parse_json(r#""\udbff\udfff""#),
+            Ok(Json::Str("\u{10ffff}".into()))
+        );
+    }
+
+    #[test]
+    fn json_nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nest(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        // Mixed containers count together, and unclosed input that would
+        // have recursed a few hundred thousand frames is an error, not a
+        // stack overflow.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH);
+        assert!(parse_json(&mixed)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        assert!(parse_json(&"[".repeat(400_000))
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse_json(&wide).is_ok());
+    }
+
     fn request(session: &mut CompileSession, line: &str) -> Json {
         handle_request(session, line)
     }
@@ -684,5 +759,42 @@ mod tests {
         let stats = parse_json(lines[1]).unwrap();
         let typeck = stats.get("stats").and_then(|s| s.get("typeck")).unwrap();
         assert_eq!(typeck.get("misses"), Some(&Json::Num(2.0)));
+    }
+
+    /// Hostile request lines are answered in band and the connection —
+    /// with its warm session — keeps serving.
+    #[test]
+    fn serve_survives_hostile_lines() {
+        let check = Json::Obj(vec![
+            ("cmd".into(), Json::Str("check".into())),
+            ("src".into(), Json::Str(OK_SRC.into())),
+        ])
+        .to_string_compact();
+        let input = format!(
+            "{check}\n{}\n{}\n{check}\n",
+            "[".repeat(400_000),
+            r#"{"cmd":"check","src":"\ud800\u0041"}"#
+        );
+        let mut out = Vec::new();
+        serve(input.as_bytes(), &mut out).expect("io");
+        let lines: Vec<Json> = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 4);
+        let error = |v: &Json| v.get("error").and_then(Json::as_str).map(str::to_string);
+        assert_eq!(lines[0].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            error(&lines[1]),
+            Some(format!(
+                "malformed request: nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        assert_eq!(
+            error(&lines[2]),
+            Some("malformed request: unpaired surrogate".to_string())
+        );
+        assert_eq!(lines[3].get("ok"), Some(&Json::Bool(true)));
     }
 }

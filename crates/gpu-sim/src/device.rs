@@ -16,31 +16,14 @@ pub struct BufId(pub usize);
 pub enum ExecMode {
     /// The warp-vectorized executor: lanes of a warp step together under
     /// a mask, races are tracked in shadow memory, and independent
-    /// blocks may run on host threads (see [`Parallel`]). The default.
+    /// blocks may run on host threads (see [`LaunchConfig::workers`]).
+    /// The default.
     #[default]
     Warp,
     /// The original thread-at-a-time interpreter with log-replay race
     /// detection. Kept as the differential oracle for the warp path and
     /// as the baseline the simulator benchmarks compare against.
     Reference,
-}
-
-/// Whether independent blocks of a [`ExecMode::Warp`] launch run on
-/// host threads. Results and reports are deterministic either way:
-/// per-block outcomes are merged in linear block order, the reported
-/// race is the minimum under [`RaceReport::sort_key`], and launches
-/// whose cross-block atomics are order-sensitive (float adds,
-/// exchanges) always run sequentially.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallel {
-    /// Parallel when the launch is big enough to pay for the threads
-    /// (and order-insensitive). The default.
-    #[default]
-    Auto,
-    /// Always sequential.
-    Off,
-    /// Parallel whenever order-insensitive, regardless of size.
-    On,
 }
 
 /// Launch options.
@@ -52,15 +35,17 @@ pub struct LaunchConfig {
     pub cost: CostModel,
     /// Which executor to use.
     pub exec: ExecMode,
-    /// Host-parallel block execution (warp executor only).
-    pub parallel: Parallel,
-    /// Worker-count override for parallel block execution: `Some(n)`
-    /// uses at most `n` host threads (1 forces sequential), bypassing
-    /// the `DESCEND_SIM_THREADS` environment variable — which is
-    /// process-global and therefore racy for tests that want different
-    /// counts side by side. `None` defers to the environment, then to
-    /// the host parallelism. Neither overrides the order-insensitivity
-    /// gate that protects determinism.
+    /// Host threads for the independent blocks of an
+    /// [`ExecMode::Warp`] launch: `None` picks automatically (the host
+    /// parallelism, or one thread for launches too small to pay for the
+    /// threads), `Some(1)` is sequential, `Some(n)` for `n >= 2` uses up
+    /// to `n` threads whatever the launch size.
+    ///
+    /// Results and reports are deterministic either way: per-block
+    /// outcomes are merged in linear block order, the reported race is
+    /// the minimum under [`RaceReport::sort_key`], and launches whose
+    /// cross-block atomics are order-sensitive (float adds, exchanges)
+    /// always run sequentially, whatever this says.
     pub workers: Option<usize>,
 }
 
@@ -248,9 +233,11 @@ impl Gpu {
 
     /// Launches a kernel over `grid_dim` blocks of `block_dim` threads.
     ///
-    /// Blocks execute sequentially (the simulation is deterministic);
-    /// within a block, threads run in barrier-separated rounds. Returns
-    /// modeled performance statistics.
+    /// Independent blocks may run on host threads (see
+    /// [`LaunchConfig::workers`]); their outcomes are merged in linear
+    /// block order, so the simulation is deterministic. Within a block,
+    /// threads run in barrier-separated rounds. Returns modeled
+    /// performance statistics.
     ///
     /// # Errors
     ///
@@ -726,32 +713,14 @@ fn decide_workers(
     global_lens: &[usize],
     shared_lens: &[usize],
 ) -> usize {
-    // [`LaunchConfig::workers`] (per-launch, test-safe) takes precedence
-    // over `DESCEND_SIM_THREADS` (process-global); both only cap how
-    // many host threads a parallel launch may use (1 forces sequential)
-    // and never override the order-insensitivity gate, which protects
-    // determinism.
-    let available = cfg
-        .workers
-        .filter(|n| *n >= 1)
-        .or_else(|| {
-            std::env::var("DESCEND_SIM_THREADS")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-        })
-        .unwrap_or_else(workpool::Pool::available_workers);
-    let requested = match cfg.parallel {
-        Parallel::Off => 1,
-        Parallel::On => available,
-        Parallel::Auto => {
-            // Small launches lose more to thread startup than they gain.
-            if blocks >= 4 && blocks.saturating_mul(threads_per_block) >= 4096 {
-                available
-            } else {
-                1
-            }
+    let requested = match cfg.workers {
+        Some(n) if n >= 1 => n,
+        // Automatic. Small launches lose more to thread startup than
+        // they gain.
+        _ if blocks >= 4 && blocks.saturating_mul(threads_per_block) >= 4096 => {
+            workpool::Pool::available_workers()
         }
+        _ => 1,
     };
     if requested <= 1 || !order_insensitive(kernel) {
         return 1;

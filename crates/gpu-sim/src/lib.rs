@@ -70,7 +70,7 @@ pub mod race;
 mod warp;
 
 pub use cost::{CostModel, LaunchStats};
-pub use device::{ExecMode, Gpu, LaunchConfig, Parallel, SimError};
+pub use device::{ExecMode, Gpu, LaunchConfig, SimError};
 pub use ir::{AtomicOp, Axis, BinOp, ElemTy, Expr, KernelIr, ParamDecl, SharedDecl, Stmt, UnOp};
 
 /// Launch-trace observability (re-export of the `descend-trace` crate):

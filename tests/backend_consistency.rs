@@ -1,22 +1,16 @@
 //! Cross-backend consistency: every backend's emitted text embeds the
-//! *same* lowered index expressions, and those expressions are exactly
-//! the ones the simulator IR executes.
+//! index expressions the simulator IR executes.
 //!
-//! Two properties are pinned, over the whole `.descend` corpus and the
-//! paper's benchmark sources:
-//!
-//! 1. **One lowering.** The index expressions collected from the
-//!    elaborated kernel (via `shared::access_index_expr`, the path the
-//!    emitters print) equal, as a multiset, the index expressions inside
-//!    the simulator IR produced by `kernel_to_ir`.
-//! 2. **Every backend renders it.** For each backend, the per-backend
-//!    rendering of each lowered index expression appears verbatim in
-//!    that backend's kernel text — no emitter has a private index
-//!    printer that could drift.
+//! That the text and the IR are *built* from one lowering needs no test:
+//! `descend_codegen::ir_gen::access_index_expr` is the only function
+//! that turns an access into an index, for the simulator and for all
+//! four emitters. What is checked here, over the whole `.descend` corpus
+//! and the paper's benchmark sources, is the printing: for each backend,
+//! its rendering of every index in the lowered `KernelIr` appears
+//! verbatim in that backend's kernel text — no emitter has a private
+//! index printer that could drift.
 
-use descend::backends::{
-    all_backends, ir_index_exprs, kernel_index_exprs, kernel_inline_index_exprs, render_ir_expr,
-};
+use descend::backends::{all_backends, ir_index_exprs, render_ir_expr};
 use descend::compiler::{Compiled, Compiler};
 use std::path::PathBuf;
 
@@ -50,32 +44,6 @@ fn corpus_sources() -> Vec<(String, String)> {
             "bench:reduce_shuffle",
             descend::benchmarks::sources::reduce_shuffle(2048),
         ),
-        // Shuffle temporaries and named locals in one kernel whose
-        // atomic scatter index reads a local: the IR lowering allocates
-        // shuffle temps *after* every named local precisely so the
-        // emission layer's SlotMap mirror stays slot-identical — this
-        // program fails the multiset comparison if that parity drifts.
-        (
-            "synthetic:warp_shuffle_atomic_slots",
-            r#"
-fn mixed(inp: & gpu.global [i32; 64], hist: &uniq gpu.global [i32; 16])
--[grid: gpu.grid<X<1>, X<64>>]-> () {
-    sched(X) block in grid {
-        to_warps wb in block {
-            sched(X) warp in wb {
-                sched(X) lane in warp {
-                    let mut v = (*inp).group::<32>[[warp]][[lane]];
-                    v = v + shfl_xor(v, 1);
-                    let b = v % 16;
-                    atomic_add(*hist, b, 1);
-                }
-            }
-        }
-    }
-}
-"#
-            .to_string(),
-        ),
     ] {
         out.push((name.to_string(), src));
     }
@@ -85,38 +53,21 @@ fn mixed(inp: & gpu.global [i32; 64], hist: &uniq gpu.global [i32; 16])
 fn check_program(name: &str, compiled: &Compiled) {
     let backends = all_backends();
     for ck in &compiled.kernels {
-        // Property 1: text-side and simulator-side index expressions are
-        // the same multiset (both come from lower_scalar_access +
-        // idx_to_expr; nothing else manufactures indices).
-        let text_side = kernel_index_exprs(&ck.mono).expect("lowering");
+        // Every index the simulator executes and the emitters print
+        // inline: loads, stores and static atomic targets (scatter
+        // atomics bind their index to an emitted temporary; the
+        // `atomic_addresses_share_the_lowering` test pins that form).
+        let inline = ir_index_exprs(&ck.ir);
         assert!(
-            !text_side.is_empty(),
+            !inline.is_empty(),
             "{name}/{}: kernel without memory accesses",
             ck.mono.name
         );
-        let mut text_keys: Vec<String> = text_side.iter().map(|e| format!("{e:?}")).collect();
-        let mut sim_keys: Vec<String> = ir_index_exprs(&ck.ir)
-            .iter()
-            .map(|e| format!("{e:?}"))
-            .collect();
-        text_keys.sort();
-        sim_keys.sort();
-        assert_eq!(
-            text_keys, sim_keys,
-            "{name}/{}: emitted and simulated index expressions diverge",
-            ck.mono.name
-        );
-
-        // Property 2: each backend's kernel text contains its rendering
-        // of every lowered index expression that renders inline (scatter
-        // atomics bind their index to an emitted temporary; the
-        // `atomic_addresses_share_the_lowering` test pins that form).
-        let inline = kernel_inline_index_exprs(&ck.mono).expect("lowering");
         for be in &backends {
             let text = &ck.targets[be.name()];
             for e in &inline {
                 let mut rendered = String::new();
-                render_ir_expr(be.as_ref(), e, &ck.mono, &mut rendered);
+                render_ir_expr(be.as_ref(), e, &ck.mono, None, &mut rendered);
                 assert!(
                     text.contains(&format!("[{rendered}]")),
                     "{name}/{}: backend `{}` text lacks index `{rendered}`:\n{text}",
@@ -223,7 +174,7 @@ fn atomic_addresses_share_the_lowering() {
                 let text = &ck.targets[be.name()];
                 for e in &sim_side {
                     let mut rendered = String::new();
-                    render_ir_expr(be.as_ref(), e, &ck.mono, &mut rendered);
+                    render_ir_expr(be.as_ref(), e, &ck.mono, None, &mut rendered);
                     let inline_form = text.contains(&format!("[{rendered}]"));
                     let temp_form = text.contains(&format!("{rendered})"))
                         && text.contains("if (0 <= ")
@@ -241,15 +192,13 @@ fn atomic_addresses_share_the_lowering() {
     assert_eq!(atomic_kernels, 3, "all three atomic corpus kernels checked");
 }
 
-/// SlotMap parity: a scatter index that reads a *local* forces the
-/// emission layer to reproduce the IR lowering's slot assignment. The
-/// collected index expressions (text side, built via `SlotMap`) must
-/// equal the simulator IR's (built by the lowering's own slot table)
-/// node for node — including the `Local` slot numbers — and each
-/// backend's text must name the local where the IR has the slot.
+/// A scatter index that reads a *local*: where the simulator IR
+/// addresses through the local's slot, every backend initializes the
+/// scatter temporary from the named local, prints the target address
+/// through the temporary, and guards the access.
 #[test]
 fn scatter_index_through_local_matches_ir_slots() {
-    use descend::backends::{kernel_index_exprs, render_ir_expr_named};
+    use descend::sim::ir::{Expr, Stmt};
     let src = r#"
 fn k(a: &uniq gpu.global [i32; 64], inp: & gpu.global [i32; 64])
 -[grid: gpu.grid<X<1>, X<64>>]-> () {
@@ -264,42 +213,33 @@ fn k(a: &uniq gpu.global [i32; 64], inp: & gpu.global [i32; 64])
 "#;
     let compiled = Compiler::new().compile_source(src).expect("compiles");
     let ck = &compiled.kernels[0];
-    let mut text_keys: Vec<String> = kernel_index_exprs(&ck.mono)
-        .expect("lowering")
-        .iter()
-        .map(|e| format!("{e:?}"))
-        .collect();
-    let mut sim_keys: Vec<String> = ir_index_exprs(&ck.ir)
-        .iter()
-        .map(|e| format!("{e:?}"))
-        .collect();
-    text_keys.sort();
-    sim_keys.sort();
-    assert_eq!(text_keys, sim_keys, "SlotMap diverged from the IR lowering");
-    // `bin` is slot 1 (after `unused`); every backend initializes the
-    // scatter temporary from the *named* local and guards the access.
-    let names = vec!["unused".to_string(), "bin".to_string()];
+    // `bin` is slot 1 (after `unused`).
+    assert!(
+        matches!(
+            ck.ir.body.last(),
+            Some(Stmt::AtomicGlobal {
+                idx: Expr::Local(1),
+                ..
+            })
+        ),
+        "{:?}",
+        ck.ir.body
+    );
     for be in all_backends() {
         let text = &ck.targets[be.name()];
-        let mut rendered = String::new();
-        render_ir_expr_named(
-            be.as_ref(),
-            &descend::sim::ir::Expr::Local(1),
-            &ck.mono,
-            &names,
-            &mut rendered,
-        );
-        assert_eq!(rendered, "bin");
         // The C backend hoists thread-private locals into per-thread
-        // arrays (`bin[__t]`), so its *use* spelling differs; the slot
-        // identity and the bind-then-guard shape are the same.
+        // arrays (`bin[__t]`), so its *use* spelling differs; the
+        // bind-then-guard shape is the same.
         let local_use = if be.name() == "c" {
             "(bin[__t])"
         } else {
             "(bin)"
         };
+        let tmp_use = be.scatter_index_use("descend_idx_0");
         assert!(
-            text.contains(local_use) && text.contains("descend_idx_0") && text.contains("< 64) {"),
+            text.contains(local_use)
+                && text.contains(&format!("a[{tmp_use}]"))
+                && text.contains("< 64) {"),
             "backend `{}` must bind, guard and name the local index:\n{text}",
             be.name()
         );

@@ -7,292 +7,15 @@
 //! objects of a compile-failure response are the same items the schema
 //! describes.
 //!
-//! Like `tests/profile_schema.rs`, the tree has no serde, so this test
-//! carries a minimal JSON parser and a validator for the schema subset
-//! the file uses — here additionally union types (`["string","null"]`)
-//! and the one `pattern` the schema contains (`^E[0-9]{4}$`).
+//! Reading and validation go through `tests/support` (the server's JSON
+//! reader plus the one schema-subset validator), shared with
+//! `tests/profile_schema.rs`.
+
+mod support;
 
 use descend::compiler::{server, Compiler};
 use std::path::PathBuf;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "boolean",
-            Json::Num(n) if n.fract() == 0.0 => "integer",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.ws();
-        assert_eq!(
-            self.bytes.get(self.pos),
-            Some(&b),
-            "expected {:?} at byte {}",
-            b as char,
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.ws();
-        *self.bytes.get(self.pos).expect("unexpected end of input")
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Json {
-        assert!(
-            self.bytes[self.pos..].starts_with(word.as_bytes()),
-            "bad literal at byte {}",
-            self.pos
-        );
-        self.pos += word.len();
-        v
-    }
-
-    fn number(&mut self) -> Json {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(
-            text.parse()
-                .unwrap_or_else(|_| panic!("bad number `{text}`")),
-        )
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .unwrap();
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => panic!("bad escape \\{}", other as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                other => panic!("expected , or ] got {:?}", other as char),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            self.ws();
-            let key = self.string();
-            self.expect(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(fields);
-                }
-                other => panic!("expected , or }} got {:?}", other as char),
-            }
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Json {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-    v
-}
-
-/// The one regular expression the schema uses. A general engine is
-/// not warranted in a test validator; any new pattern in the schema
-/// must be taught here explicitly (the panic below enforces that).
-fn matches_pattern(pattern: &str, s: &str) -> bool {
-    match pattern {
-        "^E[0-9]{4}$" => {
-            s.len() == 5 && s.starts_with('E') && s[1..].chars().all(|c| c.is_ascii_digit())
-        }
-        other => panic!("validator does not know pattern `{other}`; teach it here"),
-    }
-}
-
-/// Validates `doc` against the schema subset the checked-in file uses;
-/// panics with a path on the first violation.
-fn validate(schema: &Json, doc: &Json, path: &str) {
-    match schema.get("type") {
-        Some(Json::Str(want)) => {
-            let got = doc.type_name();
-            // An integer is also a valid "number".
-            let ok = got == want.as_str() || (want == "number" && got == "integer");
-            assert!(ok, "{path}: expected type {want}, got {got}");
-        }
-        // Union types: the document may be any of the listed types.
-        Some(Json::Arr(wants)) => {
-            let got = doc.type_name();
-            let ok = wants.iter().any(|w| match w {
-                Json::Str(want) => got == want.as_str() || (want == "number" && got == "integer"),
-                _ => false,
-            });
-            assert!(ok, "{path}: type {got} not in union {wants:?}");
-        }
-        _ => {}
-    }
-    if let Some(want) = schema.get("const") {
-        assert_eq!(doc, want, "{path}: const mismatch");
-    }
-    if let (Some(Json::Str(pattern)), Json::Str(s)) = (schema.get("pattern"), doc) {
-        assert!(
-            matches_pattern(pattern, s),
-            "{path}: `{s}` does not match pattern `{pattern}`"
-        );
-    }
-    if let Some(Json::Num(min)) = schema.get("minimum") {
-        if let Json::Num(n) = doc {
-            assert!(n >= min, "{path}: {n} below minimum {min}");
-        }
-    }
-    if let Some(Json::Arr(required)) = schema.get("required") {
-        for r in required {
-            if let Json::Str(key) = r {
-                assert!(doc.get(key).is_some(), "{path}: missing required `{key}`");
-            }
-        }
-    }
-    if let (Some(props), Json::Obj(fields)) = (schema.get("properties"), doc) {
-        for (key, value) in fields {
-            if let Some(sub) = props.get(key) {
-                validate(sub, value, &format!("{path}.{key}"));
-            }
-        }
-    }
-    if let Json::Arr(items) = doc {
-        if let Some(Json::Num(min)) = schema.get("minItems") {
-            assert!(
-                items.len() as f64 >= *min,
-                "{path}: {} items below minItems {min}",
-                items.len()
-            );
-        }
-        if let Some(item_schema) = schema.get("items") {
-            for (i, item) in items.iter().enumerate() {
-                validate(item_schema, item, &format!("{path}[{i}]"));
-            }
-        }
-    }
-}
+use support::{parse, validate, Json};
 
 fn repo_dir(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -312,7 +35,7 @@ fn descend_files(dir: &str) -> Vec<PathBuf> {
 fn schema() -> Json {
     let text =
         std::fs::read_to_string(repo_dir("schemas/diagnostics.schema.json")).expect("schema file");
-    parse_json(&text)
+    parse(&text)
 }
 
 /// Every failing program in the tree — the fail corpus and the
@@ -339,7 +62,7 @@ fn failing_corpus_documents_match_schema() {
             &src,
             std::slice::from_ref(err.diag.as_ref()),
         );
-        let doc = parse_json(&json);
+        let doc = parse(&json);
         validate(&schema, &doc, "$");
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{f:?}");
         let Some(Json::Arr(diags)) = doc.get("diagnostics") else {
@@ -364,7 +87,7 @@ fn passing_corpus_documents_match_schema() {
             .compile_source(&src)
             .unwrap_or_else(|e| panic!("{f:?} must pass: {e}"));
         let json = descend::diag::render_json(&f.display().to_string(), &src, &[]);
-        let doc = parse_json(&json);
+        let doc = parse(&json);
         validate(&schema, &doc, "$");
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{f:?}");
         assert_eq!(doc.get("diagnostics"), Some(&Json::Arr(vec![])), "{f:?}");
@@ -407,7 +130,7 @@ fn serve_batch_errors_are_schema_valid_diagnostics() {
     let mut out = Vec::new();
     server::serve(input.as_bytes(), &mut out).expect("serve runs");
     let line = String::from_utf8(out).expect("utf8 response");
-    let resp = parse_json(line.trim());
+    let resp = parse(line.trim());
     let Some(Json::Arr(results)) = resp.get("results") else {
         panic!("batch response missing `results`: {line}");
     };
@@ -424,23 +147,42 @@ fn serve_batch_errors_are_schema_valid_diagnostics() {
     }
 }
 
-/// The extended validator features (union types, pattern) actually
-/// reject violations — guards against the validator rotting into a
-/// yes-machine.
+/// Every keyword the validator claims to handle actually rejects a
+/// violation — guards against it rotting into a yes-machine.
 #[test]
 fn validator_rejects_broken_documents() {
-    let schema = parse_json(
+    let schema = parse(
         r#"{"type": "object", "required": ["code"],
-            "properties": {"code": {"type": ["string", "null"], "pattern": "^E[0-9]{4}$"}}}"#,
+            "properties": {
+                "code": {"type": ["string", "null"], "pattern": "^E[0-9]{4}$"},
+                "version": {"const": 1},
+                "n": {"type": "integer", "minimum": 0},
+                "ratio": {"type": "number"},
+                "pair": {"type": "array", "minItems": 2, "maxItems": 2,
+                         "items": {"type": "string"}}},
+            "additionalProperties": {"type": "boolean"}}"#,
     );
-    validate(&schema, &parse_json(r#"{"code": "E0104"}"#), "$");
-    validate(&schema, &parse_json(r#"{"code": null}"#), "$");
-    let bad_type = std::panic::catch_unwind(|| {
-        validate(&schema, &parse_json(r#"{"code": 7}"#), "$");
-    });
-    assert!(bad_type.is_err(), "union type violation must fail");
-    let bad_pattern = std::panic::catch_unwind(|| {
-        validate(&schema, &parse_json(r#"{"code": "X123"}"#), "$");
-    });
-    assert!(bad_pattern.is_err(), "pattern violation must fail");
+    for good in [
+        r#"{"code": "E0104"}"#,
+        r#"{"code": null, "version": 1, "n": 0, "ratio": 2, "pair": ["a", "b"], "x": true}"#,
+    ] {
+        validate(&schema, &parse(good), "$");
+    }
+    for (bad, what) in [
+        (r#"[]"#, "type"),
+        (r#"{}"#, "required"),
+        (r#"{"code": 7}"#, "union type"),
+        (r#"{"code": "X123"}"#, "pattern"),
+        (r#"{"code": null, "version": 2}"#, "const"),
+        (r#"{"code": null, "n": -1}"#, "minimum"),
+        (r#"{"code": null, "n": 0.5}"#, "integer"),
+        (r#"{"code": null, "pair": ["a"]}"#, "minItems"),
+        (r#"{"code": null, "pair": ["a", "b", "c"]}"#, "maxItems"),
+        (r#"{"code": null, "pair": ["a", 1]}"#, "items"),
+        (r#"{"code": null, "x": "y"}"#, "additionalProperties"),
+    ] {
+        let doc = parse(bad);
+        let rejected = std::panic::catch_unwind(|| validate(&schema, &doc, "$")).is_err();
+        assert!(rejected, "{what} violation must fail: {bad}");
+    }
 }

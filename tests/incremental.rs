@@ -8,6 +8,8 @@
 //! change) functions; plus hit/miss accounting showing that an edit
 //! re-runs only the queries whose inputs changed.
 
+use descend::backends::backend_by_name;
+use descend::benchmarks::sources;
 use descend::compiler::{CompileSession, Compiler};
 use descend::typeck::check_program;
 use std::path::PathBuf;
@@ -90,6 +92,76 @@ fn warm_recompile_is_byte_identical_corpus_wide() {
             format!("{reference:?}"),
             "{ctx}: incremental elaboration diverges from check_program"
         );
+    }
+}
+
+/// The session assembles each translation unit from the kernel texts its
+/// emit queries produced instead of rendering the kernels again. For
+/// every pass-corpus program and Figure-8 source and every backend, that
+/// unit equals a fresh `emit_program` of the checked program and equals
+/// `assemble_program` over the per-kernel texts — cold, and again after a
+/// one-function edit served by the warm session.
+#[test]
+fn translation_units_are_assembled_from_the_per_kernel_texts() {
+    fn check(compiled: &descend::compiler::Compiled, ctx: &str) {
+        for (name, unit) in &compiled.target_sources {
+            let be = backend_by_name(name).expect("registered");
+            let fresh = be.emit_program(&compiled.checked).expect("emits");
+            assert_eq!(unit, &fresh, "{ctx}/{name}: session unit != emit_program");
+            let texts: Vec<String> = compiled
+                .kernels
+                .iter()
+                .map(|ck| ck.targets[name].clone())
+                .collect();
+            let assembled = be
+                .assemble_program(&compiled.checked, &texts)
+                .expect("assembles");
+            assert_eq!(unit, &assembled, "{ctx}/{name}: unit != assemble_program");
+        }
+    }
+    let mut programs: Vec<(String, String)> = descend_files(&corpus_dir())
+        .iter()
+        .map(|f| {
+            (
+                f.file_name().unwrap().to_string_lossy().into_owned(),
+                std::fs::read_to_string(f).unwrap(),
+            )
+        })
+        .collect();
+    for (name, src) in [
+        ("figure8:histogram", sources::histogram(4096)),
+        ("figure8:reduce", sources::reduce(2048)),
+        ("figure8:reduce_shuffle", sources::reduce_shuffle(2048)),
+        ("figure8:stencil", sources::stencil(4096)),
+        ("figure8:transpose", sources::transpose(256)),
+        ("figure8:scan_blocks", sources::scan_blocks(1 << 12)),
+        ("figure8:scan_add", sources::scan_add_offsets(1 << 12)),
+        ("figure8:matmul", sources::matmul(64)),
+    ] {
+        programs.push((name.to_string(), src));
+    }
+    for (ctx, src) in &programs {
+        let mut session = CompileSession::new();
+        let cold = session
+            .compile_source(src)
+            .unwrap_or_else(|e| panic!("{ctx}: cold compile failed:\n{e}"));
+        assert_eq!(cold.target_sources.len(), 4, "{ctx}: every backend");
+        check(&cold, ctx);
+
+        // A comment inside the first function body changes that
+        // function's slice and nothing else.
+        let at = src.find("]-> () {").expect("a function header") + "]-> () {".len();
+        let edited = format!("{} // edited{}", &src[..at], &src[at..]);
+        session.reset_stats();
+        let warm = session.compile_source(&edited).expect("edited compiles");
+        assert_eq!(session.stats().emit_program.misses, 4, "{ctx}");
+        assert!(
+            session.stats().typeck.misses >= 1,
+            "{ctx}: the edit re-checks"
+        );
+        check(&warm, &format!("{ctx} (edited, warm)"));
+        let recold = Compiler::new().compile_source(&edited).expect("compiles");
+        assert_identical(&recold, &warm, &format!("{ctx} (edited)"));
     }
 }
 

@@ -1,282 +1,15 @@
 //! Validates the `descendc profile --json` document for every
 //! pass-corpus program against the checked-in JSON Schema
-//! (`schemas/profile.schema.json`).
-//!
-//! The tree deliberately has no serde, so this test carries a minimal
-//! JSON parser and a validator for the schema subset the file uses
-//! (`type`, `const`, `required`, `properties`, `additionalProperties`,
-//! `items`, `minItems`, `maxItems`, `minimum`). The validation is
-//! driven by the schema *file*, not a hard-coded mirror — editing the
-//! schema changes what this test enforces.
+//! (`schemas/profile.schema.json`), through the shared reader and
+//! schema-subset validator in `tests/support`.
+
+mod support;
 
 use descend::compiler::{profile, Compiler};
 use descend::sim::LaunchConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "boolean",
-            Json::Num(n) if n.fract() == 0.0 => "integer",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.ws();
-        assert_eq!(
-            self.bytes.get(self.pos),
-            Some(&b),
-            "expected {:?} at byte {}",
-            b as char,
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.ws();
-        *self.bytes.get(self.pos).expect("unexpected end of input")
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Json {
-        assert!(
-            self.bytes[self.pos..].starts_with(word.as_bytes()),
-            "bad literal at byte {}",
-            self.pos
-        );
-        self.pos += word.len();
-        v
-    }
-
-    fn number(&mut self) -> Json {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(
-            text.parse()
-                .unwrap_or_else(|_| panic!("bad number `{text}`")),
-        )
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .unwrap();
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => panic!("bad escape \\{}", other as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                other => panic!("expected , or ] got {:?}", other as char),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Json {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            self.ws();
-            let key = self.string();
-            self.expect(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(fields);
-                }
-                other => panic!("expected , or }} got {:?}", other as char),
-            }
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Json {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing garbage after JSON value");
-    v
-}
-
-/// Validates `doc` against the schema subset the checked-in file uses;
-/// panics with a path on the first violation.
-fn validate(schema: &Json, doc: &Json, path: &str) {
-    if let Some(Json::Str(want)) = schema.get("type") {
-        let got = doc.type_name();
-        // An integer is also a valid "number".
-        let ok = got == want || (want == "number" && got == "integer");
-        assert!(ok, "{path}: expected type {want}, got {got}");
-    }
-    if let Some(want) = schema.get("const") {
-        assert_eq!(doc, want, "{path}: const mismatch");
-    }
-    if let Some(Json::Num(min)) = schema.get("minimum") {
-        if let Json::Num(n) = doc {
-            assert!(n >= min, "{path}: {n} below minimum {min}");
-        }
-    }
-    if let Some(Json::Arr(required)) = schema.get("required") {
-        for r in required {
-            if let Json::Str(key) = r {
-                assert!(doc.get(key).is_some(), "{path}: missing required `{key}`");
-            }
-        }
-    }
-    if let (Some(props), Json::Obj(fields)) = (schema.get("properties"), doc) {
-        for (key, value) in fields {
-            if let Some(sub) = props.get(key) {
-                validate(sub, value, &format!("{path}.{key}"));
-            }
-        }
-    }
-    if let (Some(add), Json::Obj(fields)) = (schema.get("additionalProperties"), doc) {
-        let named = schema.get("properties");
-        for (key, value) in fields {
-            if named.is_none_or(|p| p.get(key).is_none()) {
-                validate(add, value, &format!("{path}.{key}"));
-            }
-        }
-    }
-    if let Json::Arr(items) = doc {
-        if let Some(Json::Num(min)) = schema.get("minItems") {
-            assert!(
-                items.len() as f64 >= *min,
-                "{path}: {} items below minItems {min}",
-                items.len()
-            );
-        }
-        if let Some(Json::Num(max)) = schema.get("maxItems") {
-            assert!(
-                items.len() as f64 <= *max,
-                "{path}: {} items above maxItems {max}",
-                items.len()
-            );
-        }
-        if let Some(item_schema) = schema.get("items") {
-            for (i, item) in items.iter().enumerate() {
-                validate(item_schema, item, &format!("{path}[{i}]"));
-            }
-        }
-    }
-}
+use support::{parse, validate};
 
 fn pass_corpus() -> Vec<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/descend");
@@ -296,7 +29,7 @@ fn profile_json_matches_schema_for_whole_corpus() {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schemas/profile.schema.json"),
     )
     .expect("schema file");
-    let schema = parse_json(&schema_text);
+    let schema = parse(&schema_text);
     let compiler = Compiler::new();
     let cfg = LaunchConfig {
         detect_races: true,
@@ -314,21 +47,9 @@ fn profile_json_matches_schema_for_whole_corpus() {
             .unwrap_or_else(|e| panic!("{f:?} failed to run: {e}"));
         let profiles = profile::profile_launches(&src, &run.launches, &traces);
         let json = profile::render_json(&f.display().to_string(), "main", &profiles);
-        let doc = parse_json(&json);
+        let doc = parse(&json);
         validate(&schema, &doc, "$");
         validated += 1;
     }
     assert!(validated >= 5, "corpus should exercise several programs");
-}
-
-#[test]
-fn validator_rejects_broken_documents() {
-    let schema = parse_json(
-        r#"{"type": "object", "required": ["a"], "properties": {"a": {"type": "integer", "minimum": 0}}}"#,
-    );
-    validate(&schema, &parse_json(r#"{"a": 3}"#), "$");
-    let missing = std::panic::catch_unwind(|| validate(&schema, &parse_json(r#"{}"#), "$"));
-    assert!(missing.is_err(), "missing required field must fail");
-    let negative = std::panic::catch_unwind(|| validate(&schema, &parse_json(r#"{"a": -1}"#), "$"));
-    assert!(negative.is_err(), "minimum violation must fail");
 }

@@ -7,12 +7,14 @@
 
 use descend::benchmarks::baselines;
 use descend::sim::ir::{ElemTy, Expr, KernelIr, ParamDecl, Stmt};
-use descend::sim::{Gpu, LaunchConfig, Parallel, SimError};
+use descend::sim::{Gpu, LaunchConfig, SimError};
 
-fn racy_cfg(parallel: Parallel) -> LaunchConfig {
+/// `workers`: `Some(1)` sequential, `Some(4)` forced-parallel, `None`
+/// automatic.
+fn racy_cfg(workers: Option<usize>) -> LaunchConfig {
     LaunchConfig {
         detect_races: true,
-        parallel,
+        workers,
         ..LaunchConfig::default()
     }
 }
@@ -23,7 +25,7 @@ fn report(
     grid: [u64; 3],
     block: [u64; 3],
     init: &[Vec<f64>],
-    parallel: Parallel,
+    workers: Option<usize>,
 ) -> String {
     let mut gpu = Gpu::new();
     let args: Vec<_> = kernel
@@ -33,7 +35,7 @@ fn report(
         .map(|(p, data)| gpu.alloc_scalars(p.elem, data))
         .collect();
     let err = gpu
-        .launch(kernel, grid, block, &args, &racy_cfg(parallel))
+        .launch(kernel, grid, block, &args, &racy_cfg(workers))
         .unwrap_err();
     match err {
         SimError::DataRace(r) => r.to_string(),
@@ -94,13 +96,13 @@ fn racy_corpus_reports_are_schedule_independent() {
     ];
 
     for (kernel, grid, block, init) in cases {
-        let baseline = report(kernel, grid, block, init, Parallel::Off);
+        let baseline = report(kernel, grid, block, init, Some(1));
         for round in 0..3 {
-            for parallel in [Parallel::Off, Parallel::Auto, Parallel::On] {
-                let got = report(kernel, grid, block, init, parallel);
+            for workers in [Some(1), None, Some(4)] {
+                let got = report(kernel, grid, block, init, workers);
                 assert_eq!(
                     got, baseline,
-                    "kernel `{}` round {round} under {parallel:?} \
+                    "kernel `{}` round {round} under {workers:?} \
                      reported a different race",
                     kernel.name
                 );
@@ -124,7 +126,7 @@ fn reported_parties_are_normalized() {
             [2, 2, 1],
             [32, 8, 1],
             &[inp, out],
-            &racy_cfg(Parallel::On),
+            &racy_cfg(Some(4)),
         )
         .unwrap_err();
     match err {

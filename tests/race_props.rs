@@ -20,7 +20,7 @@ use descend::sim::ir::{
     AtomicOp, Axis, BinOp, ElemTy, Expr, KernelIr, ParamDecl, SharedDecl, Stmt,
 };
 use descend::sim::race::{cross_block_race, AccessKind, RaceDetector, RaceReport, Run};
-use descend::sim::{ExecMode, Gpu, LaunchConfig, Parallel, SimError};
+use descend::sim::{ExecMode, Gpu, LaunchConfig, SimError};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -206,7 +206,6 @@ fn cfg(exec: ExecMode, workers: usize) -> LaunchConfig {
     LaunchConfig {
         detect_races: true,
         exec,
-        parallel: Parallel::On,
         workers: Some(workers),
         ..LaunchConfig::default()
     }

@@ -11,7 +11,7 @@
 
 use descend::benchmarks::baselines;
 use descend::benchmarks::{run_benchmark, BenchKind};
-use descend::sim::{ExecMode, Gpu, LaunchConfig, Parallel, SimError};
+use descend::sim::{ExecMode, Gpu, LaunchConfig, SimError};
 
 fn warp_cfg() -> LaunchConfig {
     LaunchConfig {
@@ -115,13 +115,14 @@ fn warp_and_reference_modes_agree() {
     }
 }
 
-/// Parallel block execution is an implementation detail: forced-on,
-/// forced-off and auto all produce identical buffers, cycles and stats.
+/// Parallel block execution is an implementation detail: sequential
+/// (`Some(1)`), forced-parallel (`Some(4)`) and automatic (`None`) all
+/// produce identical buffers, cycles and stats.
 #[test]
 fn parallel_blocks_are_observationally_sequential() {
-    for parallel in [Parallel::Off, Parallel::On, Parallel::Auto] {
+    for workers in [Some(1), Some(4), None] {
         let cfg = LaunchConfig {
-            parallel,
+            workers,
             ..LaunchConfig::default()
         };
         let r = run_benchmark(BenchKind::Reduce, 1 << 18, 13, &cfg);
@@ -130,12 +131,12 @@ fn parallel_blocks_are_observationally_sequential() {
             1 << 18,
             13,
             &LaunchConfig {
-                parallel: Parallel::Off,
+                workers: Some(1),
                 ..LaunchConfig::default()
             },
         );
-        assert_eq!(r.descend_cycles, base.descend_cycles, "{parallel:?}");
-        assert_eq!(r.descend_stats, base.descend_stats, "{parallel:?}");
+        assert_eq!(r.descend_cycles, base.descend_cycles, "{workers:?}");
+        assert_eq!(r.descend_stats, base.descend_stats, "{workers:?}");
     }
 }
 

@@ -7,7 +7,7 @@
 
 use descend::compiler::Compiler;
 use descend::sim::trace::chrome_trace;
-use descend::sim::{ExecMode, LaunchConfig, Parallel};
+use descend::sim::{ExecMode, LaunchConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -27,8 +27,7 @@ fn pass_corpus() -> Vec<PathBuf> {
 }
 
 /// Launch configs the trace must be invariant across: warp executor at
-/// 1, 2 and 8 workers (per-launch override, immune to the process-global
-/// `DESCEND_SIM_THREADS`), plus the lane-stepping reference interpreter.
+/// 1, 2 and 8 workers, plus the lane-stepping reference interpreter.
 fn configs() -> Vec<(String, LaunchConfig)> {
     let mut cfgs = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -36,7 +35,6 @@ fn configs() -> Vec<(String, LaunchConfig)> {
             format!("warp/{workers}"),
             LaunchConfig {
                 exec: ExecMode::Warp,
-                parallel: Parallel::On,
                 workers: Some(workers),
                 detect_races: true,
                 ..LaunchConfig::default()
