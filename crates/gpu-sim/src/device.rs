@@ -1,7 +1,7 @@
 //! The device: buffers, launches, and the block execution loop.
 
 use crate::cost::{CostAccumulator, CostModel, LaunchStats};
-use crate::interp::{self, AccessRec, InterpError, ThreadState, ThreadStop};
+use crate::interp::{self, AccessRec, InterpError, Program, ThreadState, ThreadStop};
 use crate::ir::{ElemTy, KernelIr};
 use crate::race::{RaceDetector, RaceReport};
 use descend_trace::{BlockTrace, LaunchTrace, Recorder, SrcSpan, TraceSink, WorkerSpan};
@@ -352,8 +352,7 @@ impl Gpu {
             }
         }
         let threads_per_block = threads_per_block as usize;
-        let (code, spans, local_count) = interp::prepare_spanned(kernel);
-        let weights = interp::weights(&code);
+        let mut prog = Program::build(kernel).map_err(SimError::BadLaunch)?;
         let global_elems: Vec<ElemTy> = kernel.params.iter().map(|p| p.elem).collect();
         let shared_elems: Vec<ElemTy> = kernel.shared.iter().map(|s| s.elem).collect();
 
@@ -372,9 +371,7 @@ impl Gpu {
                 let mut races = RaceDetector::new();
                 let mut traces = tracing.then(Vec::new);
                 let result = self.run_grid(
-                    &code,
-                    &weights,
-                    local_count,
+                    &prog,
                     kernel,
                     grid_dim,
                     block_dim,
@@ -394,9 +391,7 @@ impl Gpu {
             }
             ExecMode::Warp => run_grid_warp(
                 kernel,
-                &code,
-                &weights,
-                local_count,
+                &prog,
                 grid_dim,
                 block_dim,
                 threads_per_block,
@@ -418,6 +413,7 @@ impl Gpu {
         }
         // Attribute a detected race to its source location (the span
         // table exists whether or not tracing is on).
+        let spans = std::mem::take(&mut prog.spans);
         let result = result.map_err(|e| match e {
             SimError::DataRace(mut r) => {
                 r.span = spans.get(r.pc as usize).copied().unwrap_or(SrcSpan::DUMMY);
@@ -441,9 +437,7 @@ impl Gpu {
     #[allow(clippy::too_many_arguments)]
     fn run_grid(
         &mut self,
-        code: &[interp::Instr],
-        weights: &[u64],
-        local_count: usize,
+        prog: &Program,
         kernel: &KernelIr,
         grid_dim: [u64; 3],
         block_dim: [u64; 3],
@@ -469,6 +463,7 @@ impl Gpu {
             Done,
         }
         let mut log: Vec<AccessRec> = Vec::new();
+        let mut temps = vec![interp::Value::I(0); prog.temp_count];
         let mut instr_before: Vec<u64> = vec![0; threads_per_block];
         let mut instr_delta: Vec<u64> = vec![0; threads_per_block];
         for bz in 0..grid_dim[2] {
@@ -482,7 +477,7 @@ impl Gpu {
                         .map(|s| vec![0u64; s.len as usize])
                         .collect();
                     let mut states: Vec<ThreadState> = (0..threads_per_block)
-                        .map(|_| ThreadState::new(local_count))
+                        .map(|_| ThreadState::new(prog.local_count))
                         .collect();
                     instr_before.iter_mut().for_each(|v| *v = 0);
                     // One iteration per barrier interval.
@@ -519,8 +514,9 @@ impl Gpu {
                                     shared: &mut shared,
                                     shared_elems,
                                     log: &mut log,
+                                    temps: &mut temps,
                                 };
-                                let stop = interp::run_thread(code, weights, st, &mut env)
+                                let stop = interp::run_thread(prog, st, &mut env)
                                     .map_err(|e| lift_err(e, block_lin))?;
                                 waits[tid] = match stop {
                                     ThreadStop::Barrier(pc) => Wait::Barrier(pc),
@@ -551,7 +547,8 @@ impl Gpu {
                                         });
                                     }
                                 }
-                                let interp::Instr::Shfl { dst, op, delta, .. } = &code[pc] else {
+                                let interp::Instr::Shfl { dst, op, delta, .. } = prog.code[pc]
+                                else {
                                     unreachable!("shuffle stops point at shuffle instructions")
                                 };
                                 let vals: Vec<interp::Value> = lanes
@@ -566,10 +563,10 @@ impl Gpu {
                                 let n = vals.len();
                                 for (i, t) in lanes.clone().enumerate() {
                                     let src = match op {
-                                        crate::ir::ShflOp::Down => i + *delta as usize,
-                                        crate::ir::ShflOp::Xor => i ^ *delta as usize,
+                                        crate::ir::ShflOp::Down => i + delta as usize,
+                                        crate::ir::ShflOp::Xor => i ^ delta as usize,
                                     };
-                                    states[t].locals[*dst] = if src >= WARP_SIZE {
+                                    states[t].locals[dst] = if src >= WARP_SIZE {
                                         // Beyond the 32-lane warp
                                         // boundary: the lane keeps its
                                         // own value (CUDA clamps).
@@ -746,9 +743,7 @@ fn decide_workers(
 #[allow(clippy::too_many_arguments)]
 fn run_grid_warp(
     kernel: &KernelIr,
-    code: &[interp::Instr],
-    weights: &[u64],
-    local_count: usize,
+    prog: &Program,
     grid_dim: [u64; 3],
     block_dim: [u64; 3],
     threads_per_block: usize,
@@ -759,7 +754,7 @@ fn run_grid_warp(
     tracing: bool,
 ) -> Result<(LaunchStats, Vec<BlockTrace>, Vec<WorkerSpan>), SimError> {
     use crate::race::{cross_block_race, fold_min, ShadowMemory};
-    use crate::warp::{run_block, BlockOutcome, BlockScratch, GridCtx};
+    use crate::warp::{run_block, BlockOutcome, BlockScratch, GridCtx, Lanes};
     let views: Vec<&[std::sync::atomic::AtomicU64]> = global
         .iter_mut()
         .map(|v| as_atomic(v.as_mut_slice()))
@@ -767,9 +762,8 @@ fn run_grid_warp(
     let global_lens: Vec<usize> = views.iter().map(|v| v.len()).collect();
     let shared_lens: Vec<usize> = kernel.shared.iter().map(|s| s.len as usize).collect();
     let ctx = GridCtx {
-        code,
-        weights,
-        local_count,
+        prog,
+        consts: prog.consts.iter().map(|v| Lanes::splat(*v)).collect(),
         global: &views,
         global_elems,
         global_lens: &global_lens,

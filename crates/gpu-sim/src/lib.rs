@@ -7,9 +7,14 @@
 //!
 //! - a grid of blocks of threads ([`ir`]), with `blockIdx`/`threadIdx`,
 //!   global memory buffers and per-block shared memory;
+//! - one flat **bytecode** per launch ([`interp::Program`]): a control
+//!   skeleton of jumps plus every operand expression as a post-order run
+//!   of ops with operands resolved at build time, run by two executors
+//!   ([`ExecMode`]) — warp-vectorized by default, and a lane-at-a-time
+//!   reference kept as the differential oracle;
 //! - block-wide barriers with **divergence detection**: if not every
 //!   thread of a block reaches the same barrier, the launch fails the way
-//!   CUDA makes it undefined behavior ([`interp`]);
+//!   CUDA makes it undefined behavior;
 //! - **atomic read-modify-write** instructions
 //!   (add/min/max/exchange on global and shared memory): conflicting
 //!   lanes serialize instead of racing, the race detector knows that

@@ -1,12 +1,15 @@
 //! The warp-vectorized block executor.
 //!
 //! The reference interpreter in [`crate::interp`] steps one thread at a
-//! time and replays an access log for cost and race accounting. This
-//! module executes a whole warp per dispatch instead: each warp keeps a
-//! 32-lane-wide register file, every step executes the runnable lanes at
-//! the *minimum* program counter together under a lane mask, and the
-//! lanes of one memory instruction feed the cost model and the shadow
-//! race detector directly — no per-access log, no replay.
+//! time through the bytecode and replays an access log for cost and race
+//! accounting. This module runs the same [`Program`] a whole warp per
+//! dispatch instead: each warp keeps a 32-lane-wide register file, every
+//! step executes the runnable lanes at the *minimum* program counter
+//! together under a lane mask, an instruction's ops run in one flat loop
+//! over lane-wide temporaries ([`Lanes`]: a type tag and raw bits per
+//! lane, so a converged warp dispatches once per op, not once per lane),
+//! and the lanes of one memory op feed the cost model and the shadow race
+//! detector directly — no per-access log, no replay.
 //!
 //! Minimum-pc scheduling reconverges divergent lanes exactly where the
 //! structured bytecode does: branch arms and loop bodies occupy
@@ -17,8 +20,10 @@
 
 use crate::cost::{BlockCost, CostModel, LaunchStats};
 use crate::device::{lift_err, SimError, WARP_SIZE};
-use crate::interp::{apply_atomic, apply_bin, Instr, InterpError, Value};
-use crate::ir::{Axis, BinOp, Expr, SharedDecl, ShflOp, UnOp};
+use crate::interp::{
+    apply_atomic, apply_bin, apply_un, Instr, InterpError, Op, Operand, Program, Src, Value,
+};
+use crate::ir::{BinOp, ElemTy, SharedDecl, ShflOp};
 use crate::race::{RaceReport, Run, ShadowMemory, ATOMIC, READ, WRITE};
 use descend_trace::{BlockTrace, NullSink, Recorder, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,12 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Everything immutable a block needs to execute; shared by all worker
 /// threads of one launch.
 pub(crate) struct GridCtx<'a> {
-    /// Compiled bytecode.
-    pub(crate) code: &'a [Instr],
-    /// Per-instruction cost weights.
-    pub(crate) weights: &'a [u64],
-    /// Thread-local slot count.
-    pub(crate) local_count: usize,
+    /// The kernel's bytecode.
+    pub(crate) prog: &'a Program,
+    /// `prog`'s literals, each splatted across the lanes.
+    pub(crate) consts: Vec<Lanes>,
     /// Global buffers as atomic views (lock-free parallel blocks).
     pub(crate) global: &'a [&'a [AtomicU64]],
     /// Element types of the global buffers.
@@ -67,15 +70,121 @@ pub(crate) struct BlockOutcome {
     pub(crate) trace: Option<BlockTrace>,
 }
 
-/// Per-lane execution status within the current barrier interval.
+/// A lane-wide value: one [`Value`] per lane, stored as a type tag and
+/// raw bits per lane ([`Value::to_bits`]). Keeping the two apart lets a
+/// warp-wide op check all 32 tags with one comparison and then compute on
+/// plain `i64`/`f64` arrays the compiler vectorizes.
+#[derive(Clone, Copy)]
+pub(crate) struct Lanes {
+    tags: [u8; 32],
+    bits: [u64; 32],
+}
+
+const TAG_F: u8 = 0;
+const TAG_I: u8 = 1;
+const TAG_B: u8 = 2;
+
+impl Lanes {
+    pub(crate) fn splat(v: Value) -> Lanes {
+        let mut lanes = Lanes {
+            tags: [0; 32],
+            bits: [0; 32],
+        };
+        for l in 0..WARP_SIZE {
+            lanes.set(l, v);
+        }
+        lanes
+    }
+
+    #[inline(always)]
+    fn get(&self, l: usize) -> Value {
+        match self.tags[l] {
+            TAG_F => Value::F(f64::from_bits(self.bits[l])),
+            TAG_I => Value::I(self.bits[l] as i64),
+            _ => Value::B(self.bits[l] != 0),
+        }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, l: usize, v: Value) {
+        self.tags[l] = match v {
+            Value::F(_) => TAG_F,
+            Value::I(_) => TAG_I,
+            Value::B(_) => TAG_B,
+        };
+        self.bits[l] = v.to_bits();
+    }
+
+    /// Copies lane `l` of `from`.
+    #[inline(always)]
+    fn copy_lane(&mut self, from: &Lanes, l: usize) {
+        self.tags[l] = from.tags[l];
+        self.bits[l] = from.bits[l];
+    }
+
+    /// Loads the masked lanes from a buffer of `elem`s: lane `l` decodes
+    /// ([`Value::from_bits`]) the bits `read(addrs[l])` returns.
+    #[inline(always)]
+    fn gather(&mut self, mask: u32, addrs: &[u64; 32], elem: ElemTy, read: impl Fn(usize) -> u64) {
+        match elem {
+            // Decoding keeps these bits as they are: one tag for all.
+            ElemTy::F64 | ElemTy::F32 | ElemTy::I32 => {
+                let tag = if elem == ElemTy::I32 { TAG_I } else { TAG_F };
+                for_lanes(mask, |l| {
+                    self.tags[l] = tag;
+                    self.bits[l] = read(addrs[l] as usize);
+                });
+            }
+            ElemTy::U32 | ElemTy::Bool => {
+                for_lanes(mask, |l| {
+                    self.set(l, Value::from_bits(read(addrs[l] as usize), elem))
+                });
+            }
+        }
+    }
+
+    /// The masked lanes as element indices below `len`, each converted
+    /// ([`Value::as_index`]) and then bounds-checked, the first failing
+    /// lane's error reported (`oob` builds a bounds error). Lanes outside
+    /// `mask` hold unspecified bits.
+    #[inline(always)]
+    fn indices(&self, mask: u32, len: u64, oob: impl Fn(u64) -> Box<SimError>) -> ERes<[u64; 32]> {
+        // Fast path: every masked lane is an integer in `0..len` (a
+        // negative one reads as a huge `u64`).
+        let mut ok = true;
+        for_lanes(mask, |l| {
+            ok &= self.tags[l] == TAG_I && self.bits[l] < len && (self.bits[l] as i64) >= 0;
+        });
+        if ok {
+            return Ok(self.bits);
+        }
+        try_lanes(mask, |l| {
+            let i = self.get(l).as_index().map_err(ev)?;
+            if i >= len {
+                return Err(oob(i));
+            }
+            Ok(())
+        })?;
+        unreachable!("a lane failed the fast check")
+    }
+
+    /// Whether every lane (masked or not) holds a value of type `tag`.
+    #[inline(always)]
+    fn all(&self, tag: u8) -> bool {
+        self.tags == [tag; 32]
+    }
+}
+
+/// Per-lane execution status within the current barrier interval. A
+/// suspended lane's pc is one past the shuffle or barrier it waits at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Lane {
     /// Runnable.
     Run,
-    /// Suspended at the shuffle at this pc, operand staged.
-    Shfl(usize),
-    /// Suspended at the barrier at this pc.
-    Barrier(usize),
+    /// Suspended at a shuffle, operand staged.
+    Shfl,
+    /// Suspended at a barrier.
+    Barrier,
     /// Ran to completion.
     Done,
 }
@@ -88,7 +197,8 @@ struct Warp {
     n: usize,
     /// Warp index within the block (error messages).
     widx: usize,
-    /// Per-lane program counter.
+    /// Per-lane program counter (a converged run moves its lanes only
+    /// when it stops, see [`Warp::exec`]).
     pc: [usize; 32],
     /// Scheduling view of `pc`: the pc of every `Lane::Run` lane, and
     /// `u32::MAX` for suspended/done lanes. Kept as `u32` in its own
@@ -97,66 +207,55 @@ struct Warp {
     sched: [u32; 32],
     /// Per-lane status.
     status: [Lane; 32],
-    /// Register file, slot-major: `regs[slot][lane]`.
-    regs: Vec<[Value; 32]>,
+    /// Register file, slot-major: `regs[slot]` holds every lane's local.
+    regs: Vec<Lanes>,
     /// Operands staged by suspended shuffles.
-    staged: [Value; 32],
+    staged: Lanes,
     /// Lanes (among the `n` active ones) that have run to completion.
     done: usize,
-    /// Per-lane executed-instruction weight (cost model).
+    /// Per-lane executed-instruction weight in the current interval
+    /// (cost model; lanes past `n` stay 0).
     instr_count: [u64; 32],
-    /// Snapshot of `instr_count` at the last interval boundary.
-    instr_before: [u64; 32],
     /// Per-lane thread coordinates, axis-major.
-    tcoord: [[i64; 32]; 3],
+    tcoord: [Lanes; 3],
 }
 
 impl Warp {
     fn new(base: u32, n: usize, widx: usize, local_count: usize, bd: [u64; 3]) -> Warp {
-        let mut tcoord = [[0i64; 32]; 3];
-        let mut status = [Lane::Done; 32];
+        let mut tcoord = [Lanes::splat(Value::I(0)); 3];
         for l in 0..n {
             let t = u64::from(base) + l as u64;
-            tcoord[0][l] = (t % bd[0]) as i64;
-            tcoord[1][l] = ((t / bd[0]) % bd[1]) as i64;
-            tcoord[2][l] = (t / (bd[0] * bd[1])) as i64;
-            status[l] = Lane::Run;
+            tcoord[0].set(l, Value::I((t % bd[0]) as i64));
+            tcoord[1].set(l, Value::I(((t / bd[0]) % bd[1]) as i64));
+            tcoord[2].set(l, Value::I((t / (bd[0] * bd[1])) as i64));
         }
-        let mut sched = [u32::MAX; 32];
-        for s in sched.iter_mut().take(n) {
-            *s = 0;
-        }
-        Warp {
+        let mut warp = Warp {
             base,
             n,
             widx,
             pc: [0; 32],
-            sched,
-            status,
-            regs: vec![[Value::I(0); 32]; local_count],
-            staged: [Value::I(0); 32],
+            sched: [u32::MAX; 32],
+            status: [Lane::Done; 32],
+            regs: vec![Lanes::splat(Value::I(0)); local_count],
+            staged: Lanes::splat(Value::I(0)),
             done: 0,
             instr_count: [0; 32],
-            instr_before: [0; 32],
             tcoord,
-        }
+        };
+        warp.reset();
+        warp
     }
 
     /// Returns the warp to its launch state so the next block can reuse
     /// its allocations (thread coordinates depend only on the lane, so
     /// they carry over unchanged).
     fn reset(&mut self) {
-        for l in 0..self.n {
-            self.status[l] = Lane::Run;
-            self.sched[l] = 0;
-        }
+        self.status[..self.n].fill(Lane::Run);
+        self.sched[..self.n].fill(0);
         self.pc = [0; 32];
         self.done = 0;
         self.instr_count = [0; 32];
-        self.instr_before = [0; 32];
-        for slot in self.regs.iter_mut() {
-            *slot = [Value::I(0); 32];
-        }
+        self.regs.fill(Lanes::splat(Value::I(0)));
     }
 
     /// Runs the warp to the end of the current barrier interval: every
@@ -164,7 +263,7 @@ impl Warp {
     fn run_interval<S: TraceSink>(
         &mut self,
         env: &mut Env<'_, '_, S>,
-        scratch: &mut [[Value; 32]],
+        temps: &mut [Lanes],
     ) -> Result<(), SimError> {
         loop {
             // `sched` mirrors pc/status exactly for this purpose: both
@@ -180,10 +279,7 @@ impl Warp {
             if min_pc == u32::MAX {
                 // Nothing runnable: resolve a pending shuffle, or the
                 // interval is over (barriers/completions only).
-                if self.status[..self.n]
-                    .iter()
-                    .any(|s| matches!(s, Lane::Shfl(_)))
-                {
+                if self.status[..self.n].contains(&Lane::Shfl) {
                     self.resolve_shuffle(env)?;
                     continue;
                 }
@@ -193,25 +289,42 @@ impl Warp {
             for l in 0..WARP_SIZE {
                 mask |= u32::from(self.sched[l] == min_pc) << l;
             }
+            let weights = &env.ctx.prog.weights;
+            let mut pc = min_pc as usize;
             if mask.count_ones() == live {
                 // Converged: every live lane executes together, and
                 // straight-line instructions, jumps, and *uniform*
                 // branches keep it that way — run ahead without
                 // rescanning until divergence or a status change
                 // forces a rescan (`exec` returns `RESCAN`).
-                let mut pc = min_pc as usize;
+                let mut weight = 0;
                 loop {
-                    let next = self.exec(env, pc, mask, scratch).map_err(|e| *e)?;
+                    weight += weights[pc];
+                    let next = self.exec(env, pc, mask, temps).map_err(|e| *e)?;
                     if next == RESCAN {
                         break;
                     }
                     pc = next as usize;
                 }
+                self.charge(mask, weight);
             } else {
-                self.exec(env, min_pc as usize, mask, scratch)
-                    .map_err(|e| *e)?;
+                let next = self.exec(env, pc, mask, temps).map_err(|e| *e)?;
+                if next != RESCAN {
+                    let (pcs, sched) = (&mut self.pc, &mut self.sched);
+                    for_lanes(mask, |l| {
+                        pcs[l] = next as usize;
+                        sched[l] = next;
+                    });
+                }
+                self.charge(mask, weights[pc]);
             }
         }
+    }
+
+    /// Adds executed-instruction weight to the masked lanes.
+    fn charge(&mut self, mask: u32, weight: u64) {
+        let counts = &mut self.instr_count;
+        for_lanes(mask, |l| counts[l] += weight);
     }
 
     /// Exchanges staged shuffle operands once every lane of the warp
@@ -219,13 +332,11 @@ impl Warp {
     /// path enforces, with identical diagnostics).
     fn resolve_shuffle<S: TraceSink>(&mut self, env: &mut Env<'_, '_, S>) -> Result<(), SimError> {
         let pc = (0..self.n)
-            .find_map(|l| match self.status[l] {
-                Lane::Shfl(p) => Some(p),
-                _ => None,
-            })
+            .find(|&l| self.status[l] == Lane::Shfl)
+            .map(|l| self.pc[l] - 1)
             .expect("caller saw a suspended shuffle");
         for l in 0..self.n {
-            if self.status[l] != Lane::Shfl(pc) {
+            if self.status[l] != Lane::Shfl || self.pc[l] != pc + 1 {
                 return Err(SimError::ShuffleDivergence {
                     block: env.block_lin,
                     detail: format!(
@@ -235,22 +346,22 @@ impl Warp {
                 });
             }
         }
-        let Instr::Shfl { dst, op, delta, .. } = &env.ctx.code[pc] else {
+        let Instr::Shfl { dst, op, delta, .. } = env.ctx.prog.code[pc] else {
             unreachable!("shuffle stops point at shuffle instructions")
         };
         let n = self.n;
         let mut received = [Value::I(0); 32];
         for (i, r) in received.iter_mut().enumerate().take(n) {
             let src = match op {
-                ShflOp::Down => i + *delta as usize,
-                ShflOp::Xor => i ^ *delta as usize,
+                ShflOp::Down => i + delta as usize,
+                ShflOp::Xor => i ^ delta as usize,
             };
             *r = if src >= WARP_SIZE {
                 // Beyond the 32-lane warp boundary: the lane keeps its
                 // own value (CUDA clamps).
-                self.staged[i]
+                self.staged.get(i)
             } else if src < n {
-                self.staged[src]
+                self.staged.get(src)
             } else {
                 // A lane slot the warp geometry declares but this
                 // partial warp never populated: CUDA leaves reads of
@@ -265,7 +376,7 @@ impl Warp {
             };
         }
         for (l, r) in received.iter().enumerate().take(n) {
-            self.regs[*dst][l] = *r;
+            self.regs[dst].set(l, *r);
             self.status[l] = Lane::Run;
             self.sched[l] = self.pc[l] as u32;
         }
@@ -277,128 +388,70 @@ impl Warp {
         Ok(())
     }
 
-    /// Executes the instruction at `pc` for the masked lanes.
+    /// Executes the instruction at `pc` for the masked lanes and returns
+    /// where they continue: `pc + 1` after a straight-line instruction,
+    /// the shared target of a jump or of a branch every masked lane
+    /// resolves the same way (loop back-edge conditions almost always
+    /// do), or [`RESCAN`] after a branch that diverged or a status change
+    /// (barrier, shuffle, halt) — in which case this has already moved
+    /// the lanes. Otherwise the caller moves them, and charges the
+    /// instruction's weight either way: a converged run needs neither per
+    /// instruction, only once at its end.
     ///
-    /// `scratch` is the per-block arena of lane-wide value buffers (see
-    /// [`scratch_depth`]): operand buffers are carved off its front
-    /// instead of being zero-initialized on the stack per AST node,
-    /// which is the warp path's hottest allocation. Stale lanes in a
-    /// reused buffer are harmless — every consumer reads only lanes in
-    /// `mask`, and every evaluator writes exactly those lanes.
+    /// `temps` is the per-block arena of lane-wide temporaries, sized by
+    /// [`Program::temp_count`]: every op writes its result into one, and
+    /// every operand ends up in `temps[0]`. Stale lanes are harmless —
+    /// every consumer reads only lanes in `mask`, and every op writes
+    /// exactly those lanes first.
     fn exec<S: TraceSink>(
         &mut self,
         env: &mut Env<'_, '_, S>,
         pc: usize,
         mask: u32,
-        scratch: &mut [[Value; 32]],
+        temps: &mut [Lanes],
     ) -> ERes<u32> {
-        let w = env.ctx.weights[pc];
         let block_lin = env.block_lin;
-        // Straight-line instructions advance every masked lane to
-        // `pc + 1` and never change lane status, so a converged warp
-        // stays converged across them; jumps and uniform branches
-        // (below) move all masked lanes to the same target. `next`
-        // reports where the converged scheduler may continue without a
-        // rescan, or [`RESCAN`] after divergence / a status change.
-        let mut next = if matches!(
-            &env.ctx.code[pc],
-            Instr::SetLocal(..)
-                | Instr::StoreGlobal { .. }
-                | Instr::StoreShared { .. }
-                | Instr::AtomicGlobal { .. }
-                | Instr::AtomicShared { .. }
-        ) {
-            pc as u32 + 1
-        } else {
-            RESCAN
-        };
-        match &env.ctx.code[pc] {
-            Instr::SetLocal(i, e) => {
-                let (vals, rest) = scratch.split_first_mut().expect("scratch sized per kernel");
-                eval_vec(env, self, e, mask, pc, vals, rest)?;
-                if *i >= self.regs.len() {
-                    return Err(ev(format!("local {i} out of range")));
-                }
-                let slot = &mut self.regs[*i];
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
-                for_lanes(mask, |l| {
-                    slot[l] = vals[l];
-                    pcs[l] = pc + 1;
-                    sched[l] = pc as u32 + 1;
-                });
+        let next = pc as u32 + 1;
+        match env.ctx.prog.code[pc] {
+            Instr::SetLocal { dst, value } => {
+                self.operand(env, value, mask, pc, temps)?;
+                let (vals, slot) = (&temps[0], &mut self.regs[dst]);
+                for_lanes(mask, |l| slot.copy_lane(vals, l));
+                Ok(next)
             }
             Instr::StoreGlobal { buf, idx, value } => {
-                let (addrs, vals) = self.eval_store_operands(env, idx, value, mask, pc, scratch)?;
-                let view = env
-                    .ctx
-                    .global
-                    .get(*buf)
-                    .copied()
-                    .ok_or_else(|| ev(format!("global buffer {buf} missing")))?;
-                let elem = env.ctx.global_elems[*buf];
-                let mut group = [0u64; 32];
-                let mut n = 0;
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
+                let addrs = self.store_operands(env, idx, value, mask, pc, temps)?;
+                let vals = &temps[0];
+                let view = env.ctx.global[buf];
+                let elem = env.ctx.global_elems[buf];
                 try_lanes(mask, |l| {
                     let i = addrs[l];
                     if i >= view.len() as u64 {
-                        return Err(oob(block_lin, "global", *buf, i, view.len() as u64, pc));
+                        return Err(oob(block_lin, "global", buf, i, view.len() as u64, pc));
                     }
-                    let bits = vals[l].to_elem_bits(elem).map_err(ev)?;
+                    let bits = vals.get(l).to_elem_bits(elem).map_err(ev)?;
                     view[i as usize].store(bits, Ordering::Relaxed);
-                    group[n] = i;
-                    n += 1;
-                    pcs[l] = pc + 1;
-                    sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
-                if let Some(sh) = env.shadow.as_deref_mut() {
-                    sh.group::<WRITE>(true, *buf, &addrs, self.base, mask, pc as u32);
-                }
-                let gc = env
-                    .cost
-                    .global_group(&mut group[..n], elem.size_bytes(), false);
-                if S::ENABLED {
-                    env.sink
-                        .mem_group(self.widx as u32, pc as u32, true, false, n as u32, gc);
-                }
+                self.account::<WRITE, S>(env, true, buf, &addrs, mask, pc);
+                Ok(next)
             }
             Instr::StoreShared { buf, idx, value } => {
-                let (addrs, vals) = self.eval_store_operands(env, idx, value, mask, pc, scratch)?;
-                let decl = env
-                    .ctx
-                    .shared_decls
-                    .get(*buf)
-                    .ok_or_else(|| ev(format!("shared buffer {buf} missing")))?;
-                let elem = decl.elem;
-                let mut group = [0u64; 32];
-                let mut n = 0;
-                let buf_mem = &mut env.shared[*buf];
+                let addrs = self.store_operands(env, idx, value, mask, pc, temps)?;
+                let vals = &temps[0];
+                let elem = env.ctx.shared_decls[buf].elem;
+                let buf_mem = &mut env.shared[buf];
                 let len = buf_mem.len() as u64;
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
                     if i >= len {
-                        return Err(oob(block_lin, "shared", *buf, i, len, pc));
+                        return Err(oob(block_lin, "shared", buf, i, len, pc));
                     }
-                    let bits = vals[l].to_elem_bits(elem).map_err(ev)?;
-                    buf_mem[i as usize] = bits;
-                    group[n] = i;
-                    n += 1;
-                    pcs[l] = pc + 1;
-                    sched[l] = pc as u32 + 1;
+                    buf_mem[i as usize] = vals.get(l).to_elem_bits(elem).map_err(ev)?;
                     Ok(())
                 })?;
-                if let Some(sh) = env.shadow.as_deref_mut() {
-                    sh.group::<WRITE>(false, *buf, &addrs, self.base, mask, pc as u32);
-                }
-                let gc = env
-                    .cost
-                    .shared_group(&mut group[..n], elem.size_bytes(), false);
-                if S::ENABLED {
-                    env.sink
-                        .mem_group(self.widx as u32, pc as u32, false, false, n as u32, gc);
-                }
+                self.account::<WRITE, S>(env, false, buf, &addrs, mask, pc);
+                Ok(next)
             }
             Instr::AtomicGlobal {
                 op,
@@ -406,21 +459,14 @@ impl Warp {
                 idx,
                 value,
             } => {
-                let (addrs, vals) = self.eval_store_operands(env, idx, value, mask, pc, scratch)?;
-                let view = env
-                    .ctx
-                    .global
-                    .get(*buf)
-                    .copied()
-                    .ok_or_else(|| ev(format!("global buffer {buf} missing")))?;
-                let elem = env.ctx.global_elems[*buf];
-                let mut group = [0u64; 32];
-                let mut n = 0;
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
+                let addrs = self.store_operands(env, idx, value, mask, pc, temps)?;
+                let vals = &temps[0];
+                let view = env.ctx.global[buf];
+                let elem = env.ctx.global_elems[buf];
                 try_lanes(mask, |l| {
                     let i = addrs[l];
                     if i >= view.len() as u64 {
-                        return Err(oob(block_lin, "global", *buf, i, view.len() as u64, pc));
+                        return Err(oob(block_lin, "global", buf, i, view.len() as u64, pc));
                     }
                     // Lock-free RMW so concurrently executing blocks
                     // serialize the way device atomics do.
@@ -428,7 +474,7 @@ impl Warp {
                     let mut cur = cell.load(Ordering::Relaxed);
                     loop {
                         let old = Value::from_bits(cur, elem);
-                        let new = apply_atomic(*op, old, vals[l]).map_err(ev)?;
+                        let new = apply_atomic(op, old, vals.get(l)).map_err(ev)?;
                         let bits = new.to_elem_bits(elem).map_err(ev)?;
                         match cell.compare_exchange_weak(
                             cur,
@@ -440,22 +486,10 @@ impl Warp {
                             Err(seen) => cur = seen,
                         }
                     }
-                    group[n] = i;
-                    n += 1;
-                    pcs[l] = pc + 1;
-                    sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
-                if let Some(sh) = env.shadow.as_deref_mut() {
-                    sh.group::<ATOMIC>(true, *buf, &addrs, self.base, mask, pc as u32);
-                }
-                let gc = env
-                    .cost
-                    .global_group(&mut group[..n], elem.size_bytes(), true);
-                if S::ENABLED {
-                    env.sink
-                        .mem_group(self.widx as u32, pc as u32, true, true, n as u32, gc);
-                }
+                self.account::<ATOMIC, S>(env, true, buf, &addrs, mask, pc);
+                Ok(next)
             }
             Instr::AtomicShared {
                 op,
@@ -463,139 +497,235 @@ impl Warp {
                 idx,
                 value,
             } => {
-                let (addrs, vals) = self.eval_store_operands(env, idx, value, mask, pc, scratch)?;
-                let decl = env
-                    .ctx
-                    .shared_decls
-                    .get(*buf)
-                    .ok_or_else(|| ev(format!("shared buffer {buf} missing")))?;
-                let elem = decl.elem;
-                let mut group = [0u64; 32];
-                let mut n = 0;
-                let buf_mem = &mut env.shared[*buf];
+                let addrs = self.store_operands(env, idx, value, mask, pc, temps)?;
+                let vals = &temps[0];
+                let elem = env.ctx.shared_decls[buf].elem;
+                let buf_mem = &mut env.shared[buf];
                 let len = buf_mem.len() as u64;
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 try_lanes(mask, |l| {
                     let i = addrs[l];
                     if i >= len {
-                        return Err(oob(block_lin, "shared", *buf, i, len, pc));
+                        return Err(oob(block_lin, "shared", buf, i, len, pc));
                     }
                     let old = Value::from_bits(buf_mem[i as usize], elem);
-                    let new = apply_atomic(*op, old, vals[l]).map_err(ev)?;
+                    let new = apply_atomic(op, old, vals.get(l)).map_err(ev)?;
                     buf_mem[i as usize] = new.to_elem_bits(elem).map_err(ev)?;
-                    group[n] = i;
-                    n += 1;
-                    pcs[l] = pc + 1;
-                    sched[l] = pc as u32 + 1;
                     Ok(())
                 })?;
-                if let Some(sh) = env.shadow.as_deref_mut() {
-                    sh.group::<ATOMIC>(false, *buf, &addrs, self.base, mask, pc as u32);
-                }
-                let gc = env
-                    .cost
-                    .shared_group(&mut group[..n], elem.size_bytes(), true);
-                if S::ENABLED {
-                    env.sink
-                        .mem_group(self.widx as u32, pc as u32, false, true, n as u32, gc);
-                }
+                self.account::<ATOMIC, S>(env, false, buf, &addrs, mask, pc);
+                Ok(next)
             }
-            Instr::JumpIfFalse(cond, target) => {
-                let (vals, rest) = scratch.split_first_mut().expect("scratch sized per kernel");
-                eval_vec(env, self, cond, mask, pc, vals, rest)?;
-                let (pcs, sched) = (&mut self.pc, &mut self.sched);
-                let mut taken = 0u32;
-                try_lanes(mask, |l| {
-                    let c = vals[l].truthy().map_err(ev)?;
-                    taken |= u32::from(c) << l;
-                    let next = if c { pc + 1 } else { *target };
-                    pcs[l] = next;
-                    sched[l] = next as u32;
-                    Ok(())
-                })?;
-                // A branch every masked lane resolves the same way is
-                // uniform (loop back-edge conditions almost always
-                // are): the warp stays converged at the shared target.
+            Instr::JumpIfFalse { cond, target } => {
+                self.operand(env, cond, mask, pc, temps)?;
+                let vals = &temps[0];
+                let (mut bools, mut taken) = (true, 0u32);
+                for_lanes(mask, |l| {
+                    bools &= vals.tags[l] == TAG_B;
+                    taken |= u32::from(vals.bits[l] != 0) << l;
+                });
+                if !bools {
+                    try_lanes(mask, |l| vals.get(l).truthy().map(|_| ()).map_err(ev))?;
+                }
                 if taken == mask {
-                    next = pc as u32 + 1;
-                } else if taken == 0 {
-                    next = *target as u32;
+                    return Ok(next);
                 }
-            }
-            Instr::Jump(target) => {
+                if taken == 0 {
+                    return Ok(target as u32);
+                }
                 let (pcs, sched) = (&mut self.pc, &mut self.sched);
                 for_lanes(mask, |l| {
-                    pcs[l] = *target;
-                    sched[l] = *target as u32;
+                    let to = if taken >> l & 1 != 0 { pc + 1 } else { target };
+                    pcs[l] = to;
+                    sched[l] = to as u32;
                 });
-                next = *target as u32;
+                Ok(RESCAN)
             }
+            Instr::Jump(target) => Ok(target as u32),
             Instr::Barrier => {
-                let (status, pcs, sched) = (&mut self.status, &mut self.pc, &mut self.sched);
-                for_lanes(mask, |l| {
-                    status[l] = Lane::Barrier(pc);
-                    pcs[l] = pc + 1;
-                    sched[l] = u32::MAX;
-                });
+                self.suspend(mask, Lane::Barrier, next as usize);
+                Ok(RESCAN)
             }
-            Instr::Shfl { dst, value, .. } => {
-                if *dst >= self.regs.len() {
-                    return Err(ev(format!("local {dst} out of range")));
-                }
-                let (vals, rest) = scratch.split_first_mut().expect("scratch sized per kernel");
-                eval_vec(env, self, value, mask, pc, vals, rest)?;
-                let (staged, status, pcs, sched) = (
-                    &mut self.staged,
-                    &mut self.status,
-                    &mut self.pc,
-                    &mut self.sched,
-                );
-                for_lanes(mask, |l| {
-                    staged[l] = vals[l];
-                    status[l] = Lane::Shfl(pc);
-                    pcs[l] = pc + 1;
-                    sched[l] = u32::MAX;
-                });
+            Instr::Shfl { value, .. } => {
+                self.operand(env, value, mask, pc, temps)?;
+                let (staged, vals) = (&mut self.staged, &temps[0]);
+                for_lanes(mask, |l| staged.copy_lane(vals, l));
+                self.suspend(mask, Lane::Shfl, next as usize);
+                Ok(RESCAN)
             }
             Instr::Halt => {
                 self.done += mask.count_ones() as usize;
-                let (status, sched) = (&mut self.status, &mut self.sched);
-                for_lanes(mask, |l| {
-                    status[l] = Lane::Done;
-                    sched[l] = u32::MAX;
-                });
+                self.suspend(mask, Lane::Done, pc);
+                Ok(RESCAN)
             }
         }
-        let counts = &mut self.instr_count;
-        for_lanes(mask, |l| counts[l] += w);
-        Ok(next)
     }
 
-    /// Evaluates a store-family instruction's index (converted per lane)
-    /// and value operands, in the reference interpreter's order: index
-    /// conversion errors surface before value-evaluation errors, which
-    /// surface before bounds checks.
-    fn eval_store_operands<'s, S: TraceSink>(
+    /// Takes the masked lanes out of scheduling with the given status,
+    /// their pc set to `resume_at`.
+    fn suspend(&mut self, mask: u32, status: Lane, resume_at: usize) {
+        let (st, pcs, sched) = (&mut self.status, &mut self.pc, &mut self.sched);
+        for_lanes(mask, |l| {
+            st[l] = status;
+            pcs[l] = resume_at;
+            sched[l] = u32::MAX;
+        });
+    }
+
+    /// Evaluates a store-family instruction's operands in the reference
+    /// interpreter's order: the index, converted per lane (errors in lane
+    /// order), before the value, whose lanes end up in `temps[0]`; the
+    /// caller's bounds checks come after both.
+    fn store_operands<S: TraceSink>(
         &self,
         env: &mut Env<'_, '_, S>,
-        idx: &Expr,
-        value: &Expr,
+        idx: Operand,
+        value: Operand,
         mask: u32,
         pc: usize,
-        scratch: &'s mut [[Value; 32]],
-    ) -> ERes<([u64; 32], &'s [Value; 32])> {
-        // One arena slot serves both operands: the raw index values are
-        // dead once converted to `addrs`, so the value evaluation reuses
-        // their buffer.
-        let (vals, rest) = scratch.split_first_mut().expect("scratch sized per kernel");
-        eval_vec(env, self, idx, mask, pc, vals, rest)?;
-        let mut addrs = [0u64; 32];
-        try_lanes(mask, |l| {
-            addrs[l] = vals[l].as_index().map_err(ev)?;
-            Ok(())
-        })?;
-        eval_vec(env, self, value, mask, pc, vals, rest)?;
-        Ok((addrs, vals))
+        temps: &mut [Lanes],
+    ) -> ERes<[u64; 32]> {
+        self.operand(env, idx, mask, pc, temps)?;
+        let addrs = temps[0].indices(mask, u64::MAX, |_| unreachable!("indices fit i64"))?;
+        self.operand(env, value, mask, pc, temps)?;
+        Ok(addrs)
+    }
+
+    /// Evaluates an operand for the masked lanes into `temps[0]`: its ops
+    /// in order, each for all masked lanes. A load bounds-checks per lane,
+    /// feeds the shadow race detector and charges the cost model one
+    /// warp-access group — which is exactly the reference path's
+    /// `(warp, pc, occurrence)` grouping, because every masked lane runs
+    /// the same ops in the same order.
+    fn operand<S: TraceSink>(
+        &self,
+        env: &mut Env<'_, '_, S>,
+        o: Operand,
+        mask: u32,
+        pc: usize,
+        temps: &mut [Lanes],
+    ) -> ERes<()> {
+        let ctx = env.ctx;
+        for &op in &ctx.prog.ops[o.start as usize..o.end as usize] {
+            match op {
+                Op::Bin { op, dst, a, b } => {
+                    // In place: `a` is `Temp(dst)` or a leaf, `b` is
+                    // `Temp(dst + 1)` or a leaf.
+                    let (out, rest) = temps[dst as usize..]
+                        .split_first_mut()
+                        .expect("arena sized by the program");
+                    if a != Src::Temp(dst) {
+                        *out = *self.leaf(env, a);
+                    }
+                    let rhs = match b {
+                        Src::Temp(_) => &rest[0],
+                        b => self.leaf(env, b),
+                    };
+                    if mask != u32::MAX || !bin_fast(op, out, rhs) {
+                        try_lanes(mask, |l| {
+                            out.set(l, apply_bin(op, out.get(l), rhs.get(l)).map_err(ev)?);
+                            Ok(())
+                        })?;
+                    }
+                }
+                Op::Un { op, dst, a } => {
+                    let mut out = *self.lanes(env, temps, a);
+                    try_lanes(mask, |l| {
+                        out.set(l, apply_un(op, out.get(l)).map_err(ev)?);
+                        Ok(())
+                    })?;
+                    temps[dst as usize] = out;
+                }
+                Op::LoadGlobal { buf, dst, idx } => {
+                    let buf = buf as usize;
+                    let view = ctx.global[buf];
+                    let (elem, len) = (ctx.global_elems[buf], view.len() as u64);
+                    let block_lin = env.block_lin;
+                    let addrs = self
+                        .lanes(env, temps, idx)
+                        .indices(mask, len, |i| oob(block_lin, "global", buf, i, len, pc))?;
+                    temps[dst as usize]
+                        .gather(mask, &addrs, elem, |i| view[i].load(Ordering::Relaxed));
+                    self.account::<READ, S>(env, true, buf, &addrs, mask, pc);
+                }
+                Op::LoadShared { buf, dst, idx } => {
+                    let buf = buf as usize;
+                    let elem = ctx.shared_decls[buf].elem;
+                    let buf_mem = &env.shared[buf];
+                    let len = buf_mem.len() as u64;
+                    let block_lin = env.block_lin;
+                    let addrs = self
+                        .lanes(env, temps, idx)
+                        .indices(mask, len, |i| oob(block_lin, "shared", buf, i, len, pc))?;
+                    temps[dst as usize].gather(mask, &addrs, elem, |i| buf_mem[i]);
+                    self.account::<READ, S>(env, false, buf, &addrs, mask, pc);
+                }
+            }
+        }
+        if !matches!(o.src, Src::Temp(0)) {
+            temps[0] = *self.lanes(env, temps, o.src);
+        }
+        Ok(())
+    }
+
+    /// The lanes of an operand, read in place.
+    #[inline(always)]
+    fn lanes<'s, S: TraceSink>(
+        &'s self,
+        env: &'s Env<'_, '_, S>,
+        temps: &'s [Lanes],
+        s: Src,
+    ) -> &'s Lanes {
+        match s {
+            Src::Temp(t) => &temps[t as usize],
+            leaf => self.leaf(env, leaf),
+        }
+    }
+
+    /// The lanes of an operand that is not a temporary.
+    #[inline(always)]
+    fn leaf<'s, S: TraceSink>(&'s self, env: &'s Env<'_, '_, S>, s: Src) -> &'s Lanes {
+        match s {
+            Src::Const(k) => &env.ctx.consts[k as usize],
+            Src::Uniform(k) => &env.uniform[usize::from(k)],
+            Src::Thread(a) => &self.tcoord[usize::from(a)],
+            Src::Local(i) => &self.regs[i as usize],
+            Src::Temp(_) => unreachable!("temporaries are read from the arena"),
+        }
+    }
+
+    /// Charges one warp memory access — lane `l` of `mask` touched
+    /// element `addrs[l]` — to the race shadow, the cost model and the
+    /// trace sink, in that order.
+    fn account<const KIND: u8, S: TraceSink>(
+        &self,
+        env: &mut Env<'_, '_, S>,
+        global: bool,
+        buf: usize,
+        addrs: &[u64; 32],
+        mask: u32,
+        pc: usize,
+    ) {
+        if let Some(sh) = env.shadow.as_deref_mut() {
+            sh.group::<KIND>(global, buf, addrs, self.base, mask, pc as u32);
+        }
+        let mut group = [0u64; 32];
+        let mut n = 0;
+        for_lanes(mask, |l| {
+            group[n] = addrs[l];
+            n += 1;
+        });
+        let atomic = KIND == ATOMIC;
+        let gc = if global {
+            let esz = env.ctx.global_elems[buf].size_bytes();
+            env.cost.global_group(&mut group[..n], esz, atomic)
+        } else {
+            let esz = env.ctx.shared_decls[buf].elem.size_bytes();
+            env.cost.shared_group(&mut group[..n], esz, atomic)
+        };
+        if S::ENABLED {
+            env.sink
+                .mem_group(self.widx as u32, pc as u32, global, atomic, n as u32, gc);
+        }
     }
 }
 
@@ -611,18 +741,9 @@ struct Env<'a, 'b, S: TraceSink> {
     /// Where cost events land when tracing.
     sink: &'b mut S,
     block_lin: u64,
-    /// Block coordinates, block/grid dims as i64 (expression operands).
-    block: [i64; 3],
-    bdim: [i64; 3],
-    gdim: [i64; 3],
-}
-
-fn axis_of(coords: &[i64; 3], a: Axis) -> i64 {
-    match a {
-        Axis::X => coords[0],
-        Axis::Y => coords[1],
-        Axis::Z => coords[2],
-    }
+    /// Block coordinates, block and grid dims, splatted across the lanes
+    /// (indexed by [`Src::Uniform`]).
+    uniform: [Lanes; 9],
 }
 
 fn oob(block: u64, kind: &str, buf: usize, idx: u64, len: u64, pc: usize) -> Box<SimError> {
@@ -654,246 +775,89 @@ fn ev(msg: String) -> Box<SimError> {
     Box::new(SimError::Eval(msg))
 }
 
-/// Evaluates an expression for every masked lane into `out`. Memory
-/// loads bounds-check per lane, feed the shadow race detector, and
-/// charge the cost model one warp-access group per AST node — which is
-/// exactly the reference path's `(warp, pc, occurrence)` grouping,
-/// because every masked lane visits the same nodes in the same order.
-///
-/// `scratch` supplies the right-hand-side buffer of every `Bin` node
-/// ([`scratch_depth`] sizes it so the splits can never run dry).
-/// Buffers come back with stale lanes from earlier nodes; that is fine
-/// because only `mask` lanes are ever read, and those are always
-/// freshly written.
-fn eval_vec<S: TraceSink>(
-    env: &mut Env<'_, '_, S>,
-    warp: &Warp,
-    e: &Expr,
-    mask: u32,
-    pc: usize,
-    out: &mut [Value; 32],
-    scratch: &mut [[Value; 32]],
-) -> ERes<()> {
-    match e {
-        Expr::LitF(v) => splat(out, mask, Value::F(*v)),
-        Expr::LitI(v) => splat(out, mask, Value::I(*v)),
-        Expr::LitB(v) => splat(out, mask, Value::B(*v)),
-        Expr::BlockIdx(a) => splat(out, mask, Value::I(axis_of(&env.block, *a))),
-        Expr::BlockDim(a) => splat(out, mask, Value::I(axis_of(&env.bdim, *a))),
-        Expr::GridDim(a) => splat(out, mask, Value::I(axis_of(&env.gdim, *a))),
-        Expr::ThreadIdx(a) => {
-            let ax = match a {
-                Axis::X => &warp.tcoord[0],
-                Axis::Y => &warp.tcoord[1],
-                Axis::Z => &warp.tcoord[2],
-            };
-            for_lanes(mask, |l| out[l] = Value::I(ax[l]));
-        }
-        Expr::Local(i) => {
-            let slot = warp
-                .regs
-                .get(*i)
-                .ok_or_else(|| ev(format!("local {i} out of range")))?;
-            for_lanes(mask, |l| out[l] = slot[l]);
-        }
-        Expr::LoadGlobal { buf, idx } => {
-            eval_vec(env, warp, idx, mask, pc, out, scratch)?;
-            let view = env
-                .ctx
-                .global
-                .get(*buf)
-                .copied()
-                .ok_or_else(|| ev(format!("global buffer {buf} missing")))?;
-            let elem = env.ctx.global_elems[*buf];
-            let mut addrs = [0u64; 32];
-            let mut group = [0u64; 32];
-            let mut n = 0;
-            let block_lin = env.block_lin;
-            try_lanes(mask, |l| {
-                let i = out[l].as_index().map_err(ev)?;
-                if i >= view.len() as u64 {
-                    return Err(oob(block_lin, "global", *buf, i, view.len() as u64, pc));
-                }
-                out[l] = Value::from_bits(view[i as usize].load(Ordering::Relaxed), elem);
-                addrs[l] = i;
-                group[n] = i;
-                n += 1;
-                Ok(())
-            })?;
-            if let Some(sh) = env.shadow.as_deref_mut() {
-                sh.group::<READ>(true, *buf, &addrs, warp.base, mask, pc as u32);
-            }
-            let gc = env
-                .cost
-                .global_group(&mut group[..n], elem.size_bytes(), false);
-            if S::ENABLED {
-                env.sink
-                    .mem_group(warp.widx as u32, pc as u32, true, false, n as u32, gc);
-            }
-        }
-        Expr::LoadShared { buf, idx } => {
-            eval_vec(env, warp, idx, mask, pc, out, scratch)?;
-            let decl = env
-                .ctx
-                .shared_decls
-                .get(*buf)
-                .ok_or_else(|| ev(format!("shared buffer {buf} missing")))?;
-            let elem = decl.elem;
-            let mut addrs = [0u64; 32];
-            let mut group = [0u64; 32];
-            let mut n = 0;
-            let block_lin = env.block_lin;
-            let buf_mem = &env.shared[*buf];
-            let len = buf_mem.len() as u64;
-            try_lanes(mask, |l| {
-                let i = out[l].as_index().map_err(ev)?;
-                if i >= len {
-                    return Err(oob(block_lin, "shared", *buf, i, len, pc));
-                }
-                out[l] = Value::from_bits(buf_mem[i as usize], elem);
-                addrs[l] = i;
-                group[n] = i;
-                n += 1;
-                Ok(())
-            })?;
-            if let Some(sh) = env.shadow.as_deref_mut() {
-                sh.group::<READ>(false, *buf, &addrs, warp.base, mask, pc as u32);
-            }
-            let gc = env
-                .cost
-                .shared_group(&mut group[..n], elem.size_bytes(), false);
-            if S::ENABLED {
-                env.sink
-                    .mem_group(warp.widx as u32, pc as u32, false, false, n as u32, gc);
-            }
-        }
-        Expr::Bin(op, a, b) => {
-            eval_vec(env, warp, a, mask, pc, out, scratch)?;
-            let (rhs, rest) = scratch.split_first_mut().expect("scratch sized per kernel");
-            eval_vec(env, warp, b, mask, pc, rhs, rest)?;
-            if !bin_fast(*op, mask, out, rhs)? {
-                try_lanes(mask, |l| {
-                    out[l] = apply_bin(*op, out[l], rhs[l]).map_err(ev)?;
-                    Ok(())
-                })?;
-            }
-        }
-        Expr::Un(op, a) => {
-            eval_vec(env, warp, a, mask, pc, out, scratch)?;
-            try_lanes(mask, |l| {
-                out[l] = match (op, out[l]) {
-                    (UnOp::Neg, Value::F(x)) => Value::F(-x),
-                    (UnOp::Neg, Value::I(x)) => Value::I(-x),
-                    (UnOp::Not, Value::B(x)) => Value::B(!x),
-                    (o, v) => return Err(ev(format!("cannot apply {o:?} to {v:?}"))),
-                };
-                Ok(())
-            })?;
-        }
-    }
-    Ok(())
-}
-
-fn splat(out: &mut [Value; 32], mask: u32, v: Value) {
-    for_lanes(mask, |l| out[l] = v);
-}
-
-/// Warp-wide binary op for a converged full warp over homogeneous
-/// operand types: one op/type dispatch for all 32 lanes instead of
-/// [`apply_bin`]'s full `(op, a, b)` match per lane. Semantics mirror
-/// `apply_bin` exactly — checked integer arithmetic with its error
-/// text, errors surfacing in lane order. Returns `false` (untouched
-/// `out`) when the shape doesn't fit, so the caller falls back to the
-/// general per-lane path.
-fn bin_fast(op: BinOp, mask: u32, out: &mut [Value; 32], rhs: &[Value; 32]) -> ERes<bool> {
+/// Warp-wide binary op for a converged full warp over all-integer or
+/// all-float operands: one op/type dispatch for all 32 lanes instead of
+/// [`apply_bin`]'s full `(op, a, b)` match per lane, on plain arrays.
+/// Semantics mirror `apply_bin` exactly, because it bails — returning
+/// `false` with `out` untouched — on any shape it does not cover and on any lane `apply_bin`
+/// would reject (checked integer arithmetic), so the caller's per-lane
+/// path reports the first failing lane's error.
+fn bin_fast(op: BinOp, out: &mut Lanes, rhs: &Lanes) -> bool {
     use BinOp::*;
-    use Value::{B, F, I};
-    if mask != u32::MAX {
-        return Ok(false);
-    }
-    // The type scans are two-discriminant checks the compiler
-    // vectorizes; a mixed-type warp (possible — locals are dynamically
-    // typed) bails to the general path.
-    if out
-        .iter()
-        .zip(rhs)
-        .all(|(a, b)| matches!((a, b), (I(_), I(_))))
-    {
-        // Checked lanes stop before writing the failing lane, so the
-        // error text can be built from the still-intact operands.
+    let mut res = [0u64; 32];
+    let tag = if out.all(TAG_I) && rhs.all(TAG_I) {
+        let (x, y) = (&out.bits, &rhs.bits);
+        // Each arm folds a per-lane `ok` so the loop has no early exit
+        // and stays vectorizable.
         macro_rules! ii {
-            ($f:expr) => {
+            ($f:expr) => {{
+                let mut ok = true;
                 for l in 0..WARP_SIZE {
-                    let (I(x), I(y)) = (out[l], rhs[l]) else {
-                        unreachable!()
-                    };
-                    out[l] = $f(x, y)?;
+                    let r: Option<i64> = $f(x[l] as i64, y[l] as i64);
+                    ok &= r.is_some();
+                    res[l] = r.unwrap_or(0) as u64;
                 }
-            };
+                if !ok {
+                    return false;
+                }
+                TAG_I
+            }};
         }
-        let overflow =
-            |what: &str, x: i64, y: i64| ev(format!("integer overflow in {x} {what} {y}"));
+        macro_rules! cmp {
+            ($f:expr) => {{
+                for l in 0..WARP_SIZE {
+                    res[l] = u64::from($f(x[l] as i64, y[l] as i64));
+                }
+                TAG_B
+            }};
+        }
         match op {
-            Add => ii!(|x: i64, y: i64| x.checked_add(y).map(I).ok_or_else(|| overflow("+", x, y))),
-            Sub => ii!(|x: i64, y: i64| x.checked_sub(y).map(I).ok_or_else(|| overflow("-", x, y))),
-            Mul => ii!(|x: i64, y: i64| x.checked_mul(y).map(I).ok_or_else(|| overflow("*", x, y))),
-            Div => ii!(|x: i64, y: i64| {
-                if y == 0 {
-                    return Err(ev("integer division by zero".into()));
-                }
-                x.checked_div(y).map(I).ok_or_else(|| overflow("/", x, y))
-            }),
-            Mod => ii!(|x: i64, y: i64| {
-                if y == 0 {
-                    return Err(ev("modulo by zero".into()));
-                }
-                x.checked_rem(y).map(I).ok_or_else(|| overflow("%", x, y))
-            }),
-            Min => ii!(|x: i64, y: i64| ERes::Ok(I(x.min(y)))),
-            Max => ii!(|x: i64, y: i64| ERes::Ok(I(x.max(y)))),
-            Lt => ii!(|x, y| ERes::Ok(B(x < y))),
-            Le => ii!(|x, y| ERes::Ok(B(x <= y))),
-            Gt => ii!(|x, y| ERes::Ok(B(x > y))),
-            Ge => ii!(|x, y| ERes::Ok(B(x >= y))),
-            Eq => ii!(|x, y| ERes::Ok(B(x == y))),
-            Ne => ii!(|x, y| ERes::Ok(B(x != y))),
-            And | Or => return Ok(false),
+            Add => ii!(i64::checked_add),
+            Sub => ii!(i64::checked_sub),
+            Mul => ii!(i64::checked_mul),
+            Div => ii!(i64::checked_div),
+            Mod => ii!(i64::checked_rem),
+            Min => ii!(|a: i64, b: i64| Some(a.min(b))),
+            Max => ii!(|a: i64, b: i64| Some(a.max(b))),
+            Lt => cmp!(|a, b| a < b),
+            Le => cmp!(|a, b| a <= b),
+            Gt => cmp!(|a, b| a > b),
+            Ge => cmp!(|a, b| a >= b),
+            Eq => cmp!(|a, b| a == b),
+            Ne => cmp!(|a, b| a != b),
+            And | Or => return false,
         }
-        return Ok(true);
-    }
-    if out
-        .iter()
-        .zip(rhs)
-        .all(|(a, b)| matches!((a, b), (F(_), F(_))))
-    {
+    } else if out.all(TAG_F) && rhs.all(TAG_F) {
+        let (x, y) = (&out.bits, &rhs.bits);
         macro_rules! ff {
-            ($f:expr) => {
+            ($tag:expr, $f:expr) => {{
                 for l in 0..WARP_SIZE {
-                    let (F(x), F(y)) = (out[l], rhs[l]) else {
-                        unreachable!()
-                    };
-                    out[l] = $f(x, y);
+                    res[l] = $f(f64::from_bits(x[l]), f64::from_bits(y[l]));
                 }
-            };
+                $tag
+            }};
         }
         match op {
-            Add => ff!(|x, y| F(x + y)),
-            Sub => ff!(|x, y| F(x - y)),
-            Mul => ff!(|x, y| F(x * y)),
-            Div => ff!(|x, y| F(x / y)),
-            Min => ff!(|x: f64, y: f64| F(x.min(y))),
-            Max => ff!(|x: f64, y: f64| F(x.max(y))),
-            Lt => ff!(|x, y| B(x < y)),
-            Le => ff!(|x, y| B(x <= y)),
-            Gt => ff!(|x, y| B(x > y)),
-            Ge => ff!(|x, y| B(x >= y)),
-            Eq => ff!(|x, y| B(x == y)),
-            Ne => ff!(|x, y| B(x != y)),
-            And | Or | Mod => return Ok(false),
+            Add => ff!(TAG_F, |a: f64, b: f64| (a + b).to_bits()),
+            Sub => ff!(TAG_F, |a: f64, b: f64| (a - b).to_bits()),
+            Mul => ff!(TAG_F, |a: f64, b: f64| (a * b).to_bits()),
+            Div => ff!(TAG_F, |a: f64, b: f64| (a / b).to_bits()),
+            Min => ff!(TAG_F, |a: f64, b: f64| a.min(b).to_bits()),
+            Max => ff!(TAG_F, |a: f64, b: f64| a.max(b).to_bits()),
+            Lt => ff!(TAG_B, |a: f64, b: f64| u64::from(a < b)),
+            Le => ff!(TAG_B, |a: f64, b: f64| u64::from(a <= b)),
+            Gt => ff!(TAG_B, |a: f64, b: f64| u64::from(a > b)),
+            Ge => ff!(TAG_B, |a: f64, b: f64| u64::from(a >= b)),
+            Eq => ff!(TAG_B, |a: f64, b: f64| u64::from(a == b)),
+            Ne => ff!(TAG_B, |a: f64, b: f64| u64::from(a != b)),
+            And | Or | Mod => return false,
         }
-        return Ok(true);
-    }
-    Ok(false)
+    } else {
+        return false;
+    };
+    out.tags = [tag; 32];
+    out.bits = res;
+    true
 }
 
 /// Runs `f` on every lane in `mask`. A fully converged warp (all 32
@@ -936,36 +900,6 @@ fn try_lanes(mask: u32, mut f: impl FnMut(usize) -> ERes<()>) -> ERes<()> {
     Ok(())
 }
 
-/// Lane-wide value buffers the arena must hold so every `split_first_mut`
-/// in [`Warp::exec`] and [`eval_vec`] succeeds: the worst case over all
-/// instructions of (operand buffers the instruction itself splits off)
-/// plus (buffers live at the deepest point of its expression trees).
-/// Only `Bin` holds a buffer across a recursive call, so an expression
-/// needs `max(need(lhs), 1 + need(rhs))`.
-fn scratch_depth(code: &[Instr]) -> usize {
-    fn need(e: &Expr) -> usize {
-        match e {
-            Expr::Bin(_, a, b) => need(a).max(1 + need(b)),
-            Expr::Un(_, a) => need(a),
-            Expr::LoadGlobal { idx, .. } | Expr::LoadShared { idx, .. } => need(idx),
-            _ => 0,
-        }
-    }
-    code.iter()
-        .map(|i| match i {
-            Instr::SetLocal(_, e) | Instr::JumpIfFalse(e, _) | Instr::Shfl { value: e, .. } => {
-                1 + need(e)
-            }
-            Instr::StoreGlobal { idx, value, .. }
-            | Instr::StoreShared { idx, value, .. }
-            | Instr::AtomicGlobal { idx, value, .. }
-            | Instr::AtomicShared { idx, value, .. } => 1 + need(idx).max(need(value)),
-            Instr::Jump(_) | Instr::Barrier | Instr::Halt => 0,
-        })
-        .max()
-        .unwrap_or(0)
-}
-
 /// Per-worker reusable block state: warps, shared-memory backing and
 /// the operand-buffer arena. Allocating these per block was a
 /// measurable fraction of paper-scale launches; a worker builds one
@@ -975,7 +909,7 @@ fn scratch_depth(code: &[Instr]) -> usize {
 pub(crate) struct BlockScratch {
     warps: Vec<Warp>,
     shared: Vec<Vec<u64>>,
-    arena: Vec<[Value; 32]>,
+    arena: Vec<Lanes>,
 }
 
 impl BlockScratch {
@@ -986,7 +920,7 @@ impl BlockScratch {
                 .map(|widx| {
                     let base = widx * WARP_SIZE;
                     let n = (ctx.threads_per_block - base).min(WARP_SIZE);
-                    Warp::new(base as u32, n, widx, ctx.local_count, ctx.block_dim)
+                    Warp::new(base as u32, n, widx, ctx.prog.local_count, ctx.block_dim)
                 })
                 .collect(),
             shared: ctx
@@ -994,7 +928,8 @@ impl BlockScratch {
                 .iter()
                 .map(|s| vec![0u64; s.len as usize])
                 .collect(),
-            arena: vec![[Value::I(0); 32]; scratch_depth(ctx.code)],
+            // At least the one every operand ends up in.
+            arena: vec![Lanes::splat(Value::I(0)); ctx.prog.temp_count.max(1)],
         }
     }
 
@@ -1045,10 +980,17 @@ fn run_block_sink<S: TraceSink>(
 ) -> Result<BlockOutcome, SimError> {
     let gd = ctx.grid_dim;
     let block = [
-        (block_lin % gd[0]) as i64,
-        ((block_lin / gd[0]) % gd[1]) as i64,
-        (block_lin / (gd[0] * gd[1])) as i64,
+        block_lin % gd[0],
+        (block_lin / gd[0]) % gd[1],
+        block_lin / (gd[0] * gd[1]),
     ];
+    let mut uniform = [Lanes::splat(Value::I(0)); 9];
+    for (lanes, v) in uniform
+        .iter_mut()
+        .zip(block.iter().chain(&ctx.block_dim).chain(&gd))
+    {
+        *lanes = Lanes::splat(Value::I(*v as i64));
+    }
     if let Some(sh) = shadow.as_deref_mut() {
         sh.begin_block(ctx.global_lens, ctx.shared_lens);
     }
@@ -1065,13 +1007,7 @@ fn run_block_sink<S: TraceSink>(
         shadow,
         sink,
         block_lin,
-        block,
-        bdim: [
-            ctx.block_dim[0] as i64,
-            ctx.block_dim[1] as i64,
-            ctx.block_dim[2] as i64,
-        ],
-        gdim: [gd[0] as i64, gd[1] as i64, gd[2] as i64],
+        uniform,
     };
     let threads = ctx.threads_per_block;
     // One iteration per barrier interval.
@@ -1085,14 +1021,10 @@ fn run_block_sink<S: TraceSink>(
         let mut instrs = 0u64;
         let mut instr_cycles = 0u64;
         for w in warps.iter_mut() {
-            let mut max_delta = 0u64;
-            for l in 0..w.n {
-                let d = w.instr_count[l] - w.instr_before[l];
-                w.instr_before[l] = w.instr_count[l];
-                max_delta = max_delta.max(d);
-            }
-            instrs += max_delta;
-            instr_cycles += env.cost.warp_instrs(max_delta);
+            let max_lane = w.instr_count.iter().fold(0, |m, c| m.max(*c));
+            w.instr_count = [0; 32];
+            instrs += max_lane;
+            instr_cycles += env.cost.warp_instrs(max_lane);
         }
         let finished: usize = warps.iter().map(|w| w.done).sum();
         let at_barrier = threads - finished;
@@ -1106,7 +1038,7 @@ fn run_block_sink<S: TraceSink>(
             // barriers, so any lane's stop records the interval's
             // closing barrier location.
             let barrier_pc = had_barrier.then(|| match warps[0].status[0] {
-                Lane::Barrier(p) => p as u32,
+                Lane::Barrier => (warps[0].pc[0] - 1) as u32,
                 _ => u32::MAX,
             });
             env.sink
@@ -1126,10 +1058,13 @@ fn run_block_sink<S: TraceSink>(
                     ),
                 });
             }
-            let first = warps[0].status[0];
+            // Every thread waits at a barrier, and one waiting at the
+            // barrier at `p` has pc `p + 1`: comparing pcs compares
+            // barriers.
+            let first = warps[0].pc[0];
             if warps
                 .iter()
-                .any(|w| w.status[..w.n].iter().any(|s| *s != first))
+                .any(|w| w.pc[..w.n].iter().any(|p| *p != first))
             {
                 return Err(SimError::BarrierDivergence {
                     block: block_lin,
@@ -1137,12 +1072,8 @@ fn run_block_sink<S: TraceSink>(
                 });
             }
             for w in warps.iter_mut() {
-                for l in 0..w.n {
-                    if matches!(w.status[l], Lane::Barrier(_)) {
-                        w.status[l] = Lane::Run;
-                        w.sched[l] = w.pc[l] as u32;
-                    }
-                }
+                w.status[..w.n].fill(Lane::Run);
+                w.sched[..w.n].fill(first as u32);
             }
         }
     }

@@ -97,6 +97,77 @@ fn i64_min_mod_minus_one_is_reported() {
     }
 }
 
+/// `-i64::MIN` overflows like every other integer operation: a reported
+/// evaluation error in both modes, not a debug panic or a release wrap.
+#[test]
+fn i64_min_negation_is_reported() {
+    for exec in MODES {
+        let err = run_store(
+            Expr::LitI(0),
+            Expr::Un(UnOp::Neg, Box::new(Expr::LitI(i64::MIN))),
+            exec,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("evaluation error: integer overflow in -{}", i64::MIN),
+            "{exec:?}"
+        );
+    }
+}
+
+/// A buffer index the kernel does not declare is a `BadLaunch` before
+/// any thread runs, in both modes — whether a load, a store or an atomic
+/// names it, in global or shared memory.
+#[test]
+fn undeclared_buffer_is_bad_launch() {
+    let cases = [
+        (
+            "global buffer 1",
+            Stmt::StoreGlobal {
+                buf: 1,
+                idx: Expr::LitI(0),
+                value: Expr::LitF(1.0),
+            },
+        ),
+        (
+            "global buffer 3",
+            Stmt::SetLocal(
+                0,
+                Expr::LoadGlobal {
+                    buf: 3,
+                    idx: Box::new(Expr::LitI(0)),
+                },
+            ),
+        ),
+        (
+            "shared buffer 0",
+            Stmt::AtomicShared {
+                op: AtomicOp::Add,
+                buf: 0,
+                idx: Expr::LitI(0),
+                value: Expr::LitI(1),
+            },
+        ),
+    ];
+    for (what, stmt) in cases {
+        let mut kernel = store_kernel(Expr::LitI(0), Expr::LitF(1.0));
+        kernel.body.push(stmt);
+        for exec in MODES {
+            let mut gpu = Gpu::new();
+            let b = gpu.alloc_f64(&[5.0; 8]);
+            let err = gpu
+                .launch(&kernel, [1, 1, 1], [1, 1, 1], &[b], &cfg(exec))
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::BadLaunch(ref m) if m.contains(what)),
+                "{exec:?}: got {err:?}"
+            );
+            assert_eq!(gpu.read_f64(b), vec![5.0; 8], "{exec:?}: nothing ran");
+        }
+    }
+}
+
 /// A negative index is an evaluation error with the value preserved.
 #[test]
 fn negative_index_is_reported() {
