@@ -15,7 +15,7 @@
 //!
 //! [`runner`] executes both on identical workloads, validates their
 //! results against scalar references ([`crate::reference`]), and reports modeled
-//! cycles; the Figure 8 harness prints the relative runtimes.
+//! cycles; the `figure8` binary prints the relative runtimes.
 //!
 //! Footprints are scaled down from the paper's 256 MB–1 GB to
 //! interpreter scale (see `docs/DESIGN.md` §7); the *relative*

@@ -1,7 +1,9 @@
 //! Doc-coverage: the language reference must mention every corpus
 //! program and every view form, so `docs/LANGUAGE.md` cannot drift from
-//! `examples/descend/` or from `descend_places::ViewStep`.
+//! `examples/descend/` or from `descend_places::ViewStep`; and every
+//! documented `cargo run -p … --bin …` command must name a real binary.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 fn repo_file(rel: &str) -> String {
@@ -128,6 +130,105 @@ fn every_error_code_is_documented() {
         repo_file("docs/ARCHITECTURE.md").contains("DIAGNOSTICS.md"),
         "docs/ARCHITECTURE.md must link DIAGNOSTICS.md"
     );
+}
+
+/// Every workspace package, mapped to its binaries: `[[bin]]` targets
+/// and auto-discovered `src/bin/*.rs`.
+fn workspace_binaries() -> BTreeMap<String, BTreeSet<String>> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let manifest = repo_file("Cargo.toml");
+    let members = manifest
+        .split_once("\nmembers = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("root Cargo.toml lists workspace members")
+        .0;
+    let mut packages = BTreeMap::new();
+    for member in members.split(',').map(|m| m.trim().trim_matches('"')) {
+        if member.is_empty() {
+            continue;
+        }
+        let (mut section, mut package, mut bins) = (String::new(), None, BTreeSet::new());
+        for line in repo_file(&format!("{member}/Cargo.toml")).lines() {
+            let line = line.trim();
+            if line.starts_with('[') {
+                section = line.to_string();
+            } else if let Some(name) = line.strip_prefix("name = ") {
+                let name = name.trim_matches('"').to_string();
+                match section.as_str() {
+                    "[package]" => package = Some(name),
+                    "[[bin]]" => {
+                        bins.insert(name);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let package = package.unwrap_or_else(|| panic!("{member}/Cargo.toml has no package name"));
+        if let Ok(entries) = std::fs::read_dir(root.join(member).join("src/bin")) {
+            for p in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+                if p.extension().is_some_and(|x| x == "rs") {
+                    bins.insert(p.file_stem().unwrap().to_string_lossy().into_owned());
+                }
+            }
+        }
+        packages.insert(package, bins);
+    }
+    packages
+}
+
+/// Every `cargo run … -p <pkg> … --bin <bin>` command in the README, the
+/// documents under `docs/` and the verify skill names a workspace
+/// package and one of its binaries, so a moved or deleted binary cannot
+/// leave a stale command behind.
+#[test]
+fn documented_cargo_run_commands_name_real_binaries() {
+    let packages = workspace_binaries();
+    let mut docs = vec![
+        "README.md".to_string(),
+        ".claude/skills/verify/SKILL.md".to_string(),
+    ];
+    docs.extend(
+        std::fs::read_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs"))
+            .expect("docs/ exists")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".md"))
+            .map(|name| format!("docs/{name}")),
+    );
+    let mut checked = 0;
+    for doc in &docs {
+        for line in repo_file(doc).lines() {
+            let Some(at) = line.find("cargo run") else {
+                continue;
+            };
+            // Cargo's own arguments end at `--`; the rest is the program's.
+            let words: Vec<&str> = line[at..]
+                .split_whitespace()
+                .take_while(|w| *w != "--")
+                .map(|w| w.trim_matches('`'))
+                .collect();
+            let arg = |flag: &str| words.windows(2).find(|w| w[0] == flag).map(|w| w[1]);
+            let Some(package) = arg("-p") else {
+                continue;
+            };
+            let bins = packages.get(package).unwrap_or_else(|| {
+                panic!(
+                    "{doc}: `{}` names `{package}`, not a workspace package",
+                    line.trim()
+                )
+            });
+            if let Some(bin) = arg("--bin") {
+                assert!(
+                    bins.contains(bin),
+                    "{doc}: `{}` names binary `{bin}`, which `{package}` does not have \
+                     (it has {bins:?})",
+                    line.trim()
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no `cargo run -p` command found in {docs:?}");
 }
 
 /// The architecture document links the consolidated design notes, and

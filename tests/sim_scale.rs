@@ -6,8 +6,9 @@
 //! shadow-memory vs access-log race detection on the oracle corpus.
 //!
 //! These footprints are only tractable because of the warp executor;
-//! the reference interpreter is exercised at this scale once, in the
-//! wall-clock benchmark (`BENCH_SIM.json`), not here.
+//! the reference interpreter is not run at this scale. The benchmark's
+//! traced simulator runs time it against the warp executor at the
+//! reduced trace footprints (`gpu_sim.reference_over_warp`).
 
 use descend::benchmarks::baselines;
 use descend::benchmarks::{run_benchmark, BenchKind};
