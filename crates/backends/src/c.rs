@@ -36,24 +36,23 @@
 //!   stores; see `docs/DESIGN.md` for the divergences this does and
 //!   does not close.
 //!
+//! The statement text is the shared walker's, as for every backend;
+//! this module only supplies the C spellings and the `Phased` layout
+//! the walker renders into (split conditions as a condition stack,
+//! phase breaks, hoisted locals, shuffle staging).
+//!
 //! Host functions render as real runnable C: `calloc`/`memcpy` for the
 //! alloc/copy statements, plain calls for launches, plus a tiny stdin/
 //! stdout protocol (`descend_load_inputs` / `descend_buf_dump`) so the
 //! harness can feed the same inputs the simulator sees and read back
 //! every CPU buffer. A generated `main` dispatches on `argv[1]`.
 
-use crate::shared::{
-    atomic_targets, axis_name, buffer_name, for_each_stmt, indent, render_access, scatter_index,
-    space_coord, Builtin, HostSizes,
-};
+use crate::shared::{axis_name, for_each_stmt, indent, render_body, Builtin, HostSizes, Layout};
 use crate::KernelBackend;
-use descend_ast::term::{AtomicOp, BinOp as AstBinOp, ShflKind, UnOp as AstUnOp};
+use descend_ast::term::{AtomicOp, ShflKind};
 use descend_codegen::CodegenError;
-use descend_typeck::{
-    CheckedProgram, ElabAccess, ElabExpr, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind,
-};
+use descend_typeck::{CheckedProgram, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// The portable C11 (+OpenMP) target.
@@ -122,7 +121,21 @@ impl KernelBackend for CBackend {
     }
 
     fn local_decl(&self, elem: ScalarKind, name: &str, init: &str) -> String {
-        format!("{} {name} = {init};", compute_type(elem))
+        // Only the scatter-index temporary is declared in place; every
+        // other local is a hoisted per-thread array (see the module
+        // docs).
+        format!("{} {name} = {init};", self.scalar_type(elem))
+    }
+
+    fn guard(&self, cond: &str, call: &str) -> String {
+        // Multi-line, so an OpenMP pragma inside the guard stays on its
+        // own line.
+        let mut text = format!("if ({cond}) {{\n");
+        for line in call.lines() {
+            let _ = writeln!(text, "    {line}");
+        }
+        text.push('}');
+        text
     }
 
     fn load_conversion(&self, elem: ScalarKind, text: String) -> String {
@@ -209,9 +222,7 @@ impl KernelBackend for CBackend {
     }
 
     fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
-        let mut cx = CKernelCx::new(self, k);
-        cx.stmts(&k.body)?;
-        cx.render(k)
+        Ok(render_body(self, k, Phased::default())?.render(self, k))
     }
 
     fn emit_host_fn(
@@ -517,305 +528,74 @@ fn dispatcher(checked: &CheckedProgram) -> String {
     out
 }
 
-/// One barrier interval: everything between two phase breaks, rendered
-/// as one sequential all-threads loop.
+/// The phase-fissioning layout: split conditions become a condition
+/// stack, every `sync` and shuffle staging point ends the current
+/// all-threads loop, and locals are hoisted per-thread arrays `x[__t]`.
 #[derive(Default)]
-struct Phase {
-    chunks: Vec<Chunk>,
-}
-
-/// A maximal run of consecutive statements under one split-condition
-/// stack within a phase.
-struct Chunk {
-    conds: Vec<String>,
-    stmts: Vec<String>,
-}
-
-/// The C kernel walker. Unlike [`crate::shared::BodyCx`] (which renders
-/// nested `if`/barrier statements in place), this walker *fissions* the
-/// body into phases at `sync` and shuffle-staging points, then renders
-/// each phase as its own thread loop — the local-name discipline is
-/// kept statement-for-statement identical to `BodyCx`, and every index
-/// comes from the same [`render_access`] / [`scatter_index`].
-struct CKernelCx<'a> {
-    be: &'a CBackend,
-    kernel: &'a MonoKernel,
-    /// Rendered array name per live local (uniquified on rebinding).
-    local_names: HashMap<String, String>,
-    /// Declared element kind per live local (for shuffle staging).
-    local_elems: HashMap<String, ScalarKind>,
-    decl_counter: usize,
-    atomic_bufs: HashSet<MemKind>,
-    scatter_counter: usize,
-    /// Hoisted per-thread local arrays, in declaration order.
-    decls: Vec<(String, ScalarKind)>,
-    /// Shuffle staging arrays, in staging order.
-    shfl_decls: Vec<(String, ScalarKind)>,
+struct Phased {
     /// The active split-condition stack.
     conds: Vec<String>,
-    phases: Vec<Phase>,
+    /// The conditions the current phase's last statement was opened
+    /// under (its `if`s are still open in `phase`).
+    open: Vec<String>,
+    /// The current barrier interval's thread-loop body.
+    phase: String,
+    /// Finished barrier intervals, in order.
+    phases: Vec<String>,
+    /// Hoisted per-thread local arrays, in declaration order.
+    locals: Vec<(String, ScalarKind)>,
+    /// Shuffle staging arrays, in staging order.
+    staged: Vec<(String, ScalarKind)>,
+    /// The statement being rendered (reused).
+    stmt: String,
 }
 
-impl<'a> CKernelCx<'a> {
-    fn new(be: &'a CBackend, kernel: &'a MonoKernel) -> CKernelCx<'a> {
-        CKernelCx {
-            be,
-            kernel,
-            local_names: HashMap::new(),
-            local_elems: HashMap::new(),
-            decl_counter: 0,
-            atomic_bufs: atomic_targets(kernel),
-            scatter_counter: 0,
-            decls: Vec::new(),
-            shfl_decls: Vec::new(),
-            conds: Vec::new(),
-            phases: vec![Phase::default()],
+impl Phased {
+    /// Appends one (possibly multi-line) statement to the current phase,
+    /// under the same `if`s as the previous one when the condition stack
+    /// is unchanged.
+    fn push_stmt(&mut self, text: &str) {
+        if self.phase.is_empty() || self.open != self.conds {
+            self.close_conds();
+            for (d, cond) in self.conds.iter().enumerate() {
+                indent(&mut self.phase, 3 + d);
+                let _ = writeln!(self.phase, "if ({cond}) {{");
+            }
+            self.open.clone_from(&self.conds);
+        }
+        for line in text.lines() {
+            indent(&mut self.phase, 3 + self.open.len());
+            self.phase.push_str(line);
+            self.phase.push('\n');
         }
     }
 
-    /// Appends one (possibly multi-line) statement to the current
-    /// phase, merging into the last chunk when the condition stack is
-    /// unchanged.
-    fn emit_line(&mut self, text: String) {
-        let phase = self.phases.last_mut().expect("always one open phase");
-        match phase.chunks.last_mut() {
-            Some(c) if c.conds == self.conds => c.stmts.push(text),
-            _ => phase.chunks.push(Chunk {
-                conds: self.conds.clone(),
-                stmts: vec![text],
-            }),
+    fn close_conds(&mut self) {
+        for d in (0..self.open.len()).rev() {
+            indent(&mut self.phase, 3 + d);
+            self.phase.push_str("}\n");
         }
+        self.open.clear();
     }
 
     /// Ends the current barrier interval: subsequent statements land in
     /// a fresh thread loop.
     fn break_phase(&mut self) {
-        self.phases.push(Phase::default());
-    }
-
-    fn expr(&mut self, e: &ElabExpr, out: &mut String) -> Result<(), CodegenError> {
-        match e {
-            ElabExpr::Lit(kind, v) => out.push_str(&self.be.literal(*kind, *v)),
-            ElabExpr::Local(name) => {
-                let n = self
-                    .local_names
-                    .get(name)
-                    .ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?;
-                let _ = write!(out, "{n}[__t]");
-            }
-            ElabExpr::Load(a) => {
-                let mut text = String::new();
-                self.access(a, &mut text)?;
-                if self.atomic_bufs.contains(&a.mem) {
-                    text = self.be.atomic_buffer_load(a.elem, text);
-                }
-                out.push_str(&self.be.load_conversion(a.elem, text));
-            }
-            ElabExpr::Binary(op, x, y) => {
-                out.push('(');
-                self.expr(x, out)?;
-                let _ = write!(out, " {} ", ast_binop(*op));
-                self.expr(y, out)?;
-                out.push(')');
-            }
-            ElabExpr::Unary(op, x) => {
-                out.push_str(match op {
-                    AstUnOp::Neg => "-",
-                    AstUnOp::Not => "!",
-                });
-                out.push('(');
-                self.expr(x, out)?;
-                out.push(')');
-            }
-            ElabExpr::Shfl { kind, value, delta } => {
-                // Stage the operand for every lane, end the phase (the
-                // staging write must be visible to partner lanes before
-                // any lane reads), and continue with the partner-slot
-                // read in the next phase.
-                let mut v = String::new();
-                self.expr(value, &mut v)?;
-                let elem = self.expr_kind(value);
-                let arr = format!("__shfl{}", self.shfl_decls.len());
-                self.shfl_decls.push((arr.clone(), elem));
-                self.emit_line(format!("{arr}[__t] = {v};"));
-                self.break_phase();
-                out.push_str(&self.be.shuffle(*kind, &arr, *delta));
-            }
+        self.close_conds();
+        if !self.phase.is_empty() {
+            self.phases.push(std::mem::take(&mut self.phase));
         }
-        Ok(())
-    }
-
-    /// The scalar kind an elaborated expression evaluates to (for
-    /// shuffle staging array types).
-    fn expr_kind(&self, e: &ElabExpr) -> ScalarKind {
-        match e {
-            ElabExpr::Lit(k, _) => *k,
-            ElabExpr::Local(name) => self
-                .local_elems
-                .get(name)
-                .copied()
-                .unwrap_or(ScalarKind::F64),
-            ElabExpr::Load(a) => a.elem,
-            ElabExpr::Binary(op, a, _) => match op {
-                AstBinOp::Lt
-                | AstBinOp::Le
-                | AstBinOp::Gt
-                | AstBinOp::Ge
-                | AstBinOp::Eq
-                | AstBinOp::Ne
-                | AstBinOp::And
-                | AstBinOp::Or => ScalarKind::Bool,
-                _ => self.expr_kind(a),
-            },
-            ElabExpr::Unary(AstUnOp::Not, _) => ScalarKind::Bool,
-            ElabExpr::Unary(AstUnOp::Neg, a) => self.expr_kind(a),
-            ElabExpr::Shfl { value, .. } => self.expr_kind(value),
-        }
-    }
-
-    fn access(&self, a: &ElabAccess, out: &mut String) -> Result<(), CodegenError> {
-        render_access(self.be, self.kernel, a, out)
-    }
-
-    fn stmts(&mut self, body: &[ElabStmt]) -> Result<(), CodegenError> {
-        for s in body {
-            match s {
-                ElabStmt::Local { name, elem, init } => {
-                    // Initializer first, against the *previous* binding
-                    // (shadowing `let x = x + ...` reads the old `x`),
-                    // exactly like `BodyCx` and the IR lowering.
-                    let mut init_text = String::new();
-                    self.expr(init, &mut init_text)?;
-                    let rendered = if self.local_names.contains_key(name) {
-                        self.decl_counter += 1;
-                        format!("{name}_{}", self.decl_counter)
-                    } else {
-                        name.clone()
-                    };
-                    self.local_names.insert(name.clone(), rendered.clone());
-                    self.local_elems.insert(name.clone(), *elem);
-                    self.decls.push((rendered.clone(), *elem));
-                    self.emit_line(format!("{rendered}[__t] = {init_text};"));
-                }
-                ElabStmt::AssignLocal { name, value } => {
-                    let mut text = String::new();
-                    self.expr(value, &mut text)?;
-                    let n = self
-                        .local_names
-                        .get(name)
-                        .ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?
-                        .clone();
-                    self.emit_line(format!("{n}[__t] = {text};"));
-                }
-                ElabStmt::Store { access, value } => {
-                    let mut value_text = String::new();
-                    self.expr(value, &mut value_text)?;
-                    let value_text = self.be.store_conversion(access.elem, value_text);
-                    let mut target = String::new();
-                    self.access(access, &mut target)?;
-                    if self.atomic_bufs.contains(&access.mem) {
-                        self.emit_line(self.be.atomic_buffer_store(
-                            access.elem,
-                            &target,
-                            &value_text,
-                        ));
-                    } else {
-                        self.emit_line(format!("{target} = {value_text};"));
-                    }
-                }
-                ElabStmt::Split {
-                    space,
-                    dim,
-                    threshold,
-                    fst,
-                    snd,
-                } => {
-                    let coord = space_coord(self.be, *space, *dim, self.kernel);
-                    self.conds.push(format!("{coord} < {threshold}"));
-                    self.stmts(fst)?;
-                    self.conds.pop();
-                    if !snd.is_empty() {
-                        self.conds.push(format!("{coord} >= {threshold}"));
-                        self.stmts(snd)?;
-                        self.conds.pop();
-                    }
-                }
-                ElabStmt::Atomic {
-                    op,
-                    access,
-                    index,
-                    value,
-                } => {
-                    let mut value_text = String::new();
-                    self.expr(value, &mut value_text)?;
-                    let global = matches!(access.mem, MemKind::GlobalParam(_));
-                    match index {
-                        None => {
-                            let mut target = String::new();
-                            self.access(access, &mut target)?;
-                            let call =
-                                self.be
-                                    .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            self.emit_line(call);
-                        }
-                        Some(ie) => {
-                            // Scatter target: bind the runtime index
-                            // once, then guard — same shape as `BodyCx`,
-                            // but multi-line so an OpenMP pragma inside
-                            // the guard stays on its own line.
-                            let mut idx_init = String::new();
-                            self.expr(ie, &mut idx_init)?;
-                            let tmp = format!("descend_idx_{}", self.scatter_counter);
-                            self.scatter_counter += 1;
-                            let init = self.be.cast(ScalarKind::I32, &idx_init);
-                            let (idx_text, total) =
-                                scatter_index(self.be, self.kernel, access, &tmp)?;
-                            let target =
-                                format!("{}[{idx_text}]", buffer_name(self.kernel, access.mem));
-                            let call =
-                                self.be
-                                    .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            let mut text = String::new();
-                            let _ = writeln!(text, "int32_t {tmp} = {init};");
-                            let _ =
-                                writeln!(text, "if (0 <= {idx_text} && {idx_text} < {total}) {{");
-                            for line in call.lines() {
-                                let _ = writeln!(text, "    {line}");
-                            }
-                            let _ = write!(text, "}}");
-                            self.emit_line(text);
-                        }
-                    }
-                }
-                ElabStmt::Sync => self.break_phase(),
-                // Source markers carry trace attribution only.
-                ElabStmt::Src(_) => {}
-            }
-        }
-        Ok(())
     }
 
     /// Assembles the collected phases into the kernel function text.
-    fn render(self, k: &MonoKernel) -> Result<String, CodegenError> {
-        let be = self.be;
+    fn render(mut self, be: &CBackend, k: &MonoKernel) -> String {
+        self.break_phase();
         let [gx, gy, gz] = k.grid_dim;
         let [bx, by, bz] = k.block_dim;
-        let grid_total = gx * gy * gz;
         let block_total = bx * by * bz;
-
-        // Everything the body references, for declaring only the
-        // coordinate locals that are actually used (`-Wall -Werror`).
-        let mut all_text = String::new();
-        for p in &self.phases {
-            for c in &p.chunks {
-                for s in &c.stmts {
-                    all_text.push_str(s);
-                }
-                for cond in &c.conds {
-                    all_text.push_str(cond);
-                }
-            }
-        }
+        // Declare only the coordinate locals the body references
+        // (`-Wall -Werror`).
+        let used = |name: &str| self.phases.iter().any(|p| p.contains(name));
 
         let mut out = String::new();
         let _ = write!(out, "void {}(", k.name);
@@ -830,33 +610,34 @@ impl<'a> CKernelCx<'a> {
             }
         }
         out.push_str(") {\n");
-        for (axis, dim) in [(Axis::X, bx), (Axis::Y, by), (Axis::Z, bz)] {
-            let n = format!("blockDim_{}", axis_name(axis));
-            if all_text.contains(&n) {
-                let _ = writeln!(out, "    const int64_t {n} = {dim};");
-            }
-        }
-        for (axis, dim) in [(Axis::X, gx), (Axis::Y, gy), (Axis::Z, gz)] {
-            let n = format!("gridDim_{}", axis_name(axis));
-            if all_text.contains(&n) {
-                let _ = writeln!(out, "    const int64_t {n} = {dim};");
+        for (name, dim) in [
+            ("blockDim_x", bx),
+            ("blockDim_y", by),
+            ("blockDim_z", bz),
+            ("gridDim_x", gx),
+            ("gridDim_y", gy),
+            ("gridDim_z", gz),
+        ] {
+            if used(name) {
+                let _ = writeln!(out, "    const int64_t {name} = {dim};");
             }
         }
         out.push_str("    #pragma omp parallel for\n");
         let _ = writeln!(
             out,
-            "    for (int64_t __b = 0; __b < {grid_total}; __b++) {{"
+            "    for (int64_t __b = 0; __b < {}; __b++) {{",
+            gx * gy * gz
         );
-        if all_text.contains("blockIdx_x") {
+        if used("blockIdx_x") {
             let _ = writeln!(out, "        const int64_t blockIdx_x = __b % {gx};");
         }
-        if all_text.contains("blockIdx_y") {
+        if used("blockIdx_y") {
             let _ = writeln!(
                 out,
                 "        const int64_t blockIdx_y = (__b / {gx}) % {gy};"
             );
         }
-        if all_text.contains("blockIdx_z") {
+        if used("blockIdx_z") {
             let _ = writeln!(out, "        const int64_t blockIdx_z = __b / {};", gx * gy);
         }
         for s in &k.shared {
@@ -869,16 +650,7 @@ impl<'a> CKernelCx<'a> {
                 total
             );
         }
-        for (name, elem) in &self.decls {
-            let _ = writeln!(
-                out,
-                "        {} {}[{}] = {{0}};",
-                compute_type(*elem),
-                name,
-                block_total
-            );
-        }
-        for (name, elem) in &self.shfl_decls {
+        for (name, elem) in self.locals.iter().chain(&self.staged) {
             let _ = writeln!(
                 out,
                 "        {} {}[{}] = {{0}};",
@@ -888,77 +660,86 @@ impl<'a> CKernelCx<'a> {
             );
         }
         for phase in &self.phases {
-            if phase.chunks.is_empty() {
-                continue;
-            }
-            let mut ptext = String::new();
-            for c in &phase.chunks {
-                for s in &c.stmts {
-                    ptext.push_str(s);
-                }
-                for cond in &c.conds {
-                    ptext.push_str(cond);
-                }
-            }
             let _ = writeln!(
                 out,
                 "        for (int64_t __t = 0; __t < {block_total}; __t++) {{"
             );
-            if ptext.contains("threadIdx_x") {
+            if phase.contains("threadIdx_x") {
                 let _ = writeln!(out, "            const int64_t threadIdx_x = __t % {bx};");
             }
-            if ptext.contains("threadIdx_y") {
+            if phase.contains("threadIdx_y") {
                 let _ = writeln!(
                     out,
                     "            const int64_t threadIdx_y = (__t / {bx}) % {by};"
                 );
             }
-            if ptext.contains("threadIdx_z") {
+            if phase.contains("threadIdx_z") {
                 let _ = writeln!(
                     out,
                     "            const int64_t threadIdx_z = __t / {};",
                     bx * by
                 );
             }
-            for chunk in &phase.chunks {
-                for (d, cond) in chunk.conds.iter().enumerate() {
-                    indent(&mut out, 3 + d);
-                    let _ = writeln!(out, "if ({cond}) {{");
-                }
-                let depth = 3 + chunk.conds.len();
-                for stmt in &chunk.stmts {
-                    for line in stmt.lines() {
-                        indent(&mut out, depth);
-                        out.push_str(line);
-                        out.push('\n');
-                    }
-                }
-                for d in (0..chunk.conds.len()).rev() {
-                    indent(&mut out, 3 + d);
-                    out.push_str("}\n");
-                }
-            }
+            out.push_str(phase);
             out.push_str("        }\n");
         }
         out.push_str("    }\n}\n");
-        Ok(out)
+        out
     }
 }
 
-fn ast_binop(op: AstBinOp) -> &'static str {
-    match op {
-        AstBinOp::Add => "+",
-        AstBinOp::Sub => "-",
-        AstBinOp::Mul => "*",
-        AstBinOp::Div => "/",
-        AstBinOp::Mod => "%",
-        AstBinOp::Lt => "<",
-        AstBinOp::Le => "<=",
-        AstBinOp::Gt => ">",
-        AstBinOp::Ge => ">=",
-        AstBinOp::Eq => "==",
-        AstBinOp::Ne => "!=",
-        AstBinOp::And => "&&",
-        AstBinOp::Or => "||",
+impl Layout for Phased {
+    fn begin(&mut self) -> String {
+        std::mem::take(&mut self.stmt)
+    }
+
+    fn end(&mut self, mut stmt: String) {
+        self.push_stmt(&stmt);
+        stmt.clear();
+        self.stmt = stmt;
+    }
+
+    fn split_fst(&mut self, coord: &str, threshold: u64) {
+        self.conds.push(format!("{coord} < {threshold}"));
+    }
+
+    fn split_snd(&mut self, coord: &str, threshold: u64) {
+        self.conds.pop();
+        self.conds.push(format!("{coord} >= {threshold}"));
+    }
+
+    fn split_end(&mut self) {
+        self.conds.pop();
+    }
+
+    fn sync(&mut self, _be: &dyn KernelBackend) {
+        // The phase break *is* the barrier.
+        self.break_phase();
+    }
+
+    fn declare(
+        &mut self,
+        _be: &dyn KernelBackend,
+        elem: ScalarKind,
+        name: String,
+        init: &str,
+        out: &mut String,
+    ) -> String {
+        let spelling = format!("{name}[__t]");
+        let _ = write!(out, "{spelling} = {init};");
+        self.locals.push((name, elem));
+        spelling
+    }
+
+    fn shuffle(&mut self, operand: String, elem: ScalarKind) -> String {
+        // Stage the operand for every lane, end the phase (the staging
+        // write must be visible to partner lanes before any lane reads),
+        // and hand the shuffle the staging array, whose partner slot the
+        // next phase reads.
+        let arr = format!("__shfl{}", self.staged.len());
+        self.push_stmt(&format!("{arr}[__t] = {operand};"));
+        self.break_phase();
+        self.staged.push((arr.clone(), elem));
+        arr
     }
 }

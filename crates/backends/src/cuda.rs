@@ -6,7 +6,7 @@
 //! DESIGN.md), but its index expressions are byte-for-byte the ones the
 //! simulator executes, via the shared lowering in [`crate::shared`].
 
-use crate::shared::{axis_name, indent, BodyCx, Builtin, HostSizes};
+use crate::shared::{axis_name, indent, render_body, Builtin, HostSizes, Nested};
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
 use descend_codegen::CodegenError;
@@ -114,7 +114,7 @@ impl KernelBackend for CudaBackend {
                 total
             );
         }
-        BodyCx::new(self, k).stmts(&k.body, &mut out, 1)?;
+        let mut out = render_body(self, k, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }

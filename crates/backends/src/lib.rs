@@ -31,15 +31,19 @@
 //! `atomic_add((volatile __global int*)&p, v)` plus f32 CAS-loop
 //! helpers, WGSL `atomicAdd` on `array<atomic<T>>` with
 //! `atomicStore`/`atomicLoad` for plain accesses to the same buffer),
+//! the bounds guard around a scatter ([`KernelBackend::guard`]),
 //! and the framing: one kernel ([`KernelBackend::emit_kernel`]), one
 //! host stub ([`KernelBackend::emit_host_fn`]), the translation unit's
 //! [`KernelBackend::prelude`] and, where a target needs one (C's
 //! `main`), its [`KernelBackend::epilogue`].
 //!
-//! Everything *semantic* is shared and non-overridable in practice:
-//! statement and expression bodies render through [`shared::BodyCx`]
-//! (the C backend's phase-fissioning walker keeps the same discipline),
-//! and — crucially — every memory-access index is built by
+//! Everything *semantic* is shared and non-overridable in practice.
+//! Every kernel body, for all four targets, renders through one walker
+//! in [`shared`] (statement and expression text, local renaming,
+//! atomics, split conditions) into a *layout* that only decides
+//! placement: in place with `if`/`else` and barriers for CUDA, OpenCL
+//! and WGSL, one thread loop per barrier phase for C. And, crucially,
+//! every memory-access index is built by
 //! [`descend_codegen::ir_gen::access_index_expr`], the one function the
 //! simulator IR ([`descend_codegen::kernel_to_ir`]) is lowered with, and
 //! printed by [`render_ir_expr`]. No backend has its own copy of index
@@ -198,6 +202,14 @@ pub trait KernelBackend {
     /// bounds check.
     fn scatter_index_use(&self, name: &str) -> String {
         name.to_string()
+    }
+
+    /// Renders `call` so it runs only where `cond` holds, without
+    /// indentation or trailing newline (used to bounds-guard an atomic
+    /// scatter; default: a one-line C-style `if`, valid in every
+    /// target's syntax).
+    fn guard(&self, cond: &str, call: &str) -> String {
+        format!("if ({cond}) {{ {call} }}")
     }
 
     /// Renders one kernel.

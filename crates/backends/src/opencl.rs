@@ -10,7 +10,8 @@
 //! (`get_group_id(0)` for `blockIdx.x`, ...) differ from CUDA.
 
 use crate::shared::{
-    for_each_stmt, indent, kernel_uses_scalar, kernel_uses_shuffle, BodyCx, Builtin, HostSizes,
+    for_each_stmt, indent, kernel_uses_scalar, kernel_uses_shuffle, render_body, Builtin,
+    HostSizes, Nested,
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -189,7 +190,7 @@ impl KernelBackend for OpenClBackend {
                 total
             );
         }
-        BodyCx::new(self, k).stmts(&k.body, &mut out, 1)?;
+        let mut out = render_body(self, k, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }

@@ -6,6 +6,10 @@
 //! expression with backend-supplied coordinate spellings, so no backend
 //! owns a private copy of index lowering or index printing and every
 //! target's text is structurally the expression the simulator executes.
+//!
+//! Kernel bodies render the same way: one walker produces every
+//! statement's text for all four targets and writes it into a `Layout`,
+//! which decides only where the text goes.
 
 use crate::KernelBackend;
 use descend_ast::term::BinOp as AstBinOp;
@@ -116,7 +120,7 @@ pub fn atomic_targets(k: &MonoKernel) -> HashSet<MemKind> {
 /// [`descend_codegen::ir_gen::space_coord_expr`] produces and rendered
 /// through [`render_ir_expr`], so the text matches the simulator's
 /// split conditions node for node.
-pub fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKernel) -> String {
+fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKernel) -> String {
     let expr = descend_codegen::ir_gen::space_coord_expr(space, dim);
     let mut out = String::new();
     render_ir_expr(be, &expr, k, None, &mut out);
@@ -247,7 +251,7 @@ pub fn render_ir_expr(
 }
 
 /// The declared name of the buffer an access targets.
-pub(crate) fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
+fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
     match mem {
         MemKind::GlobalParam(i) => &k.params[i].name,
         MemKind::Shared(i) => &k.shared[i].name,
@@ -260,7 +264,7 @@ pub(crate) fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
 /// # Errors
 ///
 /// Propagates lowering failures (see [`CodegenError`]).
-pub(crate) fn render_access(
+fn render_access(
     be: &dyn KernelBackend,
     k: &MonoKernel,
     a: &ElabAccess,
@@ -281,7 +285,7 @@ pub(crate) fn render_access(
 ///
 /// Propagates lowering failures; [`CodegenError::Lowering`] for a
 /// non-literal root dimension.
-pub(crate) fn scatter_index(
+fn scatter_index(
     be: &dyn KernelBackend,
     k: &MonoKernel,
     a: &ElabAccess,
@@ -320,16 +324,144 @@ fn binop_str(op: AstBinOp) -> &'static str {
     }
 }
 
-/// Renders elaborated kernel bodies through a backend's syntax hooks.
+/// Where the body walker writes: the statement *placement* a target
+/// needs, separate from the statement *text*, which the walker renders
+/// the same way for every target.
 ///
-/// Statement structure (declaration-then-rename discipline, split
-/// conditions, barrier placement) is fixed here; the backend only
-/// chooses spellings. All accesses go through [`access_index_expr`].
-pub struct BodyCx<'a> {
+/// [`Nested`] renders in place (CUDA, OpenCL, WGSL); the C backend's
+/// `Phased` fissions the body into one all-threads loop per barrier
+/// phase.
+pub(crate) trait Layout {
+    /// Opens one statement: the buffer to render its text into.
+    fn begin(&mut self) -> String;
+    /// Closes the statement [`Layout::begin`] opened.
+    fn end(&mut self, stmt: String);
+    /// Enters a split's first branch (`coord < threshold`).
+    fn split_fst(&mut self, coord: &str, threshold: u64);
+    /// Leaves the first branch for the second (`coord >= threshold`).
+    fn split_snd(&mut self, coord: &str, threshold: u64);
+    /// Leaves the split.
+    fn split_end(&mut self);
+    /// A block-wide barrier.
+    fn sync(&mut self, be: &dyn KernelBackend);
+    /// Writes the declaration of a local named `name` into `out` and
+    /// returns the local's spelling at its uses.
+    fn declare(
+        &mut self,
+        be: &dyn KernelBackend,
+        elem: ScalarKind,
+        name: String,
+        init: &str,
+        out: &mut String,
+    ) -> String;
+    /// The operand to hand [`KernelBackend::shuffle`] for the rendered
+    /// value `operand` of kind `elem`.
+    fn shuffle(&mut self, operand: String, elem: ScalarKind) -> String;
+}
+
+/// The in-place layout: statements at their nesting depth, splits as
+/// `if`/`else`, `sync` as the backend's barrier statement.
+pub(crate) struct Nested {
+    /// The kernel text rendered so far.
+    pub(crate) out: String,
+    level: usize,
+}
+
+impl Nested {
+    /// Appends a body to `out`, one indentation level in.
+    pub(crate) fn new(out: String) -> Nested {
+        Nested { out, level: 1 }
+    }
+}
+
+impl Layout for Nested {
+    fn begin(&mut self) -> String {
+        let mut out = std::mem::take(&mut self.out);
+        indent(&mut out, self.level);
+        out
+    }
+
+    fn end(&mut self, stmt: String) {
+        self.out = stmt;
+        self.out.push('\n');
+    }
+
+    fn split_fst(&mut self, coord: &str, threshold: u64) {
+        indent(&mut self.out, self.level);
+        let _ = writeln!(self.out, "if ({coord} < {threshold}) {{");
+        self.level += 1;
+    }
+
+    fn split_snd(&mut self, _coord: &str, _threshold: u64) {
+        indent(&mut self.out, self.level - 1);
+        self.out.push_str("} else {\n");
+    }
+
+    fn split_end(&mut self) {
+        self.level -= 1;
+        indent(&mut self.out, self.level);
+        self.out.push_str("}\n");
+    }
+
+    fn sync(&mut self, be: &dyn KernelBackend) {
+        indent(&mut self.out, self.level);
+        self.out.push_str(be.barrier());
+        self.out.push('\n');
+    }
+
+    fn declare(
+        &mut self,
+        be: &dyn KernelBackend,
+        elem: ScalarKind,
+        name: String,
+        init: &str,
+        out: &mut String,
+    ) -> String {
+        out.push_str(&be.local_decl(elem, &name, init));
+        name
+    }
+
+    fn shuffle(&mut self, operand: String, _elem: ScalarKind) -> String {
+        operand
+    }
+}
+
+/// Renders an elaborated kernel body into a layout and returns it.
+///
+/// # Errors
+///
+/// Propagates lowering failures (see [`CodegenError`]).
+pub(crate) fn render_body<L: Layout>(
+    be: &dyn KernelBackend,
+    kernel: &MonoKernel,
+    layout: L,
+) -> Result<L, CodegenError> {
+    let mut cx = BodyCx {
+        be,
+        kernel,
+        layout,
+        local_names: HashMap::new(),
+        decl_counter: 0,
+        atomic_bufs: atomic_targets(kernel),
+        scatter_counter: 0,
+    };
+    cx.stmts(&kernel.body)?;
+    Ok(cx.layout)
+}
+
+/// The one walker that renders elaborated kernel bodies, for every
+/// backend: statement and expression text (the declare-then-rename rule
+/// for locals, stores, static and scatter atomics, split conditions)
+/// is fixed here; the backend only chooses spellings and the layout
+/// only chooses placement. All accesses go through
+/// [`access_index_expr`].
+struct BodyCx<'a, L> {
     be: &'a dyn KernelBackend,
     kernel: &'a MonoKernel,
-    /// Rendered name per live local (uniquified on rebinding).
-    local_names: HashMap<String, String>,
+    layout: L,
+    /// Spelling and element kind per live local (uniquified on
+    /// rebinding).
+    local_names: HashMap<String, (String, ScalarKind)>,
     decl_counter: usize,
     /// Buffers updated atomically anywhere in the kernel.
     atomic_bufs: HashSet<MemKind>,
@@ -338,32 +470,21 @@ pub struct BodyCx<'a> {
     scatter_counter: usize,
 }
 
-impl<'a> BodyCx<'a> {
-    /// A fresh body context for one kernel.
-    pub fn new(be: &'a dyn KernelBackend, kernel: &'a MonoKernel) -> BodyCx<'a> {
-        BodyCx {
-            be,
-            kernel,
-            local_names: HashMap::new(),
-            decl_counter: 0,
-            atomic_bufs: atomic_targets(kernel),
-            scatter_counter: 0,
-        }
+impl<L: Layout> BodyCx<'_, L> {
+    fn local(&self, name: &str) -> Result<&str, CodegenError> {
+        self.local_names
+            .get(name)
+            .map(|(spelling, _)| spelling.as_str())
+            .ok_or_else(|| CodegenError::UnknownLocal(name.to_string()))
     }
 
-    fn expr(&self, e: &ElabExpr, out: &mut String) -> Result<(), CodegenError> {
+    fn expr(&mut self, e: &ElabExpr, out: &mut String) -> Result<(), CodegenError> {
         match e {
             ElabExpr::Lit(kind, v) => out.push_str(&self.be.literal(*kind, *v)),
-            ElabExpr::Local(name) => {
-                let n = self
-                    .local_names
-                    .get(name)
-                    .ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?;
-                out.push_str(n);
-            }
+            ElabExpr::Local(name) => out.push_str(self.local(name)?),
             ElabExpr::Load(a) => {
                 let mut text = String::new();
-                self.access(a, &mut text)?;
+                render_access(self.be, self.kernel, a, &mut text)?;
                 if self.atomic_bufs.contains(&a.mem) {
                     text = self.be.atomic_buffer_load(a.elem, text);
                 }
@@ -388,37 +509,50 @@ impl<'a> BodyCx<'a> {
             ElabExpr::Shfl { kind, value, delta } => {
                 let mut v = String::new();
                 self.expr(value, &mut v)?;
+                let v = self.layout.shuffle(v, self.expr_kind(value));
                 out.push_str(&self.be.shuffle(*kind, &v, *delta));
             }
         }
         Ok(())
     }
 
-    fn access(&self, a: &ElabAccess, out: &mut String) -> Result<(), CodegenError> {
-        render_access(self.be, self.kernel, a, out)
+    /// The scalar kind an elaborated expression evaluates to.
+    fn expr_kind(&self, e: &ElabExpr) -> ScalarKind {
+        match e {
+            ElabExpr::Lit(k, _) => *k,
+            ElabExpr::Local(name) => self
+                .local_names
+                .get(name)
+                .map_or(ScalarKind::F64, |(_, elem)| *elem),
+            ElabExpr::Load(a) => a.elem,
+            ElabExpr::Binary(op, a, _) => match op {
+                AstBinOp::Lt
+                | AstBinOp::Le
+                | AstBinOp::Gt
+                | AstBinOp::Ge
+                | AstBinOp::Eq
+                | AstBinOp::Ne
+                | AstBinOp::And
+                | AstBinOp::Or => ScalarKind::Bool,
+                _ => self.expr_kind(a),
+            },
+            ElabExpr::Unary(AstUnOp::Not, _) => ScalarKind::Bool,
+            ElabExpr::Unary(AstUnOp::Neg, a) => self.expr_kind(a),
+            ElabExpr::Shfl { value, .. } => self.expr_kind(value),
+        }
     }
 
-    /// Renders a statement list at the given indentation level.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering failures (see [`CodegenError`]).
-    pub fn stmts(
-        &mut self,
-        body: &[ElabStmt],
-        out: &mut String,
-        level: usize,
-    ) -> Result<(), CodegenError> {
+    fn stmts(&mut self, body: &[ElabStmt]) -> Result<(), CodegenError> {
         for s in body {
             match s {
                 ElabStmt::Local { name, elem, init } => {
+                    let mut out = self.layout.begin();
                     let rendered = if self.local_names.contains_key(name) {
                         self.decl_counter += 1;
                         format!("{name}_{}", self.decl_counter)
                     } else {
                         name.clone()
                     };
-                    indent(out, level);
                     // Render the initializer against the *previous*
                     // binding before installing the new name, so a
                     // shadowing `let x = x + ...` reads the old `x` —
@@ -426,41 +560,39 @@ impl<'a> BodyCx<'a> {
                     // after lowering the init.
                     let mut init_text = String::new();
                     self.expr(init, &mut init_text)?;
-                    out.push_str(&self.be.local_decl(*elem, &rendered, &init_text));
-                    out.push('\n');
-                    self.local_names.insert(name.clone(), rendered);
+                    let spelling = self
+                        .layout
+                        .declare(self.be, *elem, rendered, &init_text, &mut out);
+                    self.layout.end(out);
+                    self.local_names.insert(name.clone(), (spelling, *elem));
                 }
                 ElabStmt::AssignLocal { name, value } => {
-                    indent(out, level);
-                    let n = self
-                        .local_names
-                        .get(name)
-                        .ok_or_else(|| CodegenError::UnknownLocal(name.clone()))?
-                        .clone();
-                    let _ = write!(out, "{n} = ");
-                    self.expr(value, out)?;
-                    out.push_str(";\n");
+                    let mut out = self.layout.begin();
+                    let _ = write!(out, "{} = ", self.local(name)?);
+                    self.expr(value, &mut out)?;
+                    out.push(';');
+                    self.layout.end(out);
                 }
                 ElabStmt::Store { access, value } => {
-                    indent(out, level);
+                    let mut out = self.layout.begin();
                     let mut value_text = String::new();
                     self.expr(value, &mut value_text)?;
                     let value_text = self.be.store_conversion(access.elem, value_text);
                     if self.atomic_bufs.contains(&access.mem) {
                         let mut target = String::new();
-                        self.access(access, &mut target)?;
+                        render_access(self.be, self.kernel, access, &mut target)?;
                         out.push_str(&self.be.atomic_buffer_store(
                             access.elem,
                             &target,
                             &value_text,
                         ));
                     } else {
-                        self.access(access, out)?;
+                        render_access(self.be, self.kernel, access, &mut out)?;
                         out.push_str(" = ");
                         out.push_str(&value_text);
                         out.push(';');
                     }
-                    out.push('\n');
+                    self.layout.end(out);
                 }
                 ElabStmt::Split {
                     space,
@@ -469,19 +601,14 @@ impl<'a> BodyCx<'a> {
                     fst,
                     snd,
                 } => {
-                    indent(out, level);
                     let coord = space_coord(self.be, *space, *dim, self.kernel);
-                    let _ = writeln!(out, "if ({coord} < {threshold}) {{");
-                    self.stmts(fst, out, level + 1)?;
-                    indent(out, level);
-                    if snd.is_empty() {
-                        out.push_str("}\n");
-                    } else {
-                        out.push_str("} else {\n");
-                        self.stmts(snd, out, level + 1)?;
-                        indent(out, level);
-                        out.push_str("}\n");
+                    self.layout.split_fst(&coord, *threshold);
+                    self.stmts(fst)?;
+                    if !snd.is_empty() {
+                        self.layout.split_snd(&coord, *threshold);
+                        self.stmts(snd)?;
                     }
+                    self.layout.split_end();
                 }
                 ElabStmt::Atomic {
                     op,
@@ -489,7 +616,7 @@ impl<'a> BodyCx<'a> {
                     index,
                     value,
                 } => {
-                    indent(out, level);
+                    let mut out = self.layout.begin();
                     let mut value_text = String::new();
                     self.expr(value, &mut value_text)?;
                     let global = matches!(access.mem, MemKind::GlobalParam(_));
@@ -499,7 +626,7 @@ impl<'a> BodyCx<'a> {
                             // node-for-node the simulator IR's, rendered
                             // with this backend's spellings.
                             let mut target = String::new();
-                            self.access(access, &mut target)?;
+                            render_access(self.be, self.kernel, access, &mut target)?;
                             out.push_str(&self.be.atomic_rmw(
                                 *op,
                                 access.elem,
@@ -517,17 +644,15 @@ impl<'a> BodyCx<'a> {
                             // and (b) guard the access. The simulator
                             // reports an out-of-bounds index as an error
                             // during testing; the emitted code skips it so
-                            // the hardware never writes out of bounds (the
-                            // same line works in CUDA C++, OpenCL C and
-                            // WGSL).
+                            // the hardware never writes out of bounds.
                             let mut idx_init = String::new();
                             self.expr(ie, &mut idx_init)?;
                             let tmp = format!("descend_idx_{}", self.scatter_counter);
                             self.scatter_counter += 1;
                             let init = self.be.cast(ScalarKind::I32, &idx_init);
                             out.push_str(&self.be.local_decl(ScalarKind::I32, &tmp, &init));
-                            out.push('\n');
-                            indent(out, level);
+                            self.layout.end(out);
+                            out = self.layout.begin();
                             let (idx_text, total) =
                                 scatter_index(self.be, self.kernel, access, &tmp)?;
                             let target =
@@ -535,19 +660,13 @@ impl<'a> BodyCx<'a> {
                             let call =
                                 self.be
                                     .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            let _ = write!(
-                                out,
-                                "if (0 <= {idx_text} && {idx_text} < {total}) {{ {call} }}"
-                            );
+                            let cond = format!("0 <= {idx_text} && {idx_text} < {total}");
+                            out.push_str(&self.be.guard(&cond, &call));
                         }
                     }
-                    out.push('\n');
+                    self.layout.end(out);
                 }
-                ElabStmt::Sync => {
-                    indent(out, level);
-                    out.push_str(self.be.barrier());
-                    out.push('\n');
-                }
+                ElabStmt::Sync => self.layout.sync(self.be),
                 // Source markers carry trace attribution only; emitted
                 // text stays byte-identical with or without them.
                 ElabStmt::Src(_) => {}

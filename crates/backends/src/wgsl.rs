@@ -17,7 +17,8 @@
 //! allocation sizes, dispatch shapes and copy directions reviewable.
 
 use crate::shared::{
-    atomic_targets, axis_name, kernel_uses_scalar, kernel_uses_shuffle, BodyCx, Builtin, HostSizes,
+    atomic_targets, axis_name, kernel_uses_scalar, kernel_uses_shuffle, render_body, Builtin,
+    HostSizes, Nested,
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -287,7 +288,7 @@ impl KernelBackend for WgslBackend {
             "fn {}(@builtin(workgroup_id) block_idx: vec3<u32>, @builtin(local_invocation_id) thread_idx: vec3<u32>, @builtin(num_workgroups) grid_dim: vec3<u32>) {{",
             k.name
         );
-        BodyCx::new(self, k).stmts(&k.body, &mut out, 1)?;
+        let mut out = render_body(self, k, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }

@@ -71,6 +71,24 @@ fn usage() {
     );
 }
 
+/// Prints the final CPU buffers, sorted by name, each as its first
+/// eight values and its length — the one format `run` and `run --native`
+/// share.
+fn print_buffers(bufs: &HashMap<String, Vec<f64>>) {
+    let mut names: Vec<_> = bufs.keys().collect();
+    names.sort();
+    for name in names {
+        let data = &bufs[name];
+        let preview: Vec<String> = data.iter().take(8).map(|v| format!("{v}")).collect();
+        println!(
+            "{name}: [{}{}] ({} elements)",
+            preview.join(", "),
+            if data.len() > 8 { ", ..." } else { "" },
+            data.len()
+        );
+    }
+}
+
 /// `run --native`: compile the C backend's translation unit with the
 /// host toolchain and execute the chosen host function on empty inputs
 /// (zero-initialized buffers — exactly what the simulated `run` uses).
@@ -104,18 +122,7 @@ fn run_native(compiled: &descend_compiler::Compiled, host_fn: &str) -> ExitCode 
                     "sequential, no OpenMP"
                 }
             );
-            let mut names: Vec<_> = bufs.keys().collect();
-            names.sort();
-            for name in names {
-                let data = &bufs[name];
-                let preview: Vec<String> = data.iter().take(8).map(|v| format!("{v}")).collect();
-                println!(
-                    "{name}: [{}{}] ({} elements)",
-                    preview.join(", "),
-                    if data.len() > 8 { ", ..." } else { "" },
-                    data.len()
-                );
-            }
+            print_buffers(&bufs);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -259,19 +266,7 @@ fn main() -> ExitCode {
             };
             match compiled.run_host(host_fn, &HashMap::new(), &cfg) {
                 Ok(run) => {
-                    let mut names: Vec<_> = run.cpu.keys().collect();
-                    names.sort();
-                    for name in names {
-                        let data = &run.cpu[name];
-                        let preview: Vec<String> =
-                            data.iter().take(8).map(|v| format!("{v}")).collect();
-                        println!(
-                            "{name}: [{}{}] ({} elements)",
-                            preview.join(", "),
-                            if data.len() > 8 { ", ..." } else { "" },
-                            data.len()
-                        );
-                    }
+                    print_buffers(&run.cpu);
                     for (i, s) in run.launches.iter().enumerate() {
                         // One table per launch, via the canonical
                         // LaunchStats rendering (no hand-picked fields).

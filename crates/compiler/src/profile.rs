@@ -13,7 +13,7 @@
 //! machine JSON document ([`render_json`], schema `descend-profile/1`,
 //! validated against `schemas/profile.schema.json` in CI).
 
-use descend_diag::json_escape;
+use descend_diag::{json_escape, line_col};
 use gpu_sim::trace::{LaunchTrace, TraceTotals};
 use gpu_sim::LaunchStats;
 use std::fmt::Write as _;
@@ -66,30 +66,8 @@ pub struct LaunchProfile {
     pub lines: Vec<LineRow>,
 }
 
-/// Byte offsets where each source line starts (line i, 0-based, begins
-/// at `starts[i]`).
-fn line_starts(src: &str) -> Vec<u32> {
-    let mut starts = vec![0u32];
-    for (i, b) in src.bytes().enumerate() {
-        if b == b'\n' {
-            starts.push(i as u32 + 1);
-        }
-    }
-    starts
-}
-
-/// Maps a byte offset to 1-based (line, col).
-fn line_col(starts: &[u32], byte: u32) -> (u32, u32) {
-    let line = match starts.binary_search(&byte) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    };
-    (line as u32 + 1, byte - starts[line] + 1)
-}
-
 /// Builds one launch's per-line profile from its trace and stats.
 pub fn profile_launch(src: &str, stats: &LaunchStats, trace: &LaunchTrace) -> LaunchProfile {
-    let starts = line_starts(src);
     let src_lines: Vec<&str> = src.lines().collect();
     // Aggregate span rows onto lines; key 0 is the unattributed row.
     let mut by_line: std::collections::HashMap<u32, LineRow> = std::collections::HashMap::new();
@@ -97,7 +75,8 @@ pub fn profile_launch(src: &str, stats: &LaunchStats, trace: &LaunchTrace) -> La
         let (line, col) = if r.span.is_dummy() {
             (0, 0)
         } else {
-            line_col(&starts, r.span.start)
+            let (line, col) = line_col(src, r.span.start);
+            (line as u32, col as u32)
         };
         let row = by_line.entry(line).or_insert_with(|| LineRow {
             line,
@@ -275,20 +254,4 @@ pub fn render_json(file: &str, host_fn: &str, profiles: &[LaunchProfile]) -> Str
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn line_col_maps_offsets() {
-        let src = "ab\ncd\n\nef";
-        let starts = line_starts(src);
-        assert_eq!(line_col(&starts, 0), (1, 1));
-        assert_eq!(line_col(&starts, 1), (1, 2));
-        assert_eq!(line_col(&starts, 3), (2, 1));
-        assert_eq!(line_col(&starts, 6), (3, 1));
-        assert_eq!(line_col(&starts, 7), (4, 1));
-    }
 }

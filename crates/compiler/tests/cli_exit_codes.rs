@@ -129,3 +129,43 @@ fn explain_unknown_code_exits_one() {
     let out = descendc(&["explain"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn emit_all_prints_every_backend_in_registry_order() {
+    let path = repo_file("examples/descend/scale.descend");
+    let out = descendc(&["emit", path.to_str().unwrap(), "--emit=all"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let doc = stdout(&out);
+    let headers: Vec<&str> = doc
+        .lines()
+        .filter(|l| l.starts_with("// ==== backend: "))
+        .collect();
+    let expected: Vec<String> = descend_backends::BACKEND_NAMES
+        .iter()
+        .map(|name| format!("// ==== backend: {name} ===="))
+        .collect();
+    assert_eq!(headers, expected, "{doc}");
+}
+
+/// `run --native` prints the final CPU buffers in exactly the simulated
+/// `run`'s format, so the two outputs diff cleanly.
+#[test]
+fn run_and_run_native_print_identical_buffer_lines() {
+    if descend_native::Toolchain::detect().is_none() {
+        eprintln!("NOTICE: no host C compiler; skipping the native leg");
+        return;
+    }
+    let path = repo_file("examples/descend/scale.descend");
+    let sim = descendc(&["run", path.to_str().unwrap()]);
+    assert_eq!(sim.status.code(), Some(0), "{}", stderr(&sim));
+    let native = descendc(&["run", path.to_str().unwrap(), "--native"]);
+    assert_eq!(native.status.code(), Some(0), "{}", stderr(&native));
+    // The simulated run follows its buffers with per-launch statistics.
+    let sim_out = stdout(&sim);
+    let sim_buffers: Vec<&str> = sim_out
+        .lines()
+        .take_while(|l| !l.starts_with("launch "))
+        .collect();
+    assert!(!sim_buffers.is_empty(), "{sim_out}");
+    assert_eq!(stdout(&native).lines().collect::<Vec<_>>(), sim_buffers);
+}

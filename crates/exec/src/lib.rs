@@ -37,8 +37,7 @@ use descend_ast::Nat;
 use std::fmt;
 
 /// Threads per warp. Fixed at the CUDA/P100 value; the simulator's
-/// lockstep warp grouping and the cost model's default `warp_size`
-/// agree with this constant.
+/// lockstep warp grouping and its cost model agree with this constant.
 pub const WARP_SIZE: u64 = 32;
 
 /// Which half of a split.

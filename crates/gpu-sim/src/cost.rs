@@ -18,6 +18,7 @@
 //! the same access patterns get the same cycle count — which is precisely
 //! the paper's Figure 8 claim to reproduce.
 
+use crate::device::WARP_SIZE;
 use crate::interp::AccessRec;
 use crate::ir::ElemTy;
 use descend_trace::{GroupCost, Recorder};
@@ -26,8 +27,6 @@ use std::collections::HashMap;
 /// Cost-model parameters, loosely calibrated to a P100-class device.
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Coalescing segment size in bytes.
     pub segment_bytes: u64,
     /// Number of shared-memory banks.
@@ -59,7 +58,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> CostModel {
         CostModel {
-            warp_size: 32,
             segment_bytes: 128,
             banks: 32,
             bank_bytes: 4,
@@ -263,11 +261,10 @@ impl CostAccumulator {
         barrier: Option<u32>,
         mut sink: Option<&mut Recorder>,
     ) {
-        let warp = self.model.warp_size;
         // Warp-wide instruction cost: lockstep execution takes the max
         // lane count per warp.
         let mut instr_count = 0u64;
-        for chunk in instr_delta.chunks(warp as usize) {
+        for chunk in instr_delta.chunks(WARP_SIZE) {
             instr_count += chunk.iter().copied().max().unwrap_or(0);
         }
         self.stats.instructions += instr_count;
@@ -283,7 +280,7 @@ impl CostAccumulator {
         let mut groups: HashMap<GroupKey, Vec<LaneAccess>> = HashMap::new();
         for a in accesses {
             let o = occ.entry((a.tid, a.pc)).or_insert(0);
-            let key = (a.tid / warp, a.pc, *o, a.global);
+            let key = (a.tid / WARP_SIZE as u32, a.pc, *o, a.global);
             *o += 1;
             groups
                 .entry(key)

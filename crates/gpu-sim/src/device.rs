@@ -49,8 +49,8 @@ pub struct LaunchConfig {
     pub workers: Option<usize>,
 }
 
-/// Threads per warp for the lockstep shuffle grouping (agrees with
-/// [`CostModel::warp_size`]'s default and `descend_exec::WARP_SIZE`).
+/// Threads per warp for the lockstep warp and shuffle grouping and the
+/// cost model's warp-wide charges (agrees with `descend_exec::WARP_SIZE`).
 pub(crate) const WARP_SIZE: usize = 32;
 
 /// Largest block the simulator accepts (threads), and largest shared

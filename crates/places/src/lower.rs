@@ -101,29 +101,6 @@ pub enum IdxExpr {
 }
 
 impl IdxExpr {
-    /// Converts a nat into an index expression.
-    pub fn from_nat(n: &Nat) -> IdxExpr {
-        match n {
-            Nat::Lit(v) => IdxExpr::Const(*v),
-            Nat::Var(x) => IdxExpr::Var(x.clone()),
-            Nat::Add(a, b) => IdxExpr::add(IdxExpr::from_nat(a), IdxExpr::from_nat(b)),
-            Nat::Sub(a, b) => IdxExpr::sub(IdxExpr::from_nat(a), IdxExpr::from_nat(b)),
-            Nat::Mul(a, b) => IdxExpr::mul(IdxExpr::from_nat(a), IdxExpr::from_nat(b)),
-            // Division/modulo in index positions only arise from nats that
-            // normalize away (checked by the caller); fall back to the
-            // simplified form.
-            Nat::Div(..) | Nat::Mod(..) => {
-                let s = n.simplify();
-                match s {
-                    Nat::Div(..) | Nat::Mod(..) => {
-                        panic!("cannot lower opaque division/modulo `{n}` to an index")
-                    }
-                    other => IdxExpr::from_nat(&other),
-                }
-            }
-        }
-    }
-
     /// Evaluates the expression.
     ///
     /// `coords` supplies raw hardware coordinates; `vars` supplies values

@@ -133,82 +133,6 @@ impl TraceSink for NullSink {
     fn interval_end(&mut self, _: u64, _: u64, _: Option<u32>, _: u64) {}
 }
 
-impl<S: TraceSink> TraceSink for &mut S {
-    const ENABLED: bool = S::ENABLED;
-
-    #[inline(always)]
-    fn mem_group(
-        &mut self,
-        warp: u32,
-        pc: u32,
-        global: bool,
-        atomic: bool,
-        lanes: u32,
-        cost: GroupCost,
-    ) {
-        (**self).mem_group(warp, pc, global, atomic, lanes, cost);
-    }
-
-    #[inline(always)]
-    fn shuffle(&mut self, warp: u32, pc: u32, lanes: u32, cycles: u64) {
-        (**self).shuffle(warp, pc, lanes, cycles);
-    }
-
-    #[inline(always)]
-    fn interval_end(
-        &mut self,
-        instructions: u64,
-        instr_cycles: u64,
-        barrier_pc: Option<u32>,
-        barrier_cycles: u64,
-    ) {
-        (**self).interval_end(instructions, instr_cycles, barrier_pc, barrier_cycles);
-    }
-}
-
-/// `Option<&mut Recorder>`-style conditional sink for paths where
-/// tracing is a runtime choice (the reference interpreter's per-interval
-/// replay, which is cold by definition). `ENABLED` is `true` — the
-/// guard happens per call, on `None`.
-impl<S: TraceSink> TraceSink for Option<&mut S> {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn mem_group(
-        &mut self,
-        warp: u32,
-        pc: u32,
-        global: bool,
-        atomic: bool,
-        lanes: u32,
-        cost: GroupCost,
-    ) {
-        if let Some(s) = self {
-            s.mem_group(warp, pc, global, atomic, lanes, cost);
-        }
-    }
-
-    #[inline]
-    fn shuffle(&mut self, warp: u32, pc: u32, lanes: u32, cycles: u64) {
-        if let Some(s) = self {
-            s.shuffle(warp, pc, lanes, cycles);
-        }
-    }
-
-    #[inline]
-    fn interval_end(
-        &mut self,
-        instructions: u64,
-        instr_cycles: u64,
-        barrier_pc: Option<u32>,
-        barrier_cycles: u64,
-    ) {
-        if let Some(s) = self {
-            s.interval_end(instructions, instr_cycles, barrier_pc, barrier_cycles);
-        }
-    }
-}
-
 /// One recorded memory access group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupRec {
@@ -811,8 +735,6 @@ mod tests {
     fn null_sink_is_free() {
         assert!(!NullSink::ENABLED);
         assert_eq!(std::mem::size_of::<NullSink>(), 0);
-        // The reference-through impl keeps the constant.
-        assert!(!<&mut NullSink as TraceSink>::ENABLED);
     }
 
     #[test]

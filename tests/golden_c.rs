@@ -247,6 +247,63 @@ fn golden_reduce_structure() {
     assert!(c.contains("out[blockIdx_x] = tmp[threadIdx_x];"));
 }
 
+/// A grid split whose first branch crosses a barrier: the `sync` ends
+/// the first thread loop, and the second carries the rest of the first
+/// branch *and* the whole second branch as two condition chunks.
+#[test]
+fn golden_split_branches_across_phases() {
+    let src = r#"
+fn zsplit(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<Z<2>, X<128>>]-> () {
+    split(Z) grid at 1 {
+        lo => {
+            sched(Z) block in lo {
+                let tmp = alloc::<gpu.shared, [f64; 128]>();
+                sched(X) thread in block {
+                    tmp[[thread]] = 1.0;
+                }
+                sync;
+                sched(X) thread in block {
+                    (*v).group::<128>.split::<1>.fst[[block]][[thread]] = tmp[[thread]];
+                }
+            }
+        },
+        hi => {
+            sched(Z) block in hi {
+                sched(X) thread in block {
+                    (*v).group::<128>.split::<1>.snd[[block]][[thread]] = 2.0;
+                }
+            }
+        }
+    }
+}
+"#;
+    let expected = "\
+void zsplit(double* v) {
+    #pragma omp parallel for
+    for (int64_t __b = 0; __b < 2; __b++) {
+        const int64_t blockIdx_z = __b / 1;
+        double tmp[128] = {0};
+        for (int64_t __t = 0; __t < 128; __t++) {
+            const int64_t threadIdx_x = __t % 128;
+            if (blockIdx_z < 1) {
+                tmp[threadIdx_x] = 1.0;
+            }
+        }
+        for (int64_t __t = 0; __t < 128; __t++) {
+            const int64_t threadIdx_x = __t % 128;
+            if (blockIdx_z < 1) {
+                v[((blockIdx_z * 128) + threadIdx_x)] = tmp[threadIdx_x];
+            }
+            if (blockIdx_z >= 1) {
+                v[((blockIdx_z * 128) + threadIdx_x)] = 2.0;
+            }
+        }
+    }
+}
+";
+    assert_eq!(kernel_c(src, 0), expected);
+}
+
 /// The full translation unit is a runnable program: stdin/stdout buffer
 /// protocol, a host function per Descend host fn, and an `argv[1]`
 /// dispatcher.

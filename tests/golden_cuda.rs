@@ -177,6 +177,51 @@ fn golden_matmul_structure() {
     ));
 }
 
+/// A grid split renders as `if`/`else` on the block coordinate, and a
+/// `sync` inside the first branch stays in place: only the C backend
+/// breaks the body at a barrier.
+#[test]
+fn golden_split_else_branch() {
+    let src = r#"
+fn zsplit(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<Z<2>, X<128>>]-> () {
+    split(Z) grid at 1 {
+        lo => {
+            sched(Z) block in lo {
+                let tmp = alloc::<gpu.shared, [f64; 128]>();
+                sched(X) thread in block {
+                    tmp[[thread]] = 1.0;
+                }
+                sync;
+                sched(X) thread in block {
+                    (*v).group::<128>.split::<1>.fst[[block]][[thread]] = tmp[[thread]];
+                }
+            }
+        },
+        hi => {
+            sched(Z) block in hi {
+                sched(X) thread in block {
+                    (*v).group::<128>.split::<1>.snd[[block]][[thread]] = 2.0;
+                }
+            }
+        }
+    }
+}
+"#;
+    let expected = "\
+__global__ void zsplit(double* v) {
+    __shared__ double tmp[128];
+    if (blockIdx.z < 1) {
+        tmp[threadIdx.x] = 1.0;
+        __syncthreads();
+        v[((blockIdx.z * 128) + threadIdx.x)] = tmp[threadIdx.x];
+    } else {
+        v[((blockIdx.z * 128) + threadIdx.x)] = 2.0;
+    }
+}
+";
+    assert_eq!(kernel_cuda(src, 0), expected);
+}
+
 #[test]
 fn golden_host_code() {
     let src = r#"
