@@ -21,6 +21,7 @@
 //! choices made here are documented on the corresponding types.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod nat;
 pub mod pretty;

@@ -225,12 +225,7 @@ impl KernelBackend for CBackend {
         Ok(render_body(self, k, Phased::default())?.render(self, k))
     }
 
-    fn emit_host_fn(
-        &self,
-        name: &str,
-        stmts: &[HostStmt],
-        kernels: &[MonoKernel],
-    ) -> Result<String, CodegenError> {
+    fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "void descend_host_{name}(void) {{");
         let mut sizes = HostSizes::new();
@@ -291,7 +286,7 @@ impl KernelBackend for CBackend {
             let _ = writeln!(out, "free({name});");
         }
         out.push_str("}\n");
-        Ok(out)
+        out
     }
 
     fn prelude(&self, checked: &CheckedProgram) -> String {

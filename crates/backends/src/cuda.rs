@@ -119,12 +119,7 @@ impl KernelBackend for CudaBackend {
         Ok(out)
     }
 
-    fn emit_host_fn(
-        &self,
-        name: &str,
-        stmts: &[HostStmt],
-        kernels: &[MonoKernel],
-    ) -> Result<String, CodegenError> {
+    fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "void {name}() {{");
         let mut sizes = HostSizes::new();
@@ -185,7 +180,7 @@ impl KernelBackend for CudaBackend {
             }
         }
         out.push_str("}\n");
-        Ok(out)
+        out
     }
 
     fn prelude(&self, _checked: &CheckedProgram) -> String {

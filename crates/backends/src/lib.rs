@@ -76,6 +76,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod c;
 pub mod cuda;
@@ -220,16 +221,7 @@ pub trait KernelBackend {
     fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError>;
 
     /// Renders the host-side stub for one host function.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering failures (see [`CodegenError`]).
-    fn emit_host_fn(
-        &self,
-        name: &str,
-        stmts: &[HostStmt],
-        kernels: &[MonoKernel],
-    ) -> Result<String, CodegenError>;
+    fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String;
 
     /// Target-specific translation-unit header (includes, pragmas,
     /// narrowing notes); may inspect the program to decide what is
@@ -246,26 +238,18 @@ pub trait KernelBackend {
     /// kernels: prelude, `kernel_texts` (one per `checked.kernels`
     /// entry, in order), host stubs, epilogue. The one place the layout
     /// is decided — backends do not override it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates host-stub lowering failures (see [`CodegenError`]).
-    fn assemble_program(
-        &self,
-        checked: &CheckedProgram,
-        kernel_texts: &[String],
-    ) -> Result<String, CodegenError> {
+    fn assemble_program(&self, checked: &CheckedProgram, kernel_texts: &[String]) -> String {
         let mut out = self.prelude(checked);
         for text in kernel_texts {
             out.push_str(text);
             out.push('\n');
         }
         for (name, stmts) in &checked.host_fns {
-            out.push_str(&self.emit_host_fn(name, stmts, &checked.kernels)?);
+            out.push_str(&self.emit_host_fn(name, stmts, &checked.kernels));
             out.push('\n');
         }
         out.push_str(&self.epilogue(checked));
-        Ok(out)
+        out
     }
 
     /// Renders a complete translation unit: every kernel through
@@ -281,7 +265,7 @@ pub trait KernelBackend {
             .iter()
             .map(|k| self.emit_kernel(k))
             .collect::<Result<Vec<_>, _>>()?;
-        self.assemble_program(checked, &kernel_texts)
+        Ok(self.assemble_program(checked, &kernel_texts))
     }
 }
 

@@ -195,12 +195,7 @@ impl KernelBackend for OpenClBackend {
         Ok(out)
     }
 
-    fn emit_host_fn(
-        &self,
-        name: &str,
-        stmts: &[HostStmt],
-        kernels: &[MonoKernel],
-    ) -> Result<String, CodegenError> {
+    fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -278,7 +273,7 @@ impl KernelBackend for OpenClBackend {
             }
         }
         out.push_str("}\n");
-        Ok(out)
+        out
     }
 
     fn prelude(&self, checked: &CheckedProgram) -> String {

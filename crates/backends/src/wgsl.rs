@@ -293,12 +293,7 @@ impl KernelBackend for WgslBackend {
         Ok(out)
     }
 
-    fn emit_host_fn(
-        &self,
-        name: &str,
-        stmts: &[HostStmt],
-        kernels: &[MonoKernel],
-    ) -> Result<String, CodegenError> {
+    fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "// Host function `{name}` (WebGPU JavaScript sketch;");
         out.push_str("// WGSL has no host side — sizes, dispatches and copies only):\n");
@@ -352,7 +347,7 @@ impl KernelBackend for WgslBackend {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     fn prelude(&self, _checked: &CheckedProgram) -> String {

@@ -17,6 +17,8 @@
 //! Deterministic: byte-identical across executor modes and simulation
 //! thread counts. Any other argument exits 2 with the usage line.
 
+#![forbid(unsafe_code)]
+
 use descend_benchmarks::{
     footprints, run_benchmark, run_benchmark_traced, trace_param, BenchKind, BenchResult,
     ALL_BENCHMARKS,

@@ -13,15 +13,18 @@
 //!    the same optimizations and access patterns — the role the authors'
 //!    handwritten CUDA played.
 //!
-//! [`runner`] executes both on identical workloads, validates their
-//! results against scalar references ([`crate::reference`]), and reports modeled
-//! cycles; the `figure8` binary prints the relative runtimes.
+//! [`runner`] holds one host program per benchmark and runs it once
+//! with each version's kernels, so both see identical inputs, launch
+//! shapes and launch order; it validates their results against scalar
+//! references ([`crate::reference`]) and reports modeled cycles. The
+//! `figure8` binary prints the relative runtimes.
 //!
 //! Footprints are scaled down from the paper's 256 MB–1 GB to
 //! interpreter scale (see `docs/DESIGN.md` §7); the *relative*
 //! measurements the figure reports are preserved.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod reference;

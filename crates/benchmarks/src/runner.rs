@@ -1,5 +1,12 @@
 //! Benchmark runners: execute the Descend and baseline versions on the
 //! same workload, validate both, and collect modeled cycles.
+//!
+//! Each benchmark is data: `workload` gives its Descend source, its
+//! handwritten baseline kernels, the reference output and **one** host
+//! program. [`run_benchmark`] runs that host program once with the
+//! compiled Descend kernels and once with the baselines, so the two
+//! sides see the same inputs, launch shapes and launch sequence by
+//! construction.
 
 use crate::{baselines, reference, sources};
 use descend_compiler::Compiler;
@@ -81,95 +88,20 @@ pub struct SizeClass {
 /// interpretation. Matmul stays smaller because its work grows with the
 /// cube of the parameter, not the footprint.
 pub fn footprints(kind: BenchKind) -> [SizeClass; 3] {
-    match kind {
-        BenchKind::Reduce => [
-            SizeClass {
-                name: "small",
-                param: 1 << 20,
-            },
-            SizeClass {
-                name: "medium",
-                param: 1 << 21,
-            },
-            SizeClass {
-                name: "large",
-                param: 1 << 22,
-            },
-        ],
-        BenchKind::Transpose => [
-            SizeClass {
-                name: "small",
-                param: 512,
-            },
-            SizeClass {
-                name: "medium",
-                param: 1024,
-            },
-            SizeClass {
-                name: "large",
-                param: 1536,
-            },
-        ],
-        BenchKind::Scan => [
-            SizeClass {
-                name: "small",
-                param: 1 << 19,
-            },
-            SizeClass {
-                name: "medium",
-                param: 1 << 20,
-            },
-            SizeClass {
-                name: "large",
-                param: 1 << 21,
-            },
-        ],
-        BenchKind::Matmul => [
-            SizeClass {
-                name: "small",
-                param: 128,
-            },
-            SizeClass {
-                name: "medium",
-                param: 192,
-            },
-            SizeClass {
-                name: "large",
-                param: 256,
-            },
-        ],
-        BenchKind::Histogram => [
-            SizeClass {
-                name: "small",
-                param: 1 << 18,
-            },
-            SizeClass {
-                name: "medium",
-                param: 1 << 19,
-            },
-            SizeClass {
-                name: "large",
-                param: 1 << 20,
-            },
-        ],
-        // Same footprints as Reduce, so the two reductions' cycle
-        // counts compare cell by cell in the Figure 8 table.
-        BenchKind::ReduceShuffle => footprints(BenchKind::Reduce),
-        BenchKind::Stencil => [
-            SizeClass {
-                name: "small",
-                param: 1 << 19,
-            },
-            SizeClass {
-                name: "medium",
-                param: 1 << 20,
-            },
-            SizeClass {
-                name: "large",
-                param: 1 << 21,
-            },
-        ],
-    }
+    let params: [usize; 3] = match kind {
+        // ReduceShfl shares Reduce's footprints, so the two reductions'
+        // cycle counts compare cell by cell in the Figure 8 table.
+        BenchKind::Reduce | BenchKind::ReduceShuffle => [1 << 20, 1 << 21, 1 << 22],
+        BenchKind::Transpose => [512, 1024, 1536],
+        BenchKind::Scan | BenchKind::Stencil => [1 << 19, 1 << 20, 1 << 21],
+        BenchKind::Matmul => [128, 192, 256],
+        BenchKind::Histogram => [1 << 18, 1 << 19, 1 << 20],
+    };
+    let names = ["small", "medium", "large"];
+    std::array::from_fn(|i| SizeClass {
+        name: names[i],
+        param: params[i],
+    })
 }
 
 /// The result of one benchmark run (both versions on one workload).
@@ -223,12 +155,29 @@ fn compile_kernels(src: &str) -> Vec<KernelIr> {
         .expect("empty selection is valid")
         .compile_source(src)
         .unwrap_or_else(|e| panic!("benchmark source fails to compile: {e}"));
-    compiled.kernels.iter().map(|k| k.ir.clone()).collect()
+    compiled.kernels.into_iter().map(|k| k.ir).collect()
 }
 
 fn random_data(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+}
+
+/// Random non-negative i32 inputs (as f64) for the histogram; the bin
+/// distribution is uniform so contention spreads across bins.
+fn random_ints(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| f64::from(rng.gen_range(0i32..4096)))
+        .collect()
+}
+
+fn exclusive_scan(sums: &[f64]) -> Vec<f64> {
+    let mut offsets = vec![0.0; sums.len()];
+    for i in 1..sums.len() {
+        offsets[i] = offsets[i - 1] + sums[i - 1];
+    }
+    offsets
 }
 
 struct Launcher<'a> {
@@ -271,12 +220,134 @@ impl<'a> Launcher<'a> {
     }
 }
 
+/// A benchmark's host program, shared by both sides: allocates the
+/// inputs on the launcher's device, launches the side's kernels (in
+/// source order) and returns the output buffer.
+type HostProgram = Box<dyn Fn(&mut Launcher<'_>, &[KernelIr]) -> BufId>;
+
+/// A launch shape: grid and block dimensions.
+type Shape = ([u64; 3], [u64; 3]);
+
+/// One benchmark at one size: everything but the side that runs it.
+struct Workload {
+    /// The Descend program; its kernels in source order.
+    source: String,
+    /// The handwritten kernels, one per Descend kernel, same order.
+    baselines: Vec<KernelIr>,
+    /// The scalar reference for the output buffer.
+    expect: Vec<f64>,
+    host: HostProgram,
+}
+
+/// The host program of a one-kernel benchmark: the input buffer, a
+/// zeroed output of `out_len` elements, one launch.
+fn one_launch(elem: ElemTy, data: Vec<f64>, out_len: usize, shape: Shape) -> HostProgram {
+    Box::new(move |l, k| {
+        let inp = l.gpu.alloc_scalars(elem, &data);
+        let out = l.gpu.alloc_scalars(elem, &vec![0.0; out_len]);
+        l.launch(&k[0], shape.0, shape.1, &[inp, out]);
+        out
+    })
+}
+
+/// The workload of `kind` at size `n`, inputs drawn from `seed`.
+fn workload(kind: BenchKind, n: usize, seed: u64) -> Workload {
+    // A 1-D launch: `n / bs` blocks of `bs` threads.
+    let line = |bs: usize| -> Shape { ([(n / bs) as u64, 1, 1], [bs as u64, 1, 1]) };
+    let bs = sources::BLOCK_SIZE;
+    match kind {
+        BenchKind::Reduce | BenchKind::ReduceShuffle => {
+            let data = random_data(n, seed);
+            let (source, baseline) = if kind == BenchKind::Reduce {
+                (sources::reduce(n), baselines::reduce(n, bs))
+            } else {
+                (sources::reduce_shuffle(n), baselines::reduce_shuffle(n, bs))
+            };
+            Workload {
+                source,
+                baselines: vec![baseline],
+                expect: reference::block_sums(&data, bs),
+                host: one_launch(ElemTy::F64, data, n / bs, line(bs)),
+            }
+        }
+        BenchKind::Transpose => {
+            let nb = (n / 32) as u64;
+            let data = random_data(n * n, seed);
+            Workload {
+                source: sources::transpose(n),
+                baselines: vec![baselines::transpose(n)],
+                expect: reference::transpose(&data, n),
+                host: one_launch(ElemTy::F64, data, n * n, ([nb, nb, 1], [32, 8, 1])),
+            }
+        }
+        BenchKind::Scan => {
+            let (grid, block) = line(bs);
+            let data = random_data(n, seed);
+            Workload {
+                source: sources::scan_blocks(n) + &sources::scan_add_offsets(n),
+                baselines: vec![
+                    baselines::scan_blocks(n, bs),
+                    baselines::scan_add_offsets(n, bs),
+                ],
+                expect: reference::inclusive_scan(&data),
+                host: Box::new(move |l, k| {
+                    let io = l.gpu.alloc_f64(&data);
+                    let sums = l.gpu.alloc_f64(&vec![0.0; n / bs]);
+                    l.launch(&k[0], grid, block, &[io, sums]);
+                    // The block offsets are scanned on the host.
+                    let offsets = exclusive_scan(&l.gpu.read_f64(sums));
+                    let offs = l.gpu.alloc_f64(&offsets);
+                    l.launch(&k[1], grid, block, &[io, offs]);
+                    io
+                }),
+            }
+        }
+        BenchKind::Matmul => {
+            let nb = (n / 32) as u64;
+            let a = random_data(n * n, seed);
+            let b = random_data(n * n, seed.wrapping_add(1));
+            Workload {
+                source: sources::matmul(n),
+                baselines: vec![baselines::matmul(n)],
+                expect: reference::matmul(&a, &b, n),
+                host: Box::new(move |l, k| {
+                    let da = l.gpu.alloc_f64(&a);
+                    let db = l.gpu.alloc_f64(&b);
+                    let dc = l.gpu.alloc_f64(&vec![0.0; n * n]);
+                    l.launch(&k[0], [nb, nb, 1], [32, 32, 1], &[da, db, dc]);
+                    dc
+                }),
+            }
+        }
+        BenchKind::Histogram => {
+            let (bs, bins) = (sources::HIST_BLOCK, sources::HIST_BINS);
+            let data = random_ints(n, seed);
+            Workload {
+                source: sources::histogram(n),
+                baselines: vec![baselines::histogram(n, bs, bins)],
+                expect: reference::histogram(&data, bins),
+                host: one_launch(ElemTy::I32, data, bins, line(bs)),
+            }
+        }
+        BenchKind::Stencil => {
+            let bs = sources::STENCIL_BLOCK;
+            let data = random_data(n + 2, seed);
+            Workload {
+                source: sources::stencil(n),
+                baselines: vec![baselines::stencil(n, bs)],
+                expect: reference::stencil3(&data),
+                host: one_launch(ElemTy::F64, data, n, line(bs)),
+            }
+        }
+    }
+}
+
 /// Runs one benchmark at one size and returns the paired measurement.
 ///
 /// Both versions are validated against the scalar reference; a failure
 /// panics (the benchmarks are also exercised as tests).
 pub fn run_benchmark(kind: BenchKind, param: usize, seed: u64, cfg: &LaunchConfig) -> BenchResult {
-    run_benchmark_opts(kind, param, seed, cfg, false)
+    run(kind, param, seed, cfg, false)
 }
 
 /// Like [`run_benchmark`], but records a deterministic [`LaunchTrace`]
@@ -292,7 +363,7 @@ pub fn run_benchmark_traced(
     seed: u64,
     cfg: &LaunchConfig,
 ) -> BenchResult {
-    run_benchmark_opts(kind, param, seed, cfg, true)
+    run(kind, param, seed, cfg, true)
 }
 
 /// A reduced size parameter per benchmark suitable for traced runs —
@@ -308,290 +379,29 @@ pub fn trace_param(kind: BenchKind) -> usize {
     }
 }
 
-fn run_benchmark_opts(
-    kind: BenchKind,
-    param: usize,
-    seed: u64,
-    cfg: &LaunchConfig,
-    tracing: bool,
-) -> BenchResult {
-    match kind {
-        BenchKind::Reduce => run_reduce(param, seed, cfg, tracing),
-        BenchKind::Transpose => run_transpose(param, seed, cfg, tracing),
-        BenchKind::Scan => run_scan(param, seed, cfg, tracing),
-        BenchKind::Matmul => run_matmul(param, seed, cfg, tracing),
-        BenchKind::Histogram => run_histogram(param, seed, cfg, tracing),
-        BenchKind::ReduceShuffle => run_reduce_shuffle(param, seed, cfg, tracing),
-        BenchKind::Stencil => run_stencil(param, seed, cfg, tracing),
-    }
-}
-
-fn run_stencil(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let bs = sources::STENCIL_BLOCK;
-    let nb = n / bs;
-    let data = random_data(n + 2, seed);
-    let expect = reference::stencil3(&data);
-    // Descend version.
-    let kernels = compile_kernels(&sources::stencil(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let inp = d.gpu.alloc_f64(&data);
-    let out = d.gpu.alloc_f64(&vec![0.0; n]);
-    d.launch(
-        &kernels[0],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[inp, out],
+fn run(kind: BenchKind, param: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
+    let w = workload(kind, param, seed);
+    let kernels = compile_kernels(&w.source);
+    assert_eq!(
+        kernels.len(),
+        w.baselines.len(),
+        "{}: the Descend program and the baseline differ in kernel count",
+        kind.name()
     );
-    assert_close(&d.gpu.read_f64(out), &expect, "descend stencil");
-    // Baseline.
-    let k = baselines::stencil(n, bs);
-    let mut c = Launcher::new(cfg, tracing);
-    let inp = c.gpu.alloc_f64(&data);
-    let out = c.gpu.alloc_f64(&vec![0.0; n]);
-    c.launch(&k, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, out]);
-    assert_close(&c.gpu.read_f64(out), &expect, "cuda stencil");
+    // One side: the shared host program with that side's kernels, on a
+    // fresh device, checked against the reference.
+    let side = |kernels: &[KernelIr], who: &str| {
+        let mut l = Launcher::new(cfg, tracing);
+        let out = (w.host)(&mut l, kernels);
+        let what = format!("{who} {}", kind.name());
+        assert_close(&l.gpu.read_scalars(out), &w.expect, &what);
+        l
+    };
+    let d = side(&kernels, "descend");
+    let c = side(&w.baselines, "cuda");
     BenchResult {
-        kind: BenchKind::Stencil,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-/// Random non-negative i32 inputs (as f64) for the histogram; the bin
-/// distribution is uniform so contention spreads across bins.
-fn random_ints(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| f64::from(rng.gen_range(0i32..4096)))
-        .collect()
-}
-
-fn run_histogram(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let bs = sources::HIST_BLOCK;
-    let bins = sources::HIST_BINS;
-    let nb = n / bs;
-    let data = random_ints(n, seed);
-    let expect = reference::histogram(&data, bins);
-    // Descend version.
-    let kernels = compile_kernels(&sources::histogram(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let inp = d.gpu.alloc_scalars(ElemTy::I32, &data);
-    let hist = d.gpu.alloc_scalars(ElemTy::I32, &vec![0.0; bins]);
-    d.launch(
-        &kernels[0],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[inp, hist],
-    );
-    assert_close(&d.gpu.read_scalars(hist), &expect, "descend histogram");
-    // Baseline.
-    let k = baselines::histogram(n, bs, bins);
-    let mut c = Launcher::new(cfg, tracing);
-    let inp = c.gpu.alloc_scalars(ElemTy::I32, &data);
-    let hist = c.gpu.alloc_scalars(ElemTy::I32, &vec![0.0; bins]);
-    c.launch(&k, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, hist]);
-    assert_close(&c.gpu.read_scalars(hist), &expect, "cuda histogram");
-    BenchResult {
-        kind: BenchKind::Histogram,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-fn run_reduce(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let bs = sources::BLOCK_SIZE;
-    let nb = n / bs;
-    let data = random_data(n, seed);
-    let expect = reference::block_sums(&data, bs);
-    // Descend version.
-    let kernels = compile_kernels(&sources::reduce(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let inp = d.gpu.alloc_f64(&data);
-    let out = d.gpu.alloc_f64(&vec![0.0; nb]);
-    d.launch(
-        &kernels[0],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[inp, out],
-    );
-    assert_close(&d.gpu.read_f64(out), &expect, "descend reduce");
-    // Baseline.
-    let k = baselines::reduce(n, bs);
-    let mut c = Launcher::new(cfg, tracing);
-    let inp = c.gpu.alloc_f64(&data);
-    let out = c.gpu.alloc_f64(&vec![0.0; nb]);
-    c.launch(&k, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, out]);
-    assert_close(&c.gpu.read_f64(out), &expect, "cuda reduce");
-    BenchResult {
-        kind: BenchKind::Reduce,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-fn run_reduce_shuffle(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let bs = sources::BLOCK_SIZE;
-    let nb = n / bs;
-    let data = random_data(n, seed);
-    let expect = reference::block_sums(&data, bs);
-    // Descend version.
-    let kernels = compile_kernels(&sources::reduce_shuffle(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let inp = d.gpu.alloc_f64(&data);
-    let out = d.gpu.alloc_f64(&vec![0.0; nb]);
-    d.launch(
-        &kernels[0],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[inp, out],
-    );
-    assert_close(&d.gpu.read_f64(out), &expect, "descend reduce_shuffle");
-    // Baseline.
-    let k = baselines::reduce_shuffle(n, bs);
-    let mut c = Launcher::new(cfg, tracing);
-    let inp = c.gpu.alloc_f64(&data);
-    let out = c.gpu.alloc_f64(&vec![0.0; nb]);
-    c.launch(&k, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, out]);
-    assert_close(&c.gpu.read_f64(out), &expect, "cuda reduce_shuffle");
-    BenchResult {
-        kind: BenchKind::ReduceShuffle,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-fn run_transpose(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let nb = (n / 32) as u64;
-    let data = random_data(n * n, seed);
-    let expect = reference::transpose(&data, n);
-    let kernels = compile_kernels(&sources::transpose(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let inp = d.gpu.alloc_f64(&data);
-    let out = d.gpu.alloc_f64(&vec![0.0; n * n]);
-    d.launch(&kernels[0], [nb, nb, 1], [32, 8, 1], &[inp, out]);
-    assert_close(&d.gpu.read_f64(out), &expect, "descend transpose");
-    let k = baselines::transpose(n);
-    let mut c = Launcher::new(cfg, tracing);
-    let inp = c.gpu.alloc_f64(&data);
-    let out = c.gpu.alloc_f64(&vec![0.0; n * n]);
-    c.launch(&k, [nb, nb, 1], [32, 8, 1], &[inp, out]);
-    assert_close(&c.gpu.read_f64(out), &expect, "cuda transpose");
-    BenchResult {
-        kind: BenchKind::Transpose,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-fn exclusive_scan(sums: &[f64]) -> Vec<f64> {
-    let mut offsets = vec![0.0; sums.len()];
-    for i in 1..sums.len() {
-        offsets[i] = offsets[i - 1] + sums[i - 1];
-    }
-    offsets
-}
-
-fn run_scan(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let bs = sources::BLOCK_SIZE;
-    let nb = n / bs;
-    let data = random_data(n, seed);
-    let expect = reference::inclusive_scan(&data);
-    // Descend version: two kernels in one program.
-    let src = format!(
-        "{}{}",
-        sources::scan_blocks(n),
-        sources::scan_add_offsets(n)
-    );
-    let kernels = compile_kernels(&src);
-    assert_eq!(kernels.len(), 2, "scan compiles to two kernels");
-    let mut d = Launcher::new(cfg, tracing);
-    let io = d.gpu.alloc_f64(&data);
-    let sums = d.gpu.alloc_f64(&vec![0.0; nb]);
-    d.launch(
-        &kernels[0],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[io, sums],
-    );
-    let offsets = exclusive_scan(&d.gpu.read_f64(sums));
-    let offs = d.gpu.alloc_f64(&offsets);
-    d.launch(
-        &kernels[1],
-        [nb as u64, 1, 1],
-        [bs as u64, 1, 1],
-        &[io, offs],
-    );
-    assert_close(&d.gpu.read_f64(io), &expect, "descend scan");
-    // Baseline.
-    let k1 = baselines::scan_blocks(n, bs);
-    let k2 = baselines::scan_add_offsets(n, bs);
-    let mut c = Launcher::new(cfg, tracing);
-    let io = c.gpu.alloc_f64(&data);
-    let sums = c.gpu.alloc_f64(&vec![0.0; nb]);
-    c.launch(&k1, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, sums]);
-    let offsets = exclusive_scan(&c.gpu.read_f64(sums));
-    let offs = c.gpu.alloc_f64(&offsets);
-    c.launch(&k2, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, offs]);
-    assert_close(&c.gpu.read_f64(io), &expect, "cuda scan");
-    BenchResult {
-        kind: BenchKind::Scan,
-        param: n,
-        descend_cycles: d.cycles(),
-        cuda_cycles: c.cycles(),
-        descend_stats: d.stats,
-        cuda_stats: c.stats,
-        descend_traces: d.traces,
-        cuda_traces: c.traces,
-    }
-}
-
-fn run_matmul(n: usize, seed: u64, cfg: &LaunchConfig, tracing: bool) -> BenchResult {
-    let nb = (n / 32) as u64;
-    let a = random_data(n * n, seed);
-    let b = random_data(n * n, seed.wrapping_add(1));
-    let expect = reference::matmul(&a, &b, n);
-    let kernels = compile_kernels(&sources::matmul(n));
-    let mut d = Launcher::new(cfg, tracing);
-    let da = d.gpu.alloc_f64(&a);
-    let db = d.gpu.alloc_f64(&b);
-    let dc = d.gpu.alloc_f64(&vec![0.0; n * n]);
-    d.launch(&kernels[0], [nb, nb, 1], [32, 32, 1], &[da, db, dc]);
-    assert_close(&d.gpu.read_f64(dc), &expect, "descend matmul");
-    let k = baselines::matmul(n);
-    let mut c = Launcher::new(cfg, tracing);
-    let da = c.gpu.alloc_f64(&a);
-    let db = c.gpu.alloc_f64(&b);
-    let dc = c.gpu.alloc_f64(&vec![0.0; n * n]);
-    c.launch(&k, [nb, nb, 1], [32, 32, 1], &[da, db, dc]);
-    assert_close(&c.gpu.read_f64(dc), &expect, "cuda matmul");
-    BenchResult {
-        kind: BenchKind::Matmul,
-        param: n,
+        kind,
+        param,
         descend_cycles: d.cycles(),
         cuda_cycles: c.cycles(),
         descend_stats: d.stats,

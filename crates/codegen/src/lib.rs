@@ -17,6 +17,7 @@
 //! simulated kernel are renderings of one lowering.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ir_gen;
 

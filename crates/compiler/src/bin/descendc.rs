@@ -44,6 +44,8 @@
 //! [`descend_compiler::server`] for the protocol (including `batch`
 //! fan-out over a worker pool and cache `stats`).
 
+#![forbid(unsafe_code)]
+
 use descend_compiler::cli::{parse_args, Command};
 use descend_compiler::{profile, server, Compiler};
 use gpu_sim::trace::chrome_trace;

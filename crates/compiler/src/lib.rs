@@ -43,6 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod profile;

@@ -485,9 +485,7 @@ impl CompileSession {
             .iter()
             .map(|ck| ck.targets[be.name()].clone())
             .collect();
-        let text = be
-            .assemble_program(checked, &kernel_texts)
-            .map_err(|e| codegen_err(&e))?;
+        let text = be.assemble_program(checked, &kernel_texts);
         self.program_emit.insert(key, text.clone());
         Ok(text)
     }

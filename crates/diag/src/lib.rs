@@ -28,6 +28,7 @@
 //! `descendc check --json` and the compile server.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod registry;
 

@@ -31,6 +31,7 @@
 //! shuffle intrinsics illegal under it (warp divergence).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use descend_ast::ty::{Dim, DimCompo, ExecTy};
 use descend_ast::Nat;

@@ -21,6 +21,7 @@
 //! parallelism.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt;

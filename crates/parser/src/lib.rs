@@ -26,6 +26,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod lexer;
 mod parser;

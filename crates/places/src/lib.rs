@@ -24,6 +24,7 @@
 //! needs no barrier while a cross-warp memory exchange still conflicts.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod conflict;
 pub mod lower;

@@ -25,6 +25,7 @@
 //! deterministic exports unless explicitly requested.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

@@ -404,10 +404,8 @@ impl<'p> GlobalCx<'p> {
                 introduced: Vec::new(),
             },
         );
-        let mut host = Vec::new();
-        fcx.host_out = Some(&mut host as *mut Vec<HostStmt>);
         let _ = fcx.check_block(&f.body, true)?;
-        Ok(host)
+        Ok(fcx.host)
     }
 }
 
@@ -703,10 +701,9 @@ struct FnCx<'g, 'p> {
     exec: ExecExpr,
     shared_allocs: Vec<SharedAlloc>,
     local_names: HashSet<String>,
-    /// When checking a host function, elaborated host statements are
-    /// appended here (raw pointer to avoid a second mutable borrow of the
-    /// output; valid for the lifetime of the check).
-    host_out: Option<*mut Vec<HostStmt>>,
+    /// Elaborated host statements, in program order (only a host
+    /// function produces any; `check_host_fn` returns them).
+    host: Vec<HostStmt>,
 }
 
 impl<'g, 'p> FnCx<'g, 'p> {
@@ -723,20 +720,12 @@ impl<'g, 'p> FnCx<'g, 'p> {
             exec,
             shared_allocs: Vec::new(),
             local_names: HashSet::new(),
-            host_out: None,
+            host: Vec::new(),
         }
     }
 
     fn on_gpu(&self) -> bool {
         !matches!(self.exec.base, descend_exec::ExecBase::CpuThread)
-    }
-
-    fn emit_host(&mut self, stmt: HostStmt) {
-        if let Some(ptr) = self.host_out {
-            // SAFETY: `host_out` points at a Vec that outlives the check
-            // (set in `check_host_fn` and used only within it).
-            unsafe { (*ptr).push(stmt) };
-        }
     }
 
     fn bind(&mut self, name: &str, binding: Binding, span: Span) -> TResult<()> {
@@ -872,25 +861,9 @@ impl<'g, 'p> FnCx<'g, 'p> {
                             zip: None,
                             span: p.span,
                         };
-                        // The memory-context rule applies to the referent
-                        // (paper Section 2.3): a reference into GPU memory
-                        // cannot be dereferenced on the CPU and vice versa.
+                        // The memory-context rule applies to the referent.
                         if let Some(space) = self.root_memory_space(&tp.path.root) {
-                            let on_gpu = self.on_gpu();
-                            let bad = match &space {
-                                Memory::CpuMem => on_gpu,
-                                Memory::GpuGlobal | Memory::GpuShared => !on_gpu,
-                                Memory::Ident(_) => false,
-                            };
-                            if bad {
-                                let who = if on_gpu { "gpu.Thread" } else { "cpu.thread" };
-                                return Err(TypeError::new(
-                                    ErrorKind::WrongExecutionContext,
-                                    p.span,
-                                    format!("cannot dereference pointer in `{space}` memory"),
-                                )
-                                .with_help(format!("this code is executed by `{who}`")));
-                            }
+                            self.check_deref_context(&space, p.span)?;
                         }
                         return Ok(tp);
                     }
@@ -903,22 +876,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
                         format!("cannot dereference non-reference type `{}`", tp.ty),
                     ));
                 };
-                // Memory-space / execution-context check (paper §2.3).
-                let on_gpu = self.on_gpu();
-                let bad = match mem {
-                    Memory::CpuMem => on_gpu,
-                    Memory::GpuGlobal | Memory::GpuShared => !on_gpu,
-                    Memory::Ident(_) => false,
-                };
-                if bad {
-                    let who = if on_gpu { "gpu.Thread" } else { "cpu.thread" };
-                    return Err(TypeError::new(
-                        ErrorKind::WrongExecutionContext,
-                        p.span,
-                        format!("cannot dereference pointer in `{mem}` memory"),
-                    )
-                    .with_help(format!("this code is executed by `{who}`")));
-                }
+                self.check_deref_context(&mem, p.span)?;
                 tp.path.push(PathStep::Deref);
                 tp.ty = (*pointee).clone();
                 tp.writable = kind == RefKind::Uniq;
@@ -1191,6 +1149,28 @@ impl<'g, 'p> FnCx<'g, 'p> {
         }
         self.accesses.push((access, self.epoch));
         Ok(())
+    }
+
+    /// The memory-context rule (paper §2.3): a pointer into GPU memory
+    /// cannot be dereferenced on the CPU, nor a `cpu.mem` pointer on the
+    /// GPU.
+    fn check_deref_context(&self, mem: &Memory, span: Span) -> TResult<()> {
+        let on_gpu = self.on_gpu();
+        let bad = match mem {
+            Memory::CpuMem => on_gpu,
+            Memory::GpuGlobal | Memory::GpuShared => !on_gpu,
+            Memory::Ident(_) => false,
+        };
+        if !bad {
+            return Ok(());
+        }
+        let who = if on_gpu { "gpu.Thread" } else { "cpu.thread" };
+        Err(TypeError::new(
+            ErrorKind::WrongExecutionContext,
+            span,
+            format!("cannot dereference pointer in `{mem}` memory"),
+        )
+        .with_help(format!("this code is executed by `{who}`")))
     }
 
     /// The memory space the named root lives in, if any.
@@ -2068,13 +2048,13 @@ impl<'g, 'p> FnCx<'g, 'p> {
                             .map(|d| d.as_lit().expect("substituted dims are literal"))
                             .product();
                         if *mem == Memory::CpuMem {
-                            self.emit_host(HostStmt::AllocCpu {
+                            self.host.push(HostStmt::AllocCpu {
                                 name: name.to_string(),
                                 elem,
                                 len,
                             });
                         } else {
-                            self.emit_host(HostStmt::AllocGpu {
+                            self.host.push(HostStmt::AllocGpu {
                                 name: name.to_string(),
                                 elem,
                                 len,
@@ -2126,7 +2106,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     )
                 })?;
                 let (elem, _) = scalar_and_dims(inner, span)?;
-                self.emit_host(HostStmt::AllocGpuCopy {
+                self.host.push(HostStmt::AllocGpuCopy {
                     name: name.to_string(),
                     src,
                     elem,
@@ -2389,9 +2369,9 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     )
                 })?;
                 if name == builtins::COPY_MEM_TO_HOST {
-                    self.emit_host(HostStmt::CopyToHost { dst, src });
+                    self.host.push(HostStmt::CopyToHost { dst, src });
                 } else {
-                    self.emit_host(HostStmt::CopyToGpu { dst, src });
+                    self.host.push(HostStmt::CopyToGpu { dst, src });
                 }
                 Ok(())
             }
@@ -2511,7 +2491,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
         }
         // Instantiate (checks body once per distinct instantiation).
         let idx = self.gcx.instantiate_kernel(&fndef, &nat_vals, span)?;
-        self.emit_host(HostStmt::Launch {
+        self.host.push(HostStmt::Launch {
             kernel: idx,
             args: arg_names,
         });

@@ -42,6 +42,7 @@
 //!   mirroring `#pragma unroll` for such loops in CUDA practice.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builtins;
 mod check;

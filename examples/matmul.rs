@@ -9,7 +9,6 @@
 //! double-barrier pipeline pattern.
 
 use descend::benchmarks::{reference, sources};
-use descend::codegen::kernel_to_ir;
 use descend::compiler::Compiler;
 use descend::sim::{Gpu, LaunchConfig};
 
@@ -31,7 +30,7 @@ fn main() {
             .join("\n")
     );
 
-    let ir = kernel_to_ir(&compiled.kernels[0].mono).expect("lowers");
+    let ir = &compiled.kernels[0].ir;
     let a: Vec<f64> = (0..n * n).map(|i| ((i * 7) % 5) as f64).collect();
     let b: Vec<f64> = (0..n * n).map(|i| ((i * 3) % 4) as f64).collect();
     let mut gpu = Gpu::new();
@@ -43,7 +42,7 @@ fn main() {
         ..LaunchConfig::default()
     };
     let stats = gpu
-        .launch(&ir, [nb, nb, 1], [32, 32, 1], &[da, db, dc], &cfg)
+        .launch(ir, [nb, nb, 1], [32, 32, 1], &[da, db, dc], &cfg)
         .expect("matmul runs clean");
 
     let c = gpu.read_f64(dc);

@@ -9,7 +9,6 @@
 //! placement — all statically verified.
 
 use descend::benchmarks::{reference, sources};
-use descend::codegen::kernel_to_ir;
 use descend::compiler::Compiler;
 use descend::sim::{Gpu, LaunchConfig};
 
@@ -23,7 +22,7 @@ fn main() {
     let compiled = Compiler::new()
         .compile_source(&src)
         .unwrap_or_else(|e| panic!("compilation failed:\n{e}"));
-    let ir = kernel_to_ir(&compiled.kernels[0].mono).expect("lowers");
+    let ir = &compiled.kernels[0].ir;
 
     let data: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.5).collect();
     let mut gpu = Gpu::new();
@@ -34,7 +33,7 @@ fn main() {
         ..LaunchConfig::default()
     };
     let stats = gpu
-        .launch(&ir, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, out], &cfg)
+        .launch(ir, [nb as u64, 1, 1], [bs as u64, 1, 1], &[inp, out], &cfg)
         .expect("reduction runs clean");
 
     let sums = gpu.read_f64(out);

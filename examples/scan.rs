@@ -10,7 +10,6 @@
 //! measures both kernels together, as does the Figure 8 harness.
 
 use descend::benchmarks::{reference, sources};
-use descend::codegen::kernel_to_ir;
 use descend::compiler::Compiler;
 use descend::sim::{Gpu, LaunchConfig};
 
@@ -29,8 +28,8 @@ fn main() {
         .unwrap_or_else(|e| panic!("compilation failed:\n{e}"));
     assert_eq!(compiled.kernels.len(), 2);
 
-    let k1 = kernel_to_ir(&compiled.kernels[0].mono).expect("lowers");
-    let k2 = kernel_to_ir(&compiled.kernels[1].mono).expect("lowers");
+    let k1 = &compiled.kernels[0].ir;
+    let k2 = &compiled.kernels[1].ir;
 
     let data: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
     let mut gpu = Gpu::new();
@@ -41,7 +40,7 @@ fn main() {
         ..LaunchConfig::default()
     };
     let s1 = gpu
-        .launch(&k1, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, sums], &cfg)
+        .launch(k1, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, sums], &cfg)
         .expect("kernel 1 runs clean");
 
     // Host-side exclusive scan of the block sums.
@@ -52,7 +51,7 @@ fn main() {
     }
     let offs = gpu.alloc_f64(&offsets);
     let s2 = gpu
-        .launch(&k2, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, offs], &cfg)
+        .launch(k2, [nb as u64, 1, 1], [bs as u64, 1, 1], &[io, offs], &cfg)
         .expect("kernel 2 runs clean");
 
     let result = gpu.read_f64(io);

@@ -10,7 +10,6 @@
 //! come out of the reverse-order view lowering of the paper's Section 5.
 
 use descend::benchmarks::sources;
-use descend::codegen::kernel_to_ir;
 use descend::compiler::Compiler;
 use descend::sim::{Gpu, LaunchConfig};
 
@@ -26,7 +25,7 @@ fn main() {
     println!("=== Generated CUDA kernel ===\n{}", kernel.cuda());
 
     // Execute on the simulator with the dynamic race detector on.
-    let ir = kernel_to_ir(&kernel.mono).expect("lowers");
+    let ir = &kernel.ir;
     let mut gpu = Gpu::new();
     let data: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
     let inp = gpu.alloc_f64(&data);
@@ -37,7 +36,7 @@ fn main() {
     };
     let nb = (n / 32) as u64;
     let stats = gpu
-        .launch(&ir, [nb, nb, 1], [32, 8, 1], &[inp, out], &cfg)
+        .launch(ir, [nb, nb, 1], [32, 8, 1], &[inp, out], &cfg)
         .expect("statically safe kernels run clean");
     let result = gpu.read_f64(out);
     for r in 0..n {

@@ -113,9 +113,7 @@ fn translation_units_are_assembled_from_the_per_kernel_texts() {
                 .iter()
                 .map(|ck| ck.targets[name].clone())
                 .collect();
-            let assembled = be
-                .assemble_program(&compiled.checked, &texts)
-                .expect("assembles");
+            let assembled = be.assemble_program(&compiled.checked, &texts);
             assert_eq!(unit, &assembled, "{ctx}/{name}: unit != assemble_program");
         }
     }
