@@ -32,7 +32,7 @@ pub mod ty;
 pub use nat::Nat;
 pub use span::Span;
 pub use term::{
-    AtomicOp, Block, ConstDef, Expr, ExprKind, FnDef, Item, Lit, NatRange, PlaceExpr,
+    AtomicOp, Block, ConstDef, Expr, ExprKind, FnDef, Item, Lit, NatRange, NatValues, PlaceExpr,
     PlaceExprKind, Program, Stmt, StmtKind, ViewApp, ViewDef,
 };
 pub use ty::{

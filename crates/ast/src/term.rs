@@ -296,53 +296,101 @@ pub enum NatRange {
 }
 
 impl NatRange {
-    /// Expands the range to concrete values.
+    /// The range's values, produced lazily: the bounds are evaluated and
+    /// validated here, but no value is materialized, so the trip count
+    /// ([`ExactSizeIterator::len`]) of even a huge range is known before
+    /// anything iterates it.
     ///
     /// # Errors
     ///
     /// Returns the nat evaluation error if bounds are not closed under
     /// `env`, or a descriptive message for invalid ranges.
-    pub fn values(&self, env: &dyn Fn(&str) -> Option<u64>) -> Result<Vec<u64>, String> {
+    pub fn values(&self, env: &dyn Fn(&str) -> Option<u64>) -> Result<NatValues, String> {
+        let eval = |n: &Nat| n.eval(env).map_err(|e| e.to_string());
         match self {
             NatRange::Range { lo, hi } => {
-                let lo = lo.eval(env).map_err(|e| e.to_string())?;
-                let hi = hi.eval(env).map_err(|e| e.to_string())?;
+                let (lo, hi) = (eval(lo)?, eval(hi)?);
                 if lo > hi {
                     return Err(format!("invalid range [{lo}..{hi}]"));
                 }
-                Ok((lo..hi).collect())
+                Ok(NatValues {
+                    next: lo,
+                    remaining: hi - lo,
+                    step: NatStep::Inc,
+                })
             }
             NatRange::Halving { from } => {
-                let mut v = from.eval(env).map_err(|e| e.to_string())?;
+                let v = eval(from)?;
                 if v == 0 || !v.is_power_of_two() {
                     return Err(format!("halving({v}) requires a power of two"));
                 }
-                let mut out = Vec::new();
-                while v >= 1 {
-                    out.push(v);
-                    if v == 1 {
-                        break;
-                    }
-                    v /= 2;
-                }
-                Ok(out)
+                Ok(NatValues {
+                    next: v,
+                    remaining: u64::from(v.trailing_zeros()) + 1,
+                    step: NatStep::Halve,
+                })
             }
             NatRange::Doubling { from, limit } => {
-                let mut v = from.eval(env).map_err(|e| e.to_string())?;
-                let limit = limit.eval(env).map_err(|e| e.to_string())?;
+                let (v, limit) = (eval(from)?, eval(limit)?);
                 if v == 0 {
                     return Err("doubling(0, ..) is invalid".to_string());
                 }
-                let mut out = Vec::new();
-                while v < limit {
-                    out.push(v);
-                    v *= 2;
+                let mut remaining = 0;
+                let mut x = Some(v);
+                while let Some(y) = x.filter(|y| *y < limit) {
+                    remaining += 1;
+                    x = y.checked_mul(2);
                 }
-                Ok(out)
+                Ok(NatValues {
+                    next: v,
+                    remaining,
+                    step: NatStep::Double,
+                })
             }
         }
     }
 }
+
+/// The values of a [`NatRange`], in loop order (see
+/// [`NatRange::values`]).
+#[derive(Clone, Debug)]
+pub struct NatValues {
+    next: u64,
+    remaining: u64,
+    step: NatStep,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum NatStep {
+    Inc,
+    Halve,
+    Double,
+}
+
+impl Iterator for NatValues {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let v = self.next;
+        self.next = match self.step {
+            NatStep::Inc => v.saturating_add(1),
+            NatStep::Halve => v / 2,
+            NatStep::Double => v.saturating_mul(2),
+        };
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for NatValues {}
 
 /// An expression with type-relevant source span.
 #[derive(Clone, Debug, PartialEq)]
@@ -694,7 +742,10 @@ mod tests {
             lo: Nat::lit(0),
             hi: Nat::lit(4),
         };
-        assert_eq!(r.values(&|_| None).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            r.values(&|_| None).unwrap().collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]
@@ -704,7 +755,9 @@ mod tests {
             hi: Nat::var("n") / Nat::lit(2),
         };
         assert_eq!(
-            r.values(&|x| (x == "n").then_some(8)).unwrap(),
+            r.values(&|x| (x == "n").then_some(8))
+                .unwrap()
+                .collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
     }
@@ -712,7 +765,10 @@ mod tests {
     #[test]
     fn halving_expansion() {
         let r = NatRange::Halving { from: Nat::lit(8) };
-        assert_eq!(r.values(&|_| None).unwrap(), vec![8, 4, 2, 1]);
+        assert_eq!(
+            r.values(&|_| None).unwrap().collect::<Vec<_>>(),
+            vec![8, 4, 2, 1]
+        );
     }
 
     #[test]
@@ -727,7 +783,10 @@ mod tests {
             from: Nat::lit(1),
             limit: Nat::lit(16),
         };
-        assert_eq!(r.values(&|_| None).unwrap(), vec![1, 2, 4, 8]);
+        assert_eq!(
+            r.values(&|_| None).unwrap().collect::<Vec<_>>(),
+            vec![1, 2, 4, 8]
+        );
     }
 
     #[test]
@@ -736,7 +795,10 @@ mod tests {
             lo: Nat::lit(3),
             hi: Nat::lit(3),
         };
-        assert_eq!(r.values(&|_| None).unwrap(), Vec::<u64>::new());
+        assert_eq!(
+            r.values(&|_| None).unwrap().collect::<Vec<_>>(),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]
@@ -746,6 +808,25 @@ mod tests {
             hi: Nat::lit(3),
         };
         assert!(r.values(&|_| None).is_err());
+    }
+
+    #[test]
+    fn huge_range_is_lazy() {
+        let r = NatRange::Range {
+            lo: Nat::lit(0),
+            hi: Nat::lit(2_000_000_000),
+        };
+        let mut values = r.values(&|_| None).unwrap();
+        assert_eq!(values.len(), 2_000_000_000);
+        assert_eq!(values.by_ref().take(3).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(values.len(), 1_999_999_997);
+        let r = NatRange::Doubling {
+            from: Nat::lit(1 << 62),
+            limit: Nat::lit(u64::MAX),
+        };
+        let values = r.values(&|_| None).unwrap();
+        assert_eq!(values.len(), 2);
+        assert_eq!(values.collect::<Vec<_>>(), vec![1 << 62, 1 << 63]);
     }
 
     #[test]

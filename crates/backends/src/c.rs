@@ -525,7 +525,8 @@ fn dispatcher(checked: &CheckedProgram) -> String {
 
 /// The phase-fissioning layout: split conditions become a condition
 /// stack, every `sync` and shuffle staging point ends the current
-/// all-threads loop, and locals are hoisted per-thread arrays `x[__t]`.
+/// all-threads loop, locals are hoisted per-thread arrays `x[__t]`, and
+/// a rolled loop stays inside the thread loop of its phase.
 #[derive(Default)]
 struct Phased {
     /// The active split-condition stack.
@@ -543,6 +544,9 @@ struct Phased {
     staged: Vec<(String, ScalarKind)>,
     /// The statement being rendered (reused).
     stmt: String,
+    /// Rolled loops open around the current statement. A rolled body
+    /// holds no barrier or shuffle, so a loop never spans phases.
+    loops: usize,
 }
 
 impl Phased {
@@ -559,7 +563,7 @@ impl Phased {
             self.open.clone_from(&self.conds);
         }
         for line in text.lines() {
-            indent(&mut self.phase, 3 + self.open.len());
+            indent(&mut self.phase, 3 + self.open.len() + self.loops);
             self.phase.push_str(line);
             self.phase.push('\n');
         }
@@ -736,5 +740,15 @@ impl Layout for Phased {
         self.break_phase();
         self.staged.push((arr.clone(), elem));
         arr
+    }
+
+    fn loop_begin(&mut self, header: &str) {
+        self.push_stmt(header);
+        self.loops += 1;
+    }
+
+    fn loop_end(&mut self) {
+        self.loops -= 1;
+        self.push_stmt("}");
     }
 }

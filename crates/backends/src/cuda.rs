@@ -89,6 +89,12 @@ impl KernelBackend for CudaBackend {
         format!("{} {name} = {init};", self.scalar_type(elem))
     }
 
+    fn for_loop(&self, var: &str, lo: u64, hi: u64) -> String {
+        // Unrolled by nvcc, as the simulator (which runs the unrolled
+        // copies) models it.
+        format!("#pragma unroll\nfor (int {var} = {lo}; {var} < {hi}; {var}++) {{")
+    }
+
     fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
         let mut out = String::new();
         let _ = write!(out, "__global__ void {}(", k.name);

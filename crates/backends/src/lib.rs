@@ -26,7 +26,8 @@
 //! ([`KernelBackend::builtin`]), literal formats
 //! ([`KernelBackend::literal`]), local-declaration shape
 //! ([`KernelBackend::local_decl`]), the barrier statement
-//! ([`KernelBackend::barrier`]), atomic RMW calls
+//! ([`KernelBackend::barrier`]), the header of a rolled for-nat loop
+//! ([`KernelBackend::for_loop`]), atomic RMW calls
 //! ([`KernelBackend::atomic_rmw`] — CUDA `atomicAdd(&p, v)`, OpenCL
 //! `atomic_add((volatile __global int*)&p, v)` plus f32 CAS-loop
 //! helpers, WGSL `atomicAdd` on `array<atomic<T>>` with
@@ -41,8 +42,9 @@
 //! Every kernel body, for all four targets, renders through one walker
 //! in [`shared`] (statement and expression text, local renaming,
 //! atomics, split conditions) into a *layout* that only decides
-//! placement: in place with `if`/`else` and barriers for CUDA, OpenCL
-//! and WGSL, one thread loop per barrier phase for C. And, crucially,
+//! placement: in place with `if`/`else`, loops and barriers for CUDA,
+//! OpenCL and WGSL, one thread loop per barrier phase for C. And,
+//! crucially,
 //! every memory-access index is built by
 //! [`descend_codegen::ir_gen::access_index_expr`], the one function the
 //! simulator IR ([`descend_codegen::kernel_to_ir`]) is lowered with, and
@@ -87,7 +89,10 @@ pub mod wgsl;
 pub use c::CBackend;
 pub use cuda::CudaBackend;
 pub use opencl::OpenClBackend;
-pub use shared::{atomic_targets, for_each_stmt, ir_index_exprs, render_ir_expr, Builtin};
+pub use shared::{
+    atomic_targets, emitted_index, for_each_stmt, ir_index_exprs, render_ir_expr, Builtin,
+    IndexNames,
+};
 pub use wgsl::WgslBackend;
 
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -203,6 +208,15 @@ pub trait KernelBackend {
     /// bounds check.
     fn scatter_index_use(&self, name: &str) -> String {
         name.to_string()
+    }
+
+    /// The header of a rolled for-nat loop over `var` in `lo..hi`,
+    /// without indentation, its last line ending in the opening brace
+    /// the layout closes (default: the C-like
+    /// `for (int k = lo; k < hi; k++) {`). Inside the loop, indices
+    /// print `var` where the loop variable selects.
+    fn for_loop(&self, var: &str, lo: u64, hi: u64) -> String {
+        format!("for (int {var} = {lo}; {var} < {hi}; {var}++) {{")
     }
 
     /// Renders `call` so it runs only where `cond` holds, without

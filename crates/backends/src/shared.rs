@@ -18,6 +18,7 @@ use descend_ast::ty::DimCompo;
 use descend_codegen::ir_gen::access_index_expr;
 use descend_codegen::CodegenError;
 use descend_exec::Space;
+use descend_places::DYN_IDX;
 use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::{Axis, Expr, KernelIr, Stmt};
 use std::collections::{HashMap, HashSet};
@@ -44,16 +45,20 @@ pub fn indent(out: &mut String, level: usize) {
 }
 
 /// Visits every statement of an elaborated body in syntactic order,
-/// recursing into both branches of splits — the one tree walk every
-/// whole-body query (atomic targets, scalar-kind scans, backend-specific
-/// feature detection) shares, so adding a nesting statement kind means
-/// updating exactly this function.
+/// recursing into both branches of splits and into rolled loop bodies —
+/// the one tree walk every whole-body query (atomic targets, scalar-kind
+/// scans, backend-specific feature detection) shares, so adding a
+/// nesting statement kind means updating exactly this function.
 pub fn for_each_stmt<'a>(body: &'a [ElabStmt], f: &mut dyn FnMut(&'a ElabStmt)) {
     for s in body {
         f(s);
-        if let ElabStmt::Split { fst, snd, .. } = s {
-            for_each_stmt(fst, f);
-            for_each_stmt(snd, f);
+        match s {
+            ElabStmt::Split { fst, snd, .. } => {
+                for_each_stmt(fst, f);
+                for_each_stmt(snd, f);
+            }
+            ElabStmt::ForNat { body, .. } => for_each_stmt(body, f),
+            _ => {}
         }
     }
 }
@@ -83,7 +88,7 @@ pub fn for_each_expr<'a>(body: &'a [ElabStmt], f: &mut dyn FnMut(&'a ElabExpr)) 
             }
             walk(value, f);
         }
-        ElabStmt::Split { .. } | ElabStmt::Sync | ElabStmt::Src(_) => {}
+        ElabStmt::Split { .. } | ElabStmt::ForNat { .. } | ElabStmt::Sync | ElabStmt::Src(_) => {}
     });
 }
 
@@ -123,7 +128,7 @@ pub fn atomic_targets(k: &MonoKernel) -> HashSet<MemKind> {
 fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKernel) -> String {
     let expr = descend_codegen::ir_gen::space_coord_expr(space, dim);
     let mut out = String::new();
-    render_ir_expr(be, &expr, k, None, &mut out);
+    render_ir_expr(be, &expr, k, IndexNames::default(), &mut out);
     out
 }
 
@@ -181,17 +186,39 @@ fn ir_binop(op: gpu_sim::ir::BinOp) -> &'static str {
     }
 }
 
+/// How the `Local` slots of an emitted index expression are spelled
+/// (see [`emitted_index`]): slot `i` is the variable of the `i`-th
+/// enclosing rolled loop, outermost first, and slot `loops.len()` an
+/// atomic scatter's index temporary. Any other slot — only hand-built
+/// IR has one — prints as `l<i>`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IndexNames<'a> {
+    /// The enclosing rolled loops' variables, outermost first.
+    pub loops: &'a [&'a str],
+    /// The scatter-index temporary's spelling at its use.
+    pub scatter: Option<&'a str>,
+}
+
+impl IndexNames<'_> {
+    fn local(&self, slot: usize) -> Option<&str> {
+        match self.loops.get(slot) {
+            Some(name) => Some(name),
+            None if slot == self.loops.len() => self.scatter,
+            None => None,
+        }
+    }
+}
+
 /// Renders an IR expression with the backend's coordinate and buffer
 /// spellings. Used for the index expressions, so every target's text
-/// matches the simulated lowering exactly. The only `Local` an emitter
-/// ever prints this way is the temporary an atomic scatter bound its
-/// runtime index to; `scatter_tmp` is that temporary's spelling
-/// (hand-built IR rendered without one falls back to `l<i>`).
+/// matches the simulated lowering exactly; `names` spells the `Local`
+/// slots an emitted index carries (rolled loop variables, a scatter
+/// temporary).
 pub fn render_ir_expr(
     be: &dyn KernelBackend,
     e: &Expr,
     k: &MonoKernel,
-    scatter_tmp: Option<&str>,
+    names: IndexNames<'_>,
     out: &mut String,
 ) {
     match e {
@@ -208,7 +235,7 @@ pub fn render_ir_expr(
         Expr::ThreadIdx(a) => out.push_str(&be.builtin(Builtin::ThreadIdx, *a)),
         Expr::BlockDim(a) => out.push_str(&be.builtin(Builtin::BlockDim, *a)),
         Expr::GridDim(a) => out.push_str(&be.builtin(Builtin::GridDim, *a)),
-        Expr::Local(i) => match scatter_tmp {
+        Expr::Local(i) => match names.local(*i) {
             Some(n) => out.push_str(n),
             None => {
                 let _ = write!(out, "l{i}");
@@ -216,26 +243,26 @@ pub fn render_ir_expr(
         },
         Expr::LoadGlobal { buf, idx } => {
             let _ = write!(out, "{}[", k.params[*buf].name);
-            render_ir_expr(be, idx, k, scatter_tmp, out);
+            render_ir_expr(be, idx, k, names, out);
             out.push(']');
         }
         Expr::LoadShared { buf, idx } => {
             let _ = write!(out, "{}[", k.shared[*buf].name);
-            render_ir_expr(be, idx, k, scatter_tmp, out);
+            render_ir_expr(be, idx, k, names, out);
             out.push(']');
         }
         Expr::Bin(op @ (gpu_sim::ir::BinOp::Min | gpu_sim::ir::BinOp::Max), a, b) => {
             let _ = write!(out, "{}(", ir_binop(*op));
-            render_ir_expr(be, a, k, scatter_tmp, out);
+            render_ir_expr(be, a, k, names, out);
             out.push_str(", ");
-            render_ir_expr(be, b, k, scatter_tmp, out);
+            render_ir_expr(be, b, k, names, out);
             out.push(')');
         }
         Expr::Bin(op, a, b) => {
             out.push('(');
-            render_ir_expr(be, a, k, scatter_tmp, out);
+            render_ir_expr(be, a, k, names, out);
             let _ = write!(out, " {} ", ir_binop(*op));
-            render_ir_expr(be, b, k, scatter_tmp, out);
+            render_ir_expr(be, b, k, names, out);
             out.push(')');
         }
         Expr::Un(op, a) => {
@@ -244,10 +271,31 @@ pub fn render_ir_expr(
                 gpu_sim::ir::UnOp::Not => "!",
             });
             out.push('(');
-            render_ir_expr(be, a, k, scatter_tmp, out);
+            render_ir_expr(be, a, k, names, out);
             out.push(')');
         }
     }
+}
+
+/// The index of an access as the emitters print it: [`access_index_expr`]
+/// with the variable of the `i`-th enclosing rolled loop (`loops`,
+/// outermost first) as `Local(i)` and, for an atomic scatter, the
+/// runtime index as `Local(loops.len())` — the slots [`IndexNames`]
+/// spells. The rolled loop variables reach the index the way the
+/// scatter temporary does, so the text and the simulator IR still share
+/// one lowering.
+///
+/// # Errors
+///
+/// Propagates lowering failures (see [`CodegenError`]).
+pub fn emitted_index(a: &ElabAccess, loops: &[&str], scatter: bool) -> Result<Expr, CodegenError> {
+    access_index_expr(a, &[], &|x| {
+        if x == DYN_IDX {
+            scatter.then_some(Expr::Local(loops.len()))
+        } else {
+            loops.iter().position(|l| *l == x).map(Expr::Local)
+        }
+    })
 }
 
 /// The declared name of the buffer an access targets.
@@ -259,7 +307,7 @@ fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
 }
 
 /// Renders a statically addressed access as `buffer[index]`:
-/// [`access_index_expr`] printed by [`render_ir_expr`].
+/// [`emitted_index`] printed by [`render_ir_expr`].
 ///
 /// # Errors
 ///
@@ -268,18 +316,23 @@ fn render_access(
     be: &dyn KernelBackend,
     k: &MonoKernel,
     a: &ElabAccess,
+    loops: &[&str],
     out: &mut String,
 ) -> Result<(), CodegenError> {
     let _ = write!(out, "{}[", buffer_name(k, a.mem));
-    render_ir_expr(be, &access_index_expr(a, None)?, k, None, out);
+    let names = IndexNames {
+        loops,
+        scatter: None,
+    };
+    render_ir_expr(be, &emitted_index(a, loops, false)?, k, names, out);
     out.push(']');
     Ok(())
 }
 
 /// The target of an atomic scatter whose runtime index was bound to the
 /// temporary `tmp`: the rendered element index (the same
-/// [`access_index_expr`], with the temporary in the runtime index's
-/// place) and the element count it must be guarded against.
+/// [`emitted_index`], with the temporary in the runtime index's place)
+/// and the element count it must be guarded against.
 ///
 /// # Errors
 ///
@@ -289,12 +342,17 @@ fn scatter_index(
     be: &dyn KernelBackend,
     k: &MonoKernel,
     a: &ElabAccess,
+    loops: &[&str],
     tmp: &str,
 ) -> Result<(String, u64), CodegenError> {
     let tmp_use = be.scatter_index_use(tmp);
     let mut text = String::new();
-    let idx = access_index_expr(a, Some(&Expr::Local(0)))?;
-    render_ir_expr(be, &idx, k, Some(&tmp_use), &mut text);
+    let idx = emitted_index(a, loops, true)?;
+    let names = IndexNames {
+        loops,
+        scatter: Some(&tmp_use),
+    };
+    render_ir_expr(be, &idx, k, names, &mut text);
     let mut len = 1u64;
     for d in &a.root_dims {
         len *= d.as_lit().ok_or_else(|| {
@@ -357,6 +415,11 @@ pub(crate) trait Layout {
     /// The operand to hand [`KernelBackend::shuffle`] for the rendered
     /// value `operand` of kind `elem`.
     fn shuffle(&mut self, operand: String, elem: ScalarKind) -> String;
+    /// Opens a rolled loop whose header [`KernelBackend::for_loop`]
+    /// spelled (one or more lines, the last ending in `{`).
+    fn loop_begin(&mut self, header: &str);
+    /// Closes the loop [`Layout::loop_begin`] opened.
+    fn loop_end(&mut self);
 }
 
 /// The in-place layout: statements at their nesting depth, splits as
@@ -424,6 +487,21 @@ impl Layout for Nested {
     fn shuffle(&mut self, operand: String, _elem: ScalarKind) -> String {
         operand
     }
+
+    fn loop_begin(&mut self, header: &str) {
+        for line in header.lines() {
+            indent(&mut self.out, self.level);
+            self.out.push_str(line);
+            self.out.push('\n');
+        }
+        self.level += 1;
+    }
+
+    fn loop_end(&mut self) {
+        self.level -= 1;
+        indent(&mut self.out, self.level);
+        self.out.push_str("}\n");
+    }
 }
 
 /// Renders an elaborated kernel body into a layout and returns it.
@@ -444,6 +522,7 @@ pub(crate) fn render_body<L: Layout>(
         decl_counter: 0,
         atomic_bufs: atomic_targets(kernel),
         scatter_counter: 0,
+        loops: Vec::new(),
     };
     cx.stmts(&kernel.body)?;
     Ok(cx.layout)
@@ -468,9 +547,12 @@ struct BodyCx<'a, L> {
     /// Counter for emitted scatter-index temporaries (`descend_idx_<n>`;
     /// text-only locals the IR does not have).
     scatter_counter: usize,
+    /// The variables of the rolled loops being rendered, outermost
+    /// first.
+    loops: Vec<&'a str>,
 }
 
-impl<L: Layout> BodyCx<'_, L> {
+impl<'a, L: Layout> BodyCx<'a, L> {
     fn local(&self, name: &str) -> Result<&str, CodegenError> {
         self.local_names
             .get(name)
@@ -484,7 +566,7 @@ impl<L: Layout> BodyCx<'_, L> {
             ElabExpr::Local(name) => out.push_str(self.local(name)?),
             ElabExpr::Load(a) => {
                 let mut text = String::new();
-                render_access(self.be, self.kernel, a, &mut text)?;
+                render_access(self.be, self.kernel, a, &self.loops, &mut text)?;
                 if self.atomic_bufs.contains(&a.mem) {
                     text = self.be.atomic_buffer_load(a.elem, text);
                 }
@@ -542,7 +624,7 @@ impl<L: Layout> BodyCx<'_, L> {
         }
     }
 
-    fn stmts(&mut self, body: &[ElabStmt]) -> Result<(), CodegenError> {
+    fn stmts(&mut self, body: &'a [ElabStmt]) -> Result<(), CodegenError> {
         for s in body {
             match s {
                 ElabStmt::Local { name, elem, init } => {
@@ -580,14 +662,14 @@ impl<L: Layout> BodyCx<'_, L> {
                     let value_text = self.be.store_conversion(access.elem, value_text);
                     if self.atomic_bufs.contains(&access.mem) {
                         let mut target = String::new();
-                        render_access(self.be, self.kernel, access, &mut target)?;
+                        render_access(self.be, self.kernel, access, &self.loops, &mut target)?;
                         out.push_str(&self.be.atomic_buffer_store(
                             access.elem,
                             &target,
                             &value_text,
                         ));
                     } else {
-                        render_access(self.be, self.kernel, access, &mut out)?;
+                        render_access(self.be, self.kernel, access, &self.loops, &mut out)?;
                         out.push_str(" = ");
                         out.push_str(&value_text);
                         out.push(';');
@@ -626,7 +708,7 @@ impl<L: Layout> BodyCx<'_, L> {
                             // node-for-node the simulator IR's, rendered
                             // with this backend's spellings.
                             let mut target = String::new();
-                            render_access(self.be, self.kernel, access, &mut target)?;
+                            render_access(self.be, self.kernel, access, &self.loops, &mut target)?;
                             out.push_str(&self.be.atomic_rmw(
                                 *op,
                                 access.elem,
@@ -654,7 +736,7 @@ impl<L: Layout> BodyCx<'_, L> {
                             self.layout.end(out);
                             out = self.layout.begin();
                             let (idx_text, total) =
-                                scatter_index(self.be, self.kernel, access, &tmp)?;
+                                scatter_index(self.be, self.kernel, access, &self.loops, &tmp)?;
                             let target =
                                 format!("{}[{idx_text}]", buffer_name(self.kernel, access.mem));
                             let call =
@@ -665,6 +747,13 @@ impl<L: Layout> BodyCx<'_, L> {
                         }
                     }
                     self.layout.end(out);
+                }
+                ElabStmt::ForNat { var, lo, hi, body } => {
+                    self.layout.loop_begin(&self.be.for_loop(var, *lo, *hi));
+                    self.loops.push(var);
+                    self.stmts(body)?;
+                    self.loops.pop();
+                    self.layout.loop_end();
                 }
                 ElabStmt::Sync => self.layout.sync(self.be),
                 // Source markers carry trace attribution only; emitted

@@ -165,6 +165,12 @@ impl KernelBackend for WgslBackend {
         format!("u32({name})")
     }
 
+    fn for_loop(&self, var: &str, lo: u64, hi: u64) -> String {
+        // `u32`, the type of the coordinate builtins the loop variable
+        // combines with in index arithmetic (no implicit conversions).
+        format!("for (var {var}: u32 = {lo}u; {var} < {hi}u; {var}++) {{")
+    }
+
     fn atomic_buffer_load(&self, elem: ScalarKind, text: String) -> String {
         if elem == ScalarKind::F32 || elem == ScalarKind::F64 {
             format!("bitcast<f32>(atomicLoad(&{text}))")

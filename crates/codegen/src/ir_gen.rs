@@ -3,7 +3,7 @@
 use descend_ast::term::{AtomicOp as AstAtomicOp, BinOp as AstBinOp, ShflKind, UnOp as AstUnOp};
 use descend_ast::ty::DimCompo;
 use descend_exec::{Space, WARP_SIZE};
-use descend_places::{lower_scalar_access, Coord, IdxExpr, DYN_IDX};
+use descend_places::{lower_scalar_access_at, Coord, IdxExpr, DYN_IDX};
 use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::{
     AtomicOp, Axis, BinOp, ElemTy, Expr, KernelIr, ParamDecl, SharedDecl, ShflOp, Stmt, UnOp,
@@ -19,7 +19,7 @@ pub enum CodegenError {
     Lowering(String),
     /// An unresolved local variable.
     UnknownLocal(String),
-    /// A loop variable survived unrolling (should not happen).
+    /// An index variable no binding covers (should not happen).
     ResidualVar(String),
 }
 
@@ -29,7 +29,7 @@ impl fmt::Display for CodegenError {
             CodegenError::Lowering(m) => write!(f, "cannot lower access: {m}"),
             CodegenError::UnknownLocal(n) => write!(f, "unknown local `{n}`"),
             CodegenError::ResidualVar(n) => {
-                write!(f, "nat variable `{n}` survived unrolling")
+                write!(f, "index variable `{n}` is unbound")
             }
         }
     }
@@ -105,29 +105,38 @@ pub fn space_coord_expr(space: Space, dim: DimCompo) -> Expr {
 /// backend calls it for the text it prints — so the simulator and all
 /// emitted targets share one lowering by construction.
 ///
-/// `dyn_index` is the runtime index of an atomic scatter, spliced in
-/// place of the [`DYN_IDX`] sentinel (the kernel lowering passes the
-/// lowered index value, the emitters the temporary they bound it to);
-/// `None` for every statically addressed access.
+/// The index variables an access may contain are bound two ways:
+///
+/// - `iteration` binds the variables of the rolled loops around the
+///   access to the iteration being lowered (the kernel lowering, which
+///   unrolls). They are substituted into the path's nats *before*
+///   lowering, so each copy's index is exactly the one the iteration's
+///   own elaboration yields.
+/// - `var` spells every other variable as an expression spliced in
+///   after lowering: the runtime index of an atomic scatter in place of
+///   the [`DYN_IDX`] sentinel (the kernel lowering passes the lowered
+///   index value, the emitters the temporary they bound it to), and, in
+///   emitted text, the rolled loops' variables.
 ///
 /// # Errors
 ///
 /// [`CodegenError::Lowering`] when the path cannot be flattened,
-/// [`CodegenError::ResidualVar`] when an index variable other than a
-/// supplied scatter index survives.
-pub fn access_index_expr(a: &ElabAccess, dyn_index: Option<&Expr>) -> Result<Expr, CodegenError> {
-    let idx = lower_scalar_access(&a.path, &a.root_dims)
+/// [`CodegenError::ResidualVar`] when an index variable survives that
+/// neither binds.
+pub fn access_index_expr(
+    a: &ElabAccess,
+    iteration: &[(&str, u64)],
+    var: &dyn Fn(&str) -> Option<Expr>,
+) -> Result<Expr, CodegenError> {
+    let idx = lower_scalar_access_at(&a.path, &a.root_dims, iteration)
         .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-    idx_to_expr(&idx, dyn_index)
+    idx_to_expr(&idx, var)
 }
 
-fn idx_to_expr(idx: &IdxExpr, dyn_index: Option<&Expr>) -> Result<Expr, CodegenError> {
+fn idx_to_expr(idx: &IdxExpr, var: &dyn Fn(&str) -> Option<Expr>) -> Result<Expr, CodegenError> {
     Ok(match idx {
         IdxExpr::Const(v) => Expr::LitI(*v as i64),
-        IdxExpr::Var(x) => match dyn_index {
-            Some(e) if x == DYN_IDX => e.clone(),
-            _ => return Err(CodegenError::ResidualVar(x.clone())),
-        },
+        IdxExpr::Var(x) => var(x).ok_or_else(|| CodegenError::ResidualVar(x.clone()))?,
         IdxExpr::Coord(Coord { space, dim, offset }) => {
             let base = space_coord_expr(*space, *dim);
             match offset.as_lit() {
@@ -140,9 +149,9 @@ fn idx_to_expr(idx: &IdxExpr, dyn_index: Option<&Expr>) -> Result<Expr, CodegenE
                 }
             }
         }
-        IdxExpr::Add(a, b) => Expr::add(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
-        IdxExpr::Sub(a, b) => Expr::sub(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
-        IdxExpr::Mul(a, b) => Expr::mul(idx_to_expr(a, dyn_index)?, idx_to_expr(b, dyn_index)?),
+        IdxExpr::Add(a, b) => Expr::add(idx_to_expr(a, var)?, idx_to_expr(b, var)?),
+        IdxExpr::Sub(a, b) => Expr::sub(idx_to_expr(a, var)?, idx_to_expr(b, var)?),
+        IdxExpr::Mul(a, b) => Expr::mul(idx_to_expr(a, var)?, idx_to_expr(b, var)?),
     })
 }
 
@@ -171,15 +180,26 @@ fn un_op(op: AstUnOp) -> UnOp {
     }
 }
 
-struct LowerCx {
+struct LowerCx<'k> {
     /// Live name -> local slot (rebinding allocates a fresh slot).
     locals: HashMap<String, usize>,
     /// The one slot counter: named locals and shuffle temporaries both
     /// take the next slot, in lowering order.
     next_slot: usize,
+    /// The iteration being lowered of each enclosing rolled loop,
+    /// outermost first.
+    iteration: Vec<(&'k str, u64)>,
 }
 
-impl LowerCx {
+impl<'k> LowerCx<'k> {
+    /// The index of an access in the iteration being lowered, with an
+    /// atomic scatter's lowered runtime index spliced in.
+    fn index(&self, a: &ElabAccess, scatter: Option<&Expr>) -> Result<Expr, CodegenError> {
+        access_index_expr(a, &self.iteration, &|x| {
+            scatter.filter(|_| x == DYN_IDX).cloned()
+        })
+    }
+
     fn fresh_slot(&mut self) -> usize {
         let slot = self.next_slot;
         self.next_slot += 1;
@@ -206,7 +226,7 @@ impl LowerCx {
             },
             ElabExpr::Local(name) => Expr::Local(self.slot_of(name)?),
             ElabExpr::Load(access) => {
-                let idx = Box::new(access_index_expr(access, None)?);
+                let idx = Box::new(self.index(access, None)?);
                 match access.mem {
                     MemKind::GlobalParam(i) => Expr::LoadGlobal { buf: i, idx },
                     MemKind::Shared(i) => Expr::LoadShared { buf: i, idx },
@@ -230,23 +250,35 @@ impl LowerCx {
         })
     }
 
-    fn stmts(&mut self, body: &[ElabStmt]) -> Result<Vec<Stmt>, CodegenError> {
+    fn stmts(&mut self, body: &'k [ElabStmt]) -> Result<Vec<Stmt>, CodegenError> {
         let mut out = Vec::new();
+        self.stmts_into(body, &mut out)?;
+        Ok(out)
+    }
+
+    /// Lowers `body` onto the end of `out`. A rolled loop is unrolled
+    /// here, one copy of its body per iteration: the one place the
+    /// simulator's straight-line form is produced.
+    fn stmts_into(
+        &mut self,
+        body: &'k [ElabStmt],
+        out: &mut Vec<Stmt>,
+    ) -> Result<(), CodegenError> {
         for s in body {
             match s {
                 ElabStmt::Local { name, init, .. } => {
-                    let init = self.expr_in(init, &mut out)?;
+                    let init = self.expr_in(init, out)?;
                     let slot = self.fresh_slot();
                     self.locals.insert(name.clone(), slot);
                     out.push(Stmt::SetLocal(slot, init));
                 }
                 ElabStmt::AssignLocal { name, value } => {
-                    let value = self.expr_in(value, &mut out)?;
+                    let value = self.expr_in(value, out)?;
                     out.push(Stmt::SetLocal(self.slot_of(name)?, value));
                 }
                 ElabStmt::Store { access, value } => {
-                    let value = self.expr_in(value, &mut out)?;
-                    let idx = access_index_expr(access, None)?;
+                    let value = self.expr_in(value, out)?;
+                    let idx = self.index(access, None)?;
                     out.push(match access.mem {
                         MemKind::GlobalParam(i) => Stmt::StoreGlobal { buf: i, idx, value },
                         MemKind::Shared(i) => Stmt::StoreShared { buf: i, idx, value },
@@ -275,12 +307,12 @@ impl LowerCx {
                     index,
                     value,
                 } => {
-                    let value = self.expr_in(value, &mut out)?;
+                    let value = self.expr_in(value, out)?;
                     let index = match index {
-                        Some(ie) => Some(self.expr_in(ie, &mut out)?),
+                        Some(ie) => Some(self.expr_in(ie, out)?),
                         None => None,
                     };
-                    let idx = access_index_expr(access, index.as_ref())?;
+                    let idx = self.index(access, index.as_ref())?;
                     let op = atomic_op(*op);
                     out.push(match access.mem {
                         MemKind::GlobalParam(i) => Stmt::AtomicGlobal {
@@ -297,6 +329,13 @@ impl LowerCx {
                         },
                     });
                 }
+                ElabStmt::ForNat { var, lo, hi, body } => {
+                    for v in *lo..*hi {
+                        self.iteration.push((var, v));
+                        self.stmts_into(body, out)?;
+                        self.iteration.pop();
+                    }
+                }
                 ElabStmt::Sync => out.push(Stmt::Barrier),
                 ElabStmt::Src(span) => out.push(Stmt::Src(descend_trace::SrcSpan {
                     start: span.start,
@@ -304,7 +343,7 @@ impl LowerCx {
                 })),
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -318,6 +357,7 @@ pub fn kernel_to_ir(k: &MonoKernel) -> Result<KernelIr, CodegenError> {
     let mut cx = LowerCx {
         locals: HashMap::new(),
         next_slot: 0,
+        iteration: Vec::new(),
     };
     let body = cx.stmts(&k.body)?;
     Ok(KernelIr {

@@ -762,16 +762,24 @@ mod tests {
     }
 
     /// Hostile request lines are answered in band and the connection —
-    /// with its warm session — keeps serving.
+    /// with its warm session — keeps serving. A for-nat loop of two
+    /// billion iterations is rejected at loop entry rather than
+    /// elaborated.
     #[test]
     fn serve_survives_hostile_lines() {
-        let check = Json::Obj(vec![
-            ("cmd".into(), Json::Str("check".into())),
-            ("src".into(), Json::Str(OK_SRC.into())),
-        ])
-        .to_string_compact();
+        let request = |src: &str| {
+            Json::Obj(vec![
+                ("cmd".into(), Json::Str("check".into())),
+                ("src".into(), Json::Str(src.into())),
+            ])
+            .to_string_compact()
+        };
+        let check = request(OK_SRC);
+        let huge_loop = request(include_str!(
+            "../../../conformance/c029_for_nat_budget.descend"
+        ));
         let input = format!(
-            "{check}\n{}\n{}\n{check}\n",
+            "{check}\n{}\n{}\n{huge_loop}\n{check}\n",
             "[".repeat(400_000),
             r#"{"cmd":"check","src":"\ud800\u0041"}"#
         );
@@ -782,7 +790,7 @@ mod tests {
             .lines()
             .map(|l| parse_json(l).unwrap())
             .collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
         let error = |v: &Json| v.get("error").and_then(Json::as_str).map(str::to_string);
         assert_eq!(lines[0].get("ok"), Some(&Json::Bool(true)));
         assert_eq!(
@@ -795,6 +803,12 @@ mod tests {
             error(&lines[2]),
             Some("malformed request: unpaired surrogate".to_string())
         );
-        assert_eq!(lines[3].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(lines[3].get("ok"), Some(&Json::Bool(false)));
+        assert!(
+            error(&lines[3]).is_some_and(|e| e.starts_with("error[E0121]")),
+            "{:?}",
+            lines[3]
+        );
+        assert_eq!(lines[4].get("ok"), Some(&Json::Bool(true)));
     }
 }

@@ -251,6 +251,16 @@ pub const REGISTRY: &[CodeInfo] = &[
                       the value as a `const`, a generic nat argument, or a literal.",
     },
     CodeInfo {
+        code: "E0121",
+        title: "for-nat loop exceeds the iteration budget",
+        explanation: "Every for-nat loop is checked once per iteration, so its trip \
+                      count is compile-time work. Each kernel instance may check at most \
+                      4096 for-nat iterations in total, nested loops drawing from the \
+                      same count; a `[lo..hi]` loop whose trip count exceeds what is left \
+                      is rejected at loop entry, before any iteration is checked. The \
+                      message gives the trip count and the remaining budget.",
+    },
+    CodeInfo {
         code: LOWERING_FAILED,
         title: "lowering failed",
         explanation: "The type checker accepted the program but the IR lowering or a \

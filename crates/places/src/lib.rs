@@ -32,7 +32,9 @@ pub mod path;
 pub mod view;
 
 pub use conflict::{may_overlap, may_race, narrowing_violation, Access, AccessMode};
-pub use lower::{lower_scalar_access, simplify_idx, Coord, IdxExpr, DYN_IDX};
+pub use lower::{
+    lower_scalar_access, lower_scalar_access_at, simplify_idx, Coord, IdxExpr, DYN_IDX,
+};
 pub use path::{PathStep, PlacePath, SelectStep};
 pub use view::{
     apply_view, resolve_view_app, windows_overlap, zip_ty, ViewDefs, ViewError, ViewStep,

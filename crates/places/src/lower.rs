@@ -442,12 +442,37 @@ pub fn simplify_idx(e: IdxExpr) -> IdxExpr {
 /// Returns a [`LowerError`] if the access is not scalar, contains real
 /// tuple projections, or an unprojected split.
 pub fn lower_scalar_access(path: &PlacePath, root_dims: &[Nat]) -> Result<IdxExpr, LowerError> {
+    lower_scalar_access_at(path, root_dims, &[])
+}
+
+/// [`lower_scalar_access`] at one iteration of the rolled loops the
+/// access sits in: an index step `Index(Nat::Var(x))` with `x` bound in
+/// `iteration` lowers as `Index(Nat::Lit(v))` would, so constant folding
+/// and the result are exactly those of the per-iteration path.
+///
+/// # Errors
+///
+/// As [`lower_scalar_access`].
+pub fn lower_scalar_access_at(
+    path: &PlacePath,
+    root_dims: &[Nat],
+    iteration: &[(&str, u64)],
+) -> Result<IdxExpr, LowerError> {
     let mut idx: Vec<IdxExpr> = Vec::new();
     for step in path.steps.iter().rev() {
         match step {
             PathStep::Deref => {}
             PathStep::Proj(_) => return Err(LowerError::TupleProjection),
-            PathStep::Index(n) => idx.insert(0, nat_to_idx(n)?),
+            PathStep::Index(n) => {
+                let bound = match n {
+                    Nat::Var(x) => iteration
+                        .iter()
+                        .find(|(y, _)| y == x)
+                        .map(|(_, v)| Nat::lit(*v)),
+                    _ => None,
+                };
+                idx.insert(0, nat_to_idx(bound.as_ref().unwrap_or(n))?);
+            }
             PathStep::Select(sel) => {
                 let (space, dim) = sel.space_dim();
                 idx.insert(

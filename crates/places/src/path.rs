@@ -93,7 +93,8 @@ pub enum PathStep {
     Proj(u8),
     /// Dereference.
     Deref,
-    /// Index with a nat (literal after for-nat unrolling).
+    /// Index with a nat: a literal, or the variable of a rolled for-nat
+    /// loop (or the scatter sentinel `DYN_IDX`).
     Index(Nat),
     /// Distributing select.
     Select(SelectStep),

@@ -39,6 +39,16 @@ impl CheckedProgram {
 
 type TResult<T> = Result<T, TypeError>;
 
+/// The for-nat iterations one kernel instance (or host function) may
+/// check in total, nested loops included. Every iteration is checked
+/// separately, against every access recorded before it, so this caps
+/// the compile-time work a loop can demand: a `[lo..hi]` loop whose trip
+/// count exceeds what is left is rejected with
+/// [`ErrorKind::LoopBudgetExceeded`] before its first iteration. The
+/// largest loop nest of the benchmark programs, the paper-scale matmul,
+/// takes 264; matmul fits up to `n = 2048` (2 112).
+pub const LOOP_BUDGET: u64 = 1 << 12;
+
 /// Type-checks a complete program, returning the elaborated form.
 ///
 /// Every function is checked: CPU functions directly, non-generic GPU
@@ -704,6 +714,9 @@ struct FnCx<'g, 'p> {
     /// Elaborated host statements, in program order (only a host
     /// function produces any; `check_host_fn` returns them).
     host: Vec<HostStmt>,
+    /// For-nat iterations this function may still check (starts at
+    /// [`LOOP_BUDGET`]; nested loops draw from the same count).
+    loop_budget: u64,
 }
 
 impl<'g, 'p> FnCx<'g, 'p> {
@@ -721,6 +734,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
             shared_allocs: Vec::new(),
             local_names: HashSet::new(),
             host: Vec::new(),
+            loop_budget: LOOP_BUDGET,
         }
     }
 
@@ -1711,15 +1725,46 @@ impl<'g, 'p> FnCx<'g, 'p> {
                         format!("loop variable `{var}` shadows an existing binding"),
                     ));
                 }
-                let env = self.nat_env.clone();
                 let values = range
-                    .values(&|x| env.get(x).copied())
+                    .values(&|x| self.nat_env.get(x).copied())
                     .map_err(|m| TypeError::new(ErrorKind::NonStaticNat, s.span, m))?;
+                let trips = values.len() as u64;
+                if trips > self.loop_budget {
+                    return Err(TypeError::new(
+                        ErrorKind::LoopBudgetExceeded,
+                        s.span,
+                        format!(
+                            "this loop runs {trips} iterations, more than the {} left \
+                             of this function's budget of {LOOP_BUDGET}",
+                            self.loop_budget
+                        ),
+                    )
+                    .with_help(
+                        "every iteration is checked separately; iterate over a view \
+                         (`group`, `windows`) or schedule more threads instead",
+                    ));
+                }
+                self.loop_budget -= trips;
+                // Every iteration is checked; a `[lo..hi]` loop on the
+                // GPU is then folded back into one rolled loop where
+                // that is exact (`LoopFold`).
+                let mut fold = match (range, values.clone().next()) {
+                    (NatRange::Range { .. }, Some(lo)) if trips >= 2 && self.on_gpu() => {
+                        Some(LoopFold::new(var, lo, lo + trips))
+                    }
+                    _ => None,
+                };
                 for v in values {
                     self.nat_env.insert(var.clone(), v);
                     let stmts = self.check_block(body, false)?;
-                    out.extend(stmts);
+                    match &mut fold {
+                        Some(fold) => fold.push(stmts, out),
+                        None => out.extend(stmts),
+                    }
                     self.nat_env.remove(var);
+                }
+                if let Some(fold) = fold {
+                    fold.finish(out);
                 }
                 Ok(())
             }

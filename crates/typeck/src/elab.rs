@@ -4,16 +4,24 @@
 //! *elaborated* form that the code generators consume:
 //!
 //! - one [`MonoKernel`] per distinct kernel instantiation, with generics
-//!   substituted, for-nat loops unrolled, `sched` dissolved into the SPMD
-//!   model, `split` turned into coordinate conditions, and every memory
-//!   access normalized to a [`PlacePath`] ready for index lowering;
+//!   substituted, `sched` dissolved into the SPMD model, `split` turned
+//!   into coordinate conditions, and every memory access normalized to a
+//!   [`PlacePath`] ready for index lowering;
 //! - a list of [`HostStmt`]s describing the host program (allocations,
 //!   transfers and kernel launches) for the host interpreter.
+//!
+//! The checker checks a for-nat loop once per iteration. Where the
+//! iterations' elaborations provably differ only in the indices the loop
+//! variable selects, [`LoopFold`] folds them back into one rolled
+//! [`ElabStmt::ForNat`]: the emitters print it as one loop, and the IR
+//! lowering unrolls it, reproducing each iteration exactly. Every other
+//! loop stays unrolled, one elaborated copy of its body per iteration
+//! (see `docs/DESIGN.md` §11).
 
 use descend_ast::ty::DimCompo;
 use descend_ast::{term::AtomicOp, term::BinOp, term::ShflKind, term::UnOp, Nat};
 use descend_exec::Space;
-use descend_places::PlacePath;
+use descend_places::{lower_scalar_access, IdxExpr, PathStep, PlacePath, DYN_IDX};
 
 /// The scalar element kinds that reach code generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -168,6 +176,24 @@ pub enum ElabStmt {
     },
     /// Block-wide barrier.
     Sync,
+    /// A rolled for-nat loop: `body` runs once for each `var` in
+    /// `lo..hi`, in order. In `body`, an index step
+    /// `PathStep::Index(Nat::Var(var))` stands for the iteration's value;
+    /// iteration `v` is exactly `body` with those steps reading
+    /// `Index(Nat::Lit(v))`. The checker only emits this form when it
+    /// checked every iteration and proved that equality (see
+    /// `docs/DESIGN.md` §11); the body never contains a `Sync`, `Split`,
+    /// `Local` or shuffle.
+    ForNat {
+        /// Loop variable.
+        var: String,
+        /// First iteration value.
+        lo: u64,
+        /// Exclusive upper bound (at least `lo + 2`).
+        hi: u64,
+        /// The body, symbolic in `var`.
+        body: Vec<ElabStmt>,
+    },
     /// Source-location marker: the statements that follow (until the
     /// next marker at the same nesting depth) elaborate the source
     /// statement covering this span. Markers carry no semantics — code
@@ -249,6 +275,7 @@ fn shift_stmts(stmts: &mut [ElabStmt], delta: i64) {
                 shift_stmts(fst, delta);
                 shift_stmts(snd, delta);
             }
+            ElabStmt::ForNat { body, .. } => shift_stmts(body, delta),
             ElabStmt::Local { .. }
             | ElabStmt::AssignLocal { .. }
             | ElabStmt::Store { .. }
@@ -256,6 +283,306 @@ fn shift_stmts(stmts: &mut [ElabStmt], delta: i64) {
             | ElabStmt::Sync => {}
         }
     }
+}
+
+/// Folds the per-iteration elaborations of a `[lo..hi]` for-nat loop
+/// into one [`ElabStmt::ForNat`] where that is exact.
+///
+/// The checker [`push`](LoopFold::push)es each iteration's statements
+/// as it checks them. The first iteration is kept as the candidate
+/// body; the second turns it symbolic (each `Index(Nat::Lit(lo))` that
+/// reads `lo + 1` there becomes `Index(Nat::Var(var))`); every
+/// iteration, the second included, is then compared against the body
+/// in one parallel walk, without cloning. The loop rolls only if the
+/// first iteration contains no `Sync`, `Split`, `Local` or shuffle,
+/// every iteration matches, and every access of the body lowers with
+/// the loop variables left symbolic. On the first mismatch the
+/// iterations seen so far are re-instantiated from the body and the
+/// rest appended as they come: exactly the unrolled elaboration.
+pub(crate) struct LoopFold {
+    var: String,
+    lo: u64,
+    hi: u64,
+    /// The value of the iteration the next `push` carries.
+    next: u64,
+    /// The candidate body while the loop can still roll.
+    body: Option<Vec<ElabStmt>>,
+}
+
+impl LoopFold {
+    /// A fold of `var in [lo..hi]`; `hi - lo` must be at least 2.
+    pub(crate) fn new(var: &str, lo: u64, hi: u64) -> LoopFold {
+        LoopFold {
+            var: var.to_string(),
+            lo,
+            hi,
+            next: lo,
+            body: None,
+        }
+    }
+
+    /// Takes the next iteration's statements, appending to `out` what
+    /// can no longer roll.
+    pub(crate) fn push(&mut self, it: Vec<ElabStmt>, out: &mut Vec<ElabStmt>) {
+        let v = self.next;
+        self.next += 1;
+        let Some(mut body) = self.body.take() else {
+            if v == self.lo && !it.is_empty() && rollable(&it) && self.var != DYN_IDX {
+                self.body = Some(it);
+            } else {
+                out.extend(it);
+            }
+            return;
+        };
+        let second = v == self.lo + 1;
+        let mut unify = Unify {
+            var: &self.var,
+            v,
+            abstract_lo: second.then_some(self.lo),
+        };
+        if unify.stmts(&mut body, &it) && (!second || lowers(&mut body, &self.var)) {
+            self.body = Some(body);
+        } else {
+            for j in self.lo..v {
+                out.extend(instantiate(&body, &self.var, j));
+            }
+            out.extend(it);
+        }
+    }
+
+    /// Appends the rolled loop, if the loop still rolls after its last
+    /// iteration.
+    pub(crate) fn finish(self, out: &mut Vec<ElabStmt>) {
+        if let Some(body) = self.body {
+            out.push(ElabStmt::ForNat {
+                var: self.var,
+                lo: self.lo,
+                hi: self.hi,
+                body,
+            });
+        }
+    }
+}
+
+/// Whether an iteration's statements may form a rolled body: no
+/// barrier, split, local declaration or shuffle anywhere in them.
+fn rollable(stmts: &[ElabStmt]) -> bool {
+    fn no_shfl(e: &ElabExpr) -> bool {
+        match e {
+            ElabExpr::Shfl { .. } => false,
+            ElabExpr::Binary(_, a, b) => no_shfl(a) && no_shfl(b),
+            ElabExpr::Unary(_, a) => no_shfl(a),
+            ElabExpr::Lit(..) | ElabExpr::Local(_) | ElabExpr::Load(_) => true,
+        }
+    }
+    stmts.iter().all(|s| match s {
+        ElabStmt::Sync | ElabStmt::Split { .. } | ElabStmt::Local { .. } => false,
+        ElabStmt::AssignLocal { value, .. } | ElabStmt::Store { value, .. } => no_shfl(value),
+        ElabStmt::Atomic { index, value, .. } => {
+            index.as_ref().is_none_or(no_shfl) && no_shfl(value)
+        }
+        ElabStmt::ForNat { body, .. } => rollable(body),
+        ElabStmt::Src(_) => true,
+    })
+}
+
+/// The parallel walk of a candidate body against one iteration's
+/// statements: whether the iteration is the body with `var := v`. With
+/// `abstract_lo`, an index that reads `lo` in the body and `v` in the
+/// iteration is first made symbolic in `var`.
+struct Unify<'a> {
+    var: &'a str,
+    v: u64,
+    abstract_lo: Option<u64>,
+}
+
+impl Unify<'_> {
+    fn stmts(&mut self, body: &mut [ElabStmt], it: &[ElabStmt]) -> bool {
+        body.len() == it.len()
+            && body.iter_mut().zip(it).all(|pair| match pair {
+                (
+                    ElabStmt::AssignLocal { name, value },
+                    ElabStmt::AssignLocal {
+                        name: name2,
+                        value: value2,
+                    },
+                ) => name == name2 && self.expr(value, value2),
+                (
+                    ElabStmt::Store { access, value },
+                    ElabStmt::Store {
+                        access: access2,
+                        value: value2,
+                    },
+                ) => self.access(access, access2) && self.expr(value, value2),
+                (
+                    ElabStmt::Atomic {
+                        op,
+                        access,
+                        index,
+                        value,
+                    },
+                    ElabStmt::Atomic {
+                        op: op2,
+                        access: access2,
+                        index: index2,
+                        value: value2,
+                    },
+                ) => {
+                    op == op2
+                        && self.access(access, access2)
+                        && match (index, index2) {
+                            (None, None) => true,
+                            (Some(a), Some(b)) => self.expr(a, b),
+                            _ => false,
+                        }
+                        && self.expr(value, value2)
+                }
+                (
+                    ElabStmt::ForNat { var, lo, hi, body },
+                    ElabStmt::ForNat {
+                        var: var2,
+                        lo: lo2,
+                        hi: hi2,
+                        body: body2,
+                    },
+                ) => var == var2 && lo == lo2 && hi == hi2 && self.stmts(body, body2),
+                (ElabStmt::Src(a), ElabStmt::Src(b)) => a == b,
+                _ => false,
+            })
+    }
+
+    fn expr(&mut self, body: &mut ElabExpr, it: &ElabExpr) -> bool {
+        match (body, it) {
+            // Bitwise, so `-0.0` and `0.0` (which print differently)
+            // never unify.
+            (ElabExpr::Lit(k, x), ElabExpr::Lit(k2, y)) => k == k2 && x.to_bits() == y.to_bits(),
+            (ElabExpr::Local(a), ElabExpr::Local(b)) => a == b,
+            (ElabExpr::Load(a), ElabExpr::Load(b)) => self.access(a, b),
+            (ElabExpr::Binary(op, a, b), ElabExpr::Binary(op2, a2, b2)) => {
+                op == op2 && self.expr(a, a2) && self.expr(b, b2)
+            }
+            (ElabExpr::Unary(op, a), ElabExpr::Unary(op2, a2)) => op == op2 && self.expr(a, a2),
+            _ => false,
+        }
+    }
+
+    fn access(&mut self, body: &mut ElabAccess, it: &ElabAccess) -> bool {
+        body.mem == it.mem
+            && body.elem == it.elem
+            && body.root_dims == it.root_dims
+            && body.path.root == it.path.root
+            && body.path.owner == it.path.owner
+            && body.path.steps.len() == it.path.steps.len()
+            && body
+                .path
+                .steps
+                .iter_mut()
+                .zip(&it.path.steps)
+                .all(|(b, i)| self.step(b, i))
+    }
+
+    fn step(&mut self, body: &mut PathStep, it: &PathStep) -> bool {
+        match (&*body, it) {
+            (PathStep::Index(Nat::Var(x)), PathStep::Index(Nat::Lit(n))) if x == self.var => {
+                *n == self.v
+            }
+            (PathStep::Index(Nat::Lit(l)), PathStep::Index(Nat::Lit(n)))
+                if Some(*l) == self.abstract_lo && *n == self.v =>
+            {
+                *body = PathStep::Index(Nat::var(self.var));
+                true
+            }
+            _ => body == it,
+        }
+    }
+}
+
+/// Calls `f` on every access of `stmts`: loads, stores and atomic
+/// targets, in split branches and rolled loop bodies too.
+fn for_each_access_mut(stmts: &mut [ElabStmt], f: &mut dyn FnMut(&mut ElabAccess)) {
+    fn expr(e: &mut ElabExpr, f: &mut dyn FnMut(&mut ElabAccess)) {
+        match e {
+            ElabExpr::Load(a) => f(a),
+            ElabExpr::Binary(_, a, b) => {
+                expr(a, f);
+                expr(b, f);
+            }
+            ElabExpr::Unary(_, a) | ElabExpr::Shfl { value: a, .. } => expr(a, f),
+            ElabExpr::Lit(..) | ElabExpr::Local(_) => {}
+        }
+    }
+    for s in stmts {
+        match s {
+            ElabStmt::Local { init: e, .. } | ElabStmt::AssignLocal { value: e, .. } => expr(e, f),
+            ElabStmt::Store { access, value } => {
+                f(access);
+                expr(value, f);
+            }
+            ElabStmt::Atomic {
+                access,
+                index,
+                value,
+                ..
+            } => {
+                f(access);
+                if let Some(i) = index {
+                    expr(i, f);
+                }
+                expr(value, f);
+            }
+            ElabStmt::Split { fst, snd, .. } => {
+                for_each_access_mut(fst, f);
+                for_each_access_mut(snd, f);
+            }
+            ElabStmt::ForNat { body, .. } => for_each_access_mut(body, f),
+            ElabStmt::Sync | ElabStmt::Src(_) => {}
+        }
+    }
+}
+
+/// Iteration `v` of a rolled body over `var`.
+fn instantiate(body: &[ElabStmt], var: &str, v: u64) -> Vec<ElabStmt> {
+    let mut out = body.to_vec();
+    for_each_access_mut(&mut out, &mut |a| {
+        for step in &mut a.path.steps {
+            if matches!(step, PathStep::Index(Nat::Var(x)) if x == var) {
+                *step = PathStep::Index(Nat::lit(v));
+            }
+        }
+    });
+    out
+}
+
+/// Whether every access of a rolled body over `var` lowers to an index
+/// expression whose only variables are rolled loop variables (`var` and
+/// those of nested rolled loops) or the scatter index: the accesses the
+/// emitters print with the loop variables left symbolic.
+fn lowers(body: &mut [ElabStmt], var: &str) -> bool {
+    fn loop_vars(stmts: &[ElabStmt], out: &mut Vec<String>) {
+        for s in stmts {
+            if let ElabStmt::ForNat { var, body, .. } = s {
+                out.push(var.clone());
+                loop_vars(body, out);
+            }
+        }
+    }
+    fn idx_ok(e: &IdxExpr, vars: &[String]) -> bool {
+        match e {
+            IdxExpr::Const(_) => true,
+            IdxExpr::Var(x) => x == DYN_IDX || vars.contains(x),
+            IdxExpr::Coord(c) => c.offset.as_lit().is_some(),
+            IdxExpr::Add(a, b) | IdxExpr::Sub(a, b) | IdxExpr::Mul(a, b) => {
+                idx_ok(a, vars) && idx_ok(b, vars)
+            }
+        }
+    }
+    let mut vars = vec![var.to_string()];
+    loop_vars(body, &mut vars);
+    let mut ok = true;
+    for_each_access_mut(body, &mut |a| {
+        ok &= lower_scalar_access(&a.path, &a.root_dims).is_ok_and(|e| idx_ok(&e, &vars));
+    });
+    ok
 }
 
 /// An elaborated host statement.

@@ -52,13 +52,16 @@ pub enum ErrorKind {
     OutOfBounds,
     /// A nat that must be statically evaluated could not be.
     NonStaticNat,
+    /// A for-nat loop whose trip count exceeds what is left of the
+    /// kernel instance's iteration budget.
+    LoopBudgetExceeded,
 }
 
 impl ErrorKind {
     /// Every variant, in declaration (= code) order. Coverage tests
     /// iterate this to demand a conformance program and a documentation
     /// entry per kind.
-    pub const ALL: [ErrorKind; 20] = [
+    pub const ALL: [ErrorKind; 21] = [
         ErrorKind::MismatchedTypes,
         ErrorKind::ConflictingAccess,
         ErrorKind::NarrowingViolation,
@@ -79,6 +82,7 @@ impl ErrorKind {
         ErrorKind::Unsupported,
         ErrorKind::OutOfBounds,
         ErrorKind::NonStaticNat,
+        ErrorKind::LoopBudgetExceeded,
     ];
 
     /// The stable error code of this kind, one per variant in
@@ -107,6 +111,7 @@ impl ErrorKind {
             ErrorKind::Unsupported => "E0118",
             ErrorKind::OutOfBounds => "E0119",
             ErrorKind::NonStaticNat => "E0120",
+            ErrorKind::LoopBudgetExceeded => "E0121",
         }
     }
 }

@@ -37,9 +37,13 @@
 //!   instantiation (like C++ templates). The paper checks polymorphically;
 //!   the same programs are accepted/rejected for every artifact
 //!   reproduced here, and `where` clauses are validated at instantiation.
-//! - **Static unrolling**: for-nat loops (whose ranges are static by
-//!   construction) are unrolled during checking and code generation,
-//!   mirroring `#pragma unroll` for such loops in CUDA practice.
+//! - **Per-iteration checking**: for-nat loops (whose ranges are static
+//!   by construction) are checked once per iteration, at most
+//!   [`LOOP_BUDGET`] iterations per kernel instance. A `[lo..hi]` loop
+//!   whose iterations provably differ only in the indices its variable
+//!   selects is elaborated as one rolled [`ElabStmt::ForNat`], which the
+//!   emitters print as a loop and the IR lowering unrolls; every other
+//!   loop is elaborated unrolled.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,7 +54,7 @@ mod elab;
 mod error;
 
 pub use check::{
-    check_context, check_fn, check_program, launch_callees, CheckedFn, CheckedProgram,
+    check_context, check_fn, check_program, launch_callees, CheckedFn, CheckedProgram, LOOP_BUDGET,
 };
 pub use elab::{
     ElabAccess, ElabExpr, ElabStmt, HostStmt, KernelParam, MemKind, MonoKernel, ScalarKind,

@@ -57,8 +57,19 @@ fn listing_2_transpose_compiles() {
     let k = &out.kernels[0];
     assert_eq!(k.shared.len(), 1);
     assert_eq!(k.shared[0].dims, vec![32, 32]);
-    // 4 unrolled copies in, sync, 4 unrolled copies out.
-    assert_eq!(stmt_count(&k.body), 9);
+    // One rolled loop in, sync, one rolled loop out: each loop's four
+    // checked iterations fold into one body, symbolic in `i`, holding
+    // the one staged copy.
+    assert_eq!(stmt_count(&k.body), 3);
+    let loops: Vec<(u64, u64, usize)> = k
+        .body
+        .iter()
+        .filter_map(|s| match s {
+            ElabStmt::ForNat { lo, hi, body, .. } => Some((*lo, *hi, stmt_count(body))),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(loops, [(0, 4, 1), (0, 4, 1)]);
 }
 
 const TRANSPOSE_SRC: &str = r#"

@@ -9,9 +9,21 @@
 //! its rendering of every index in the lowered `KernelIr` appears
 //! verbatim in that backend's kernel text — no emitter has a private
 //! index printer that could drift.
-
-use descend::backends::{all_backends, ir_index_exprs, render_ir_expr};
+//!
+//! Rolled for-nat loops print once, with the loop variable in the
+//! index, while the IR runs one unrolled copy per iteration. For an
+//! access inside a rolled loop the symbolic index must be printed, and
+//! its value at every iteration and every coordinate of the launch must
+//! equal the index the IR executes in that iteration; every IR index
+//! must be either printed verbatim or one of those iteration indices.
+use descend::ast::ty::DimCompo;
+use descend::backends::{all_backends, emitted_index, ir_index_exprs, render_ir_expr, IndexNames};
+use descend::codegen::ir_gen::access_index_expr;
 use descend::compiler::{Compiled, Compiler};
+use descend::exec::Space;
+use descend::places::lower_scalar_access;
+use descend::sim::ir::{Axis, BinOp, Expr};
+use descend::typeck::{ElabAccess, ElabExpr, ElabStmt};
 use std::path::PathBuf;
 
 fn corpus_sources() -> Vec<(String, String)> {
@@ -50,9 +62,136 @@ fn corpus_sources() -> Vec<(String, String)> {
     out
 }
 
-fn check_program(name: &str, compiled: &Compiled) {
+/// An access inside rolled loops: the loops' variables and ranges,
+/// outermost first.
+struct RolledAccess<'k> {
+    loops: Vec<(&'k str, u64, u64)>,
+    access: &'k ElabAccess,
+}
+
+/// Every statically addressed access inside a rolled loop (scatter
+/// targets bind their index to a temporary, as outside loops).
+fn rolled_accesses(body: &[ElabStmt]) -> Vec<RolledAccess<'_>> {
+    fn stmts<'k>(
+        body: &'k [ElabStmt],
+        loops: &mut Vec<(&'k str, u64, u64)>,
+        out: &mut Vec<RolledAccess<'k>>,
+    ) {
+        for s in body {
+            let mut here = Vec::new();
+            match s {
+                ElabStmt::ForNat { var, lo, hi, body } => {
+                    loops.push((var, *lo, *hi));
+                    stmts(body, loops, out);
+                    loops.pop();
+                }
+                ElabStmt::Split { fst, snd, .. } => {
+                    stmts(fst, loops, out);
+                    stmts(snd, loops, out);
+                }
+                ElabStmt::Local { init: e, .. } | ElabStmt::AssignLocal { value: e, .. } => {
+                    collect_loads(e, &mut here)
+                }
+                ElabStmt::Store { access, value } => {
+                    here.push(access);
+                    collect_loads(value, &mut here);
+                }
+                ElabStmt::Atomic {
+                    access,
+                    index,
+                    value,
+                    ..
+                } => {
+                    match index {
+                        None => here.push(access),
+                        Some(i) => collect_loads(i, &mut here),
+                    }
+                    collect_loads(value, &mut here);
+                }
+                ElabStmt::Sync | ElabStmt::Src(_) => {}
+            }
+            if !loops.is_empty() {
+                out.extend(here.into_iter().map(|access| RolledAccess {
+                    loops: loops.clone(),
+                    access,
+                }));
+            }
+        }
+    }
+    fn collect_loads<'k>(e: &'k ElabExpr, out: &mut Vec<&'k ElabAccess>) {
+        match e {
+            ElabExpr::Load(a) => out.push(a),
+            ElabExpr::Binary(_, a, b) => {
+                collect_loads(a, out);
+                collect_loads(b, out);
+            }
+            ElabExpr::Unary(_, a) | ElabExpr::Shfl { value: a, .. } => collect_loads(a, out),
+            ElabExpr::Lit(..) | ElabExpr::Local(_) => {}
+        }
+    }
+    let mut out = Vec::new();
+    stmts(body, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Every combination of loop values, outermost varying slowest.
+fn iterations(loops: &[(&str, u64, u64)]) -> Vec<Vec<u64>> {
+    loops.iter().fold(vec![Vec::new()], |acc, &(_, lo, hi)| {
+        acc.iter()
+            .flat_map(|prefix| {
+                (lo..hi).map(move |v| {
+                    let mut p = prefix.clone();
+                    p.push(v);
+                    p
+                })
+            })
+            .collect()
+    })
+}
+
+/// Every (block, thread) coordinate of a launch.
+fn coordinates(grid: [u64; 3], block: [u64; 3]) -> Vec<([u64; 3], [u64; 3])> {
+    let points = |d: [u64; 3]| {
+        (0..d[2]).flat_map(move |z| (0..d[1]).flat_map(move |y| (0..d[0]).map(move |x| [x, y, z])))
+    };
+    points(grid)
+        .flat_map(|b| points(block).map(move |t| (b, t)))
+        .collect()
+}
+
+/// Evaluates an index expression of the IR at one coordinate.
+fn eval_ir(e: &Expr, b: [u64; 3], t: [u64; 3], dims: ([u64; 3], [u64; 3])) -> i64 {
+    let axis = |a: Axis| match a {
+        Axis::X => 0,
+        Axis::Y => 1,
+        Axis::Z => 2,
+    };
+    match e {
+        Expr::LitI(v) => *v,
+        Expr::BlockIdx(a) => b[axis(*a)] as i64,
+        Expr::ThreadIdx(a) => t[axis(*a)] as i64,
+        Expr::GridDim(a) => dims.0[axis(*a)] as i64,
+        Expr::BlockDim(a) => dims.1[axis(*a)] as i64,
+        Expr::Bin(op, x, y) => {
+            let (x, y) = (eval_ir(x, b, t, dims), eval_ir(y, b, t, dims));
+            match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                BinOp::Div => x / y,
+                BinOp::Mod => x % y,
+                other => panic!("unexpected operator {other:?} in an index"),
+            }
+        }
+        other => panic!("unexpected node {other:?} in a static index"),
+    }
+}
+
+fn check_program(name: &str, compiled: &Compiled) -> usize {
     let backends = all_backends();
+    let mut rolled_checked = 0;
     for ck in &compiled.kernels {
+        let k = &ck.mono;
         // Every index the simulator executes and the emitters print
         // inline: loads, stores and static atomic targets (scatter
         // atomics bind their index to an emitted temporary; the
@@ -61,38 +200,114 @@ fn check_program(name: &str, compiled: &Compiled) {
         assert!(
             !inline.is_empty(),
             "{name}/{}: kernel without memory accesses",
-            ck.mono.name
+            k.name
         );
+        // Each rolled access, per iteration: the index the IR executes,
+        // equal to the symbolic index evaluated at that iteration at
+        // every coordinate of the launch.
+        let rolled = rolled_accesses(&k.body);
+        let coords = coordinates(k.grid_dim, k.block_dim);
+        let mut iteration_indices = Vec::new();
+        for r in &rolled {
+            let symbolic = lower_scalar_access(&r.access.path, &r.access.root_dims)
+                .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
+            for values in iterations(&r.loops) {
+                let bound: Vec<(&str, u64)> = r
+                    .loops
+                    .iter()
+                    .map(|l| l.0)
+                    .zip(values.iter().copied())
+                    .collect();
+                let ir_index = access_index_expr(r.access, &bound, &|_| None)
+                    .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
+                for &(b, t) in &coords {
+                    let space = |s: Space, d: DimCompo| {
+                        let i = match d {
+                            DimCompo::X => 0,
+                            DimCompo::Y => 1,
+                            DimCompo::Z => 2,
+                        };
+                        match s {
+                            Space::Block => b[i],
+                            Space::Thread => t[i],
+                            Space::Warp => t[0] / 32,
+                            Space::Lane => t[0] % 32,
+                        }
+                    };
+                    let var = |x: &str| bound.iter().find(|(y, _)| *y == x).map(|(_, v)| *v);
+                    let at = symbolic
+                        .eval(&space, &var)
+                        .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
+                    assert_eq!(
+                        at as i64,
+                        eval_ir(&ir_index, b, t, (k.grid_dim, k.block_dim)),
+                        "{name}/{}: rolled index `{symbolic}` at {bound:?}, block {b:?}, \
+                         thread {t:?}",
+                        k.name
+                    );
+                }
+                iteration_indices.push(ir_index);
+            }
+        }
+        rolled_checked += rolled.len();
         for be in &backends {
             let text = &ck.targets[be.name()];
-            for e in &inline {
+            // The symbolic index of every rolled access is printed.
+            for r in &rolled {
+                let loops: Vec<&str> = r.loops.iter().map(|l| l.0).collect();
+                let e = emitted_index(r.access, &loops, false).expect("lowers");
                 let mut rendered = String::new();
-                render_ir_expr(be.as_ref(), e, &ck.mono, None, &mut rendered);
+                let names = IndexNames {
+                    loops: &loops,
+                    scatter: None,
+                };
+                render_ir_expr(be.as_ref(), &e, k, names, &mut rendered);
                 assert!(
                     text.contains(&format!("[{rendered}]")),
+                    "{name}/{}: backend `{}` text lacks rolled index `{rendered}`:\n{text}",
+                    k.name,
+                    be.name()
+                );
+            }
+            // Every index the IR executes is printed verbatim, or is a
+            // rolled access's index at one iteration.
+            for e in &inline {
+                let mut rendered = String::new();
+                render_ir_expr(be.as_ref(), e, k, IndexNames::default(), &mut rendered);
+                assert!(
+                    text.contains(&format!("[{rendered}]")) || iteration_indices.contains(e),
                     "{name}/{}: backend `{}` text lacks index `{rendered}`:\n{text}",
-                    ck.mono.name,
+                    k.name,
                     be.name()
                 );
             }
         }
     }
+    rolled_checked
 }
 
 #[test]
 fn all_backends_share_the_lowering_across_the_corpus() {
     let compiler = Compiler::new();
     let mut checked = 0;
+    let mut rolled = Vec::new();
     for (name, src) in corpus_sources() {
         let compiled = compiler
             .compile_source(&src)
             .unwrap_or_else(|e| panic!("{name} failed to compile:\n{e}"));
-        check_program(&name, &compiled);
+        if check_program(&name, &compiled) > 0 {
+            rolled.push(name);
+        }
         checked += compiled.kernels.len();
     }
     assert!(
         checked >= 10,
         "expected a real corpus, saw {checked} kernels"
+    );
+    // The rolled-loop leg is not vacuous.
+    assert_eq!(
+        rolled,
+        ["transpose_tiles.descend", "bench:transpose", "bench:matmul"]
     );
 }
 
@@ -174,7 +389,13 @@ fn atomic_addresses_share_the_lowering() {
                 let text = &ck.targets[be.name()];
                 for e in &sim_side {
                     let mut rendered = String::new();
-                    render_ir_expr(be.as_ref(), e, &ck.mono, None, &mut rendered);
+                    render_ir_expr(
+                        be.as_ref(),
+                        e,
+                        &ck.mono,
+                        IndexNames::default(),
+                        &mut rendered,
+                    );
                     let inline_form = text.contains(&format!("[{rendered}]"));
                     let temp_form = text.contains(&format!("{rendered})"))
                         && text.contains("if (0 <= ")

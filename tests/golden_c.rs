@@ -359,3 +359,46 @@ fn k(v: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> () {
     assert!(!tu.contains("#include <stdio.h>"));
     assert!(tu.contains("#include <stdint.h>"));
 }
+
+/// Nested for-nat loops stay nested `for` loops inside the thread loop of
+/// their barrier phase (a rolled body holds no barrier), with the loop
+/// variables in the index where they select.
+#[test]
+fn golden_rolled_loop() {
+    let src = r#"
+fn tile_sum(m: & gpu.global [f64; 256], out: &uniq gpu.global [f64; 64])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            let mut acc = 0.0;
+            for j in [0..2] {
+                for i in [0..2] {
+                    acc = acc + (*m).group::<4>.group::<32>[[block]][[thread]].group::<2>[j][i];
+                }
+            }
+            (*out).group::<32>[[block]][[thread]] = acc;
+        }
+    }
+}
+"#;
+    let expected = "\
+void tile_sum(const double* m, double* out) {
+    #pragma omp parallel for
+    for (int64_t __b = 0; __b < 2; __b++) {
+        const int64_t blockIdx_x = __b % 2;
+        double acc[32] = {0};
+        for (int64_t __t = 0; __t < 32; __t++) {
+            const int64_t threadIdx_x = __t % 32;
+            acc[__t] = 0.0;
+            for (int j = 0; j < 2; j++) {
+                for (int i = 0; i < 2; i++) {
+                    acc[__t] = (acc[__t] + m[((((blockIdx_x * 128) + (threadIdx_x * 4)) + i) + (j * 2))]);
+                }
+            }
+            out[((blockIdx_x * 32) + threadIdx_x)] = acc[__t];
+        }
+    }
+}
+";
+    assert_eq!(kernel_c(src, 0), expected);
+}

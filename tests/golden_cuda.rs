@@ -109,23 +109,31 @@ fn golden_transpose_structure() {
     assert!(cuda.starts_with("__global__ void transpose(const double* input, double* output) {"));
     assert!(cuda.contains("__shared__ double tmp[1024];"));
     assert!(cuda.contains("__syncthreads();"));
-    // One staged copy per unrolled iteration (i = 0..4). Indices are in
-    // linear normal form (atoms ordered blockIdx.x, blockIdx.y,
-    // threadIdx.x, threadIdx.y; constant last). The input read takes the
-    // *transposed* tile: blockIdx.x scales by the row stride (256*32).
+    // Each staging loop is one rolled `for` over i = 0..4, unrolled by
+    // nvcc as the simulator runs it. Indices are in linear normal form
+    // (atoms ordered blockIdx.x, blockIdx.y, threadIdx.x, threadIdx.y,
+    // the loop variable; constant last), and `i` picks one of the tile's
+    // four 8-row bands. The input read takes the *transposed* tile:
+    // blockIdx.x scales by the row stride (256*32).
+    assert_eq!(
+        cuda.matches("    #pragma unroll\n    for (int i = 0; i < 4; i++) {\n")
+            .count(),
+        2,
+        "{cuda}"
+    );
     assert!(
-        cuda.contains("input[((((blockIdx.x * 8192) + (blockIdx.y * 32)) + threadIdx.x) + (threadIdx.y * 256))]"),
+        cuda.contains("input[(((((blockIdx.x * 8192) + (blockIdx.y * 32)) + threadIdx.x) + (threadIdx.y * 256)) + (i * 2048))]"),
         "expected transposed tile read, got:\n{cuda}"
     );
     // The output write targets the straight tile: blockIdx.y scales by
     // the row stride.
     assert!(
-        cuda.contains("output[((((blockIdx.x * 32) + (blockIdx.y * 8192)) + threadIdx.x) + (threadIdx.y * 256))]"),
+        cuda.contains("output[(((((blockIdx.x * 32) + (blockIdx.y * 8192)) + threadIdx.x) + (threadIdx.y * 256)) + (i * 2048))]"),
         "expected straight tile write, got:\n{cuda}"
     );
     // Shared-memory accesses: row-major write, transposed read.
-    assert!(cuda.contains("tmp[(threadIdx.x + (threadIdx.y * 32))]"));
-    assert!(cuda.contains("tmp[((threadIdx.x * 32) + threadIdx.y)]"));
+    assert!(cuda.contains("tmp[((threadIdx.x + (threadIdx.y * 32)) + (i * 256))]"));
+    assert!(cuda.contains("tmp[(((threadIdx.x * 32) + threadIdx.y) + (i * 8))]"));
 }
 
 #[test]
@@ -160,21 +168,29 @@ fn golden_matmul_structure() {
     assert!(cuda.contains("__shared__ double a_tile[1024];"));
     assert!(cuda.contains("__shared__ double b_tile[1024];"));
     assert!(cuda.contains("double acc = 0.0;"));
-    // Tile loads for t = 0 and t = 1 (64/32 = 2 iterations): the second
-    // iteration's A column offset (32) folds into the constant.
+    // Tile loads for t = 0 and t = 1 (64/32 = 2 iterations) stay
+    // unrolled — the t loop holds barriers — and the second iteration's
+    // A column offset (32) folds into the constant.
     assert!(cuda.contains(
         "a_tile[(threadIdx.x + (threadIdx.y * 32))] = a[(((blockIdx.y * 2048) + threadIdx.x) + (threadIdx.y * 64))];"
     ));
     assert!(cuda.contains("a[((((blockIdx.y * 2048) + threadIdx.x) + (threadIdx.y * 64)) + 32)]"));
-    // The accumulator update reads both tiles; B walks by rows of 32.
-    assert!(cuda.contains("acc = (acc + (a_tile[(threadIdx.y * 32)] * b_tile[threadIdx.x]));"));
-    assert!(cuda.contains(
-        "acc = (acc + (a_tile[((threadIdx.y * 32) + 31)] * b_tile[(threadIdx.x + 992)]));"
-    ));
+    // The k loop rolls, once per t iteration: the accumulator update
+    // reads A along the row (`+ k`) and B down the column (rows of 32).
+    let k_loop = "    #pragma unroll
+    for (int k = 0; k < 32; k++) {
+        acc = (acc + (a_tile[((threadIdx.y * 32) + k)] * b_tile[(threadIdx.x + (k * 32))]));
+    }
+";
+    assert_eq!(cuda.matches(k_loop).count(), 2, "{cuda}");
     // The result store targets the block's tile of c.
     assert!(cuda.contains(
         "c[((((blockIdx.x * 32) + (blockIdx.y * 2048)) + threadIdx.x) + (threadIdx.y * 64))] = acc;"
     ));
+    // At paper scale (n = 256) the eight tile steps give eight k loops.
+    let paper = kernel_cuda(&descend::benchmarks::sources::matmul(256), 0);
+    assert_eq!(paper.matches(k_loop).count(), 8);
+    assert_eq!(paper.matches("#pragma unroll").count(), 8);
 }
 
 /// A grid split renders as `if`/`else` on the block coordinate, and a
@@ -280,4 +296,40 @@ fn golden_atomic_spellings() {
         std::fs::read_to_string("examples/descend/reduce_atomic.descend").expect("corpus file");
     let cuda = kernel_cuda(&src, 0);
     assert!(cuda.contains("atomicAdd(&out[0], tmp[threadIdx.x]);"));
+}
+
+/// Nested for-nat loops stay nested `for` loops, each under `#pragma unroll`,
+/// with the loop variables in the index where they select.
+#[test]
+fn golden_rolled_loop() {
+    let src = r#"
+fn tile_sum(m: & gpu.global [f64; 256], out: &uniq gpu.global [f64; 64])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            let mut acc = 0.0;
+            for j in [0..2] {
+                for i in [0..2] {
+                    acc = acc + (*m).group::<4>.group::<32>[[block]][[thread]].group::<2>[j][i];
+                }
+            }
+            (*out).group::<32>[[block]][[thread]] = acc;
+        }
+    }
+}
+"#;
+    let expected = "\
+__global__ void tile_sum(const double* m, double* out) {
+    double acc = 0.0;
+    #pragma unroll
+    for (int j = 0; j < 2; j++) {
+        #pragma unroll
+        for (int i = 0; i < 2; i++) {
+            acc = (acc + m[((((blockIdx.x * 128) + (threadIdx.x * 4)) + i) + (j * 2))]);
+        }
+    }
+    out[((blockIdx.x * 32) + threadIdx.x)] = acc;
+}
+";
+    assert_eq!(kernel_cuda(src, 0), expected);
 }

@@ -120,19 +120,26 @@ fn golden_transpose_structure() {
     ));
     assert!(cl.contains("__local double tmp[1024];"));
     assert!(cl.contains("barrier(CLK_LOCAL_MEM_FENCE);"));
-    // Same linear-normal-form indices as the CUDA rendering, with the
-    // OpenCL coordinate spellings substituted.
+    // Same rolled loops and linear-normal-form indices as the CUDA
+    // rendering (without the pragma), with the OpenCL coordinate
+    // spellings substituted.
+    assert_eq!(
+        cl.matches("    for (int i = 0; i < 4; i++) {\n").count(),
+        2,
+        "{cl}"
+    );
+    assert!(!cl.contains("#pragma unroll"));
     assert!(
-        cl.contains("input[((((get_group_id(0) * 8192) + (get_group_id(1) * 32)) + get_local_id(0)) + (get_local_id(1) * 256))]"),
+        cl.contains("input[(((((get_group_id(0) * 8192) + (get_group_id(1) * 32)) + get_local_id(0)) + (get_local_id(1) * 256)) + (i * 2048))]"),
         "expected transposed tile read, got:\n{cl}"
     );
     assert!(
-        cl.contains("output[((((get_group_id(0) * 32) + (get_group_id(1) * 8192)) + get_local_id(0)) + (get_local_id(1) * 256))]"),
+        cl.contains("output[(((((get_group_id(0) * 32) + (get_group_id(1) * 8192)) + get_local_id(0)) + (get_local_id(1) * 256)) + (i * 2048))]"),
         "expected straight tile write, got:\n{cl}"
     );
     // Shared-memory accesses: row-major write, transposed read.
-    assert!(cl.contains("tmp[(get_local_id(0) + (get_local_id(1) * 32))]"));
-    assert!(cl.contains("tmp[((get_local_id(0) * 32) + get_local_id(1))]"));
+    assert!(cl.contains("tmp[((get_local_id(0) + (get_local_id(1) * 32)) + (i * 256))]"));
+    assert!(cl.contains("tmp[(((get_local_id(0) * 32) + get_local_id(1)) + (i * 8))]"));
 }
 
 #[test]
@@ -170,9 +177,12 @@ fn golden_matmul_structure() {
     assert!(cl.contains(
         "a_tile[(get_local_id(0) + (get_local_id(1) * 32))] = a[(((get_group_id(1) * 2048) + get_local_id(0)) + (get_local_id(1) * 64))];"
     ));
-    assert!(
-        cl.contains("acc = (acc + (a_tile[(get_local_id(1) * 32)] * b_tile[get_local_id(0)]));")
-    );
+    // The k loop rolls, once per (unrolled) t iteration.
+    let k_loop = "    for (int k = 0; k < 32; k++) {
+        acc = (acc + (a_tile[((get_local_id(1) * 32) + k)] * b_tile[(get_local_id(0) + (k * 32))]));
+    }
+";
+    assert_eq!(cl.matches(k_loop).count(), 2, "{cl}");
     assert!(cl.contains(
         "c[((((get_group_id(0) * 32) + (get_group_id(1) * 2048)) + get_local_id(0)) + (get_local_id(1) * 64))] = acc;"
     ));
@@ -264,4 +274,38 @@ fn golden_atomic_spellings() {
         "inline void descend_atomic_add_f32_global(volatile __global float* p, float v)"
     ));
     assert!(unit.contains("atomic_cmpxchg((volatile __global unsigned int*)p"));
+}
+
+/// Nested for-nat loops stay nested C-like `for` loops, with the loop
+/// variables in the index where they select.
+#[test]
+fn golden_rolled_loop() {
+    let src = r#"
+fn tile_sum(m: & gpu.global [f64; 256], out: &uniq gpu.global [f64; 64])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            let mut acc = 0.0;
+            for j in [0..2] {
+                for i in [0..2] {
+                    acc = acc + (*m).group::<4>.group::<32>[[block]][[thread]].group::<2>[j][i];
+                }
+            }
+            (*out).group::<32>[[block]][[thread]] = acc;
+        }
+    }
+}
+"#;
+    let expected = "\
+__kernel void tile_sum(__global const double* m, __global double* out) {
+    double acc = 0.0;
+    for (int j = 0; j < 2; j++) {
+        for (int i = 0; i < 2; i++) {
+            acc = (acc + m[((((get_group_id(0) * 128) + (get_local_id(0) * 4)) + i) + (j * 2))]);
+        }
+    }
+    out[((get_group_id(0) * 32) + get_local_id(0))] = acc;
+}
+";
+    assert_eq!(kernel_opencl(src, 0), expected);
 }

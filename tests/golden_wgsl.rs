@@ -119,19 +119,26 @@ fn golden_transpose_structure() {
     assert!(w.contains("var<workgroup> tmp: array<f32, 1024>;"));
     assert!(w.contains("@compute @workgroup_size(32, 8, 1)"));
     assert!(w.contains("workgroupBarrier();"));
-    // Same linear-normal-form indices as the CUDA rendering, with the
-    // WGSL coordinate spellings substituted.
+    // Same rolled loops and linear-normal-form indices as the CUDA
+    // rendering, with a `u32` loop variable (the type of the coordinate
+    // builtins it combines with) and the WGSL coordinate spellings.
+    assert_eq!(
+        w.matches("    for (var i: u32 = 0u; i < 4u; i++) {\n")
+            .count(),
+        2,
+        "{w}"
+    );
     assert!(
-        w.contains("input[((((block_idx.x * 8192) + (block_idx.y * 32)) + thread_idx.x) + (thread_idx.y * 256))]"),
+        w.contains("input[(((((block_idx.x * 8192) + (block_idx.y * 32)) + thread_idx.x) + (thread_idx.y * 256)) + (i * 2048))]"),
         "expected transposed tile read, got:\n{w}"
     );
     assert!(
-        w.contains("output[((((block_idx.x * 32) + (block_idx.y * 8192)) + thread_idx.x) + (thread_idx.y * 256))]"),
+        w.contains("output[(((((block_idx.x * 32) + (block_idx.y * 8192)) + thread_idx.x) + (thread_idx.y * 256)) + (i * 2048))]"),
         "expected straight tile write, got:\n{w}"
     );
     // Shared-memory accesses: row-major write, transposed read.
-    assert!(w.contains("tmp[(thread_idx.x + (thread_idx.y * 32))]"));
-    assert!(w.contains("tmp[((thread_idx.x * 32) + thread_idx.y)]"));
+    assert!(w.contains("tmp[((thread_idx.x + (thread_idx.y * 32)) + (i * 256))]"));
+    assert!(w.contains("tmp[(((thread_idx.x * 32) + thread_idx.y) + (i * 8))]"));
 }
 
 #[test]
@@ -169,7 +176,12 @@ fn golden_matmul_structure() {
     assert!(w.contains(
         "a_tile[(thread_idx.x + (thread_idx.y * 32))] = a[(((block_idx.y * 2048) + thread_idx.x) + (thread_idx.y * 64))];"
     ));
-    assert!(w.contains("acc = (acc + (a_tile[(thread_idx.y * 32)] * b_tile[thread_idx.x]));"));
+    // The k loop rolls, once per (unrolled) t iteration.
+    let k_loop = "    for (var k: u32 = 0u; k < 32u; k++) {
+        acc = (acc + (a_tile[((thread_idx.y * 32) + k)] * b_tile[(thread_idx.x + (k * 32))]));
+    }
+";
+    assert_eq!(w.matches(k_loop).count(), 2, "{w}");
     assert!(w.contains(
         "c[((((block_idx.x * 32) + (block_idx.y * 2048)) + thread_idx.x) + (thread_idx.y * 64))] = acc;"
     ));
@@ -365,4 +377,45 @@ fn scatter(inp: & gpu.global [i32; 64], hist: &uniq gpu.global [i32; 64])
     let compiled = Compiler::new().compile_source(src).expect("compiles");
     assert!(compiled.kernels[0].targets["cuda"]
         .contains("atomicAdd(&hist[((blockIdx.x * 32) + descend_idx_0)], 1);"));
+}
+
+/// Nested for-nat loops stay nested `for` loops over `u32` variables, with
+/// the loop variables in the index where they select.
+#[test]
+fn golden_rolled_loop() {
+    let src = r#"
+fn tile_sum(m: & gpu.global [f64; 256], out: &uniq gpu.global [f64; 64])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            let mut acc = 0.0;
+            for j in [0..2] {
+                for i in [0..2] {
+                    acc = acc + (*m).group::<4>.group::<32>[[block]][[thread]].group::<2>[j][i];
+                }
+            }
+            (*out).group::<32>[[block]][[thread]] = acc;
+        }
+    }
+}
+"#;
+    let expected = "\
+// Kernel `tile_sum` — standalone WGSL module.
+// note: f64 narrowed to f32 (WGSL has no f64).
+@group(0) @binding(0) var<storage, read> m: array<f32, 256>;
+@group(0) @binding(1) var<storage, read_write> out: array<f32, 64>;
+const block_dim: vec3<u32> = vec3<u32>(32, 1, 1);
+
+@compute @workgroup_size(32, 1, 1)
+fn tile_sum(@builtin(workgroup_id) block_idx: vec3<u32>, @builtin(local_invocation_id) thread_idx: vec3<u32>, @builtin(num_workgroups) grid_dim: vec3<u32>) {
+    var acc: f32 = 0.0;
+    for (var j: u32 = 0u; j < 2u; j++) {
+        for (var i: u32 = 0u; i < 2u; i++) {
+            acc = (acc + m[((((block_idx.x * 128) + (thread_idx.x * 4)) + i) + (j * 2))]);
+        }
+    }
+    out[((block_idx.x * 32) + thread_idx.x)] = acc;
+}
+";
+    assert_eq!(kernel_wgsl(src, 0), expected);
 }

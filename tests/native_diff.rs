@@ -388,3 +388,83 @@ fn benchmark_sources_compile_with_host_cc() {
         result.unwrap_or_else(|e| panic!("bench:{name}: emitted C rejected:\n{e}"));
     }
 }
+
+/// A host program whose kernel accumulates through rolled loops — one
+/// nested pair reading a row in 2×4 tiles, one storing the row doubled —
+/// runs natively from the emitted `for` loops: native == simulator ==
+/// reference.
+#[test]
+fn rolled_loops_run_natively() {
+    let src = r#"
+fn rows(m: & gpu.global [f64; 512], sums: &uniq gpu.global [f64; 64],
+        twice: &uniq gpu.global [f64; 512])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            let mut acc = 0.0;
+            for j in [0..2] {
+                for i in [0..4] {
+                    acc = acc + (*m).group::<8>.group::<32>[[block]][[thread]].group::<4>[j][i];
+                }
+            }
+            for k in [0..8] {
+                (*twice).group::<8>.group::<32>[[block]][[thread]][k] =
+                    (*m).group::<8>.group::<32>[[block]][[thread]][k] * 2.0;
+            }
+            (*sums).group::<32>[[block]][[thread]] = acc;
+        }
+    }
+}
+
+fn main() -[t: cpu.thread]-> () {
+    let hm = alloc::<cpu.mem, [f64; 512]>();
+    let hs = alloc::<cpu.mem, [f64; 64]>();
+    let ht = alloc::<cpu.mem, [f64; 512]>();
+    let dm = gpu_alloc_copy(&hm);
+    let ds = gpu_alloc_copy(&hs);
+    let dt = gpu_alloc_copy(&ht);
+    rows<<<X<2>, X<32>>>>(&dm, &uniq ds, &uniq dt);
+    copy_mem_to_host(&uniq hs, &ds);
+    copy_mem_to_host(&uniq ht, &dt);
+}
+"#;
+    let compiled = Compiler::with_backends(&["c"])
+        .expect("c backend registered")
+        .compile_source(src)
+        .unwrap_or_else(|e| panic!("compile failed:\n{e}"));
+    let c_source = compiled.target_source("c").expect("c selected");
+    for header in [
+        "for (int j = 0; j < 2; j++) {",
+        "for (int i = 0; i < 4; i++) {",
+        "for (int k = 0; k < 8; k++) {",
+    ] {
+        assert!(
+            c_source.contains(header),
+            "`{header}` not rolled:\n{c_source}"
+        );
+    }
+    let hm = gen(512, 21, -9, 9);
+    let inputs = buffers(&[("hm", hm.clone())]);
+    let expected = buffers(&[
+        ("hm", hm.clone()),
+        ("hs", hm.chunks(8).map(|row| row.iter().sum()).collect()),
+        ("ht", hm.iter().map(|v| v * 2.0).collect()),
+    ]);
+    let cfg = LaunchConfig {
+        detect_races: true,
+        ..LaunchConfig::default()
+    };
+    let sim = compiled
+        .run_host("main", &inputs, &cfg)
+        .unwrap_or_else(|e| panic!("simulated run failed: {e}"));
+    assert_buffers_eq(&sim.cpu, &expected, "rolled loops: simulator vs reference");
+    let Some(tc) = toolchain() else {
+        return;
+    };
+    let native = tc
+        .compile(c_source)
+        .and_then(|exe| exe.run("main", &inputs))
+        .unwrap_or_else(|e| panic!("rolled loops: {e}"));
+    assert_buffers_eq(&native, &expected, "rolled loops: native vs reference");
+    assert_buffers_eq(&native, &sim.cpu, "rolled loops: native vs simulator");
+}
