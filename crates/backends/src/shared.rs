@@ -132,15 +132,6 @@ fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKern
     out
 }
 
-/// Maps a dimension component to a hardware axis.
-pub fn dim_axis(d: DimCompo) -> Axis {
-    match d {
-        DimCompo::X => Axis::X,
-        DimCompo::Y => Axis::Y,
-        DimCompo::Z => Axis::Z,
-    }
-}
-
 /// The lower-case component letter of an axis (`x`/`y`/`z`).
 pub fn axis_name(a: Axis) -> &'static str {
     match a {

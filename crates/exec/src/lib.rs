@@ -641,6 +641,20 @@ impl ExecExpr {
 
     /// Structural equality up to nat normalization.
     pub fn same(&self, other: &ExecExpr) -> bool {
+        self.ops.len() == other.ops.len() && self.same_ops(other, self.ops.len())
+    }
+
+    /// Whether the op prefixes up to and including `idx` coincide
+    /// (structurally, as [`ExecExpr::same`]); `false` if either
+    /// expression has no op at `idx`. Compares in place, allocating
+    /// nothing.
+    pub fn same_prefix(&self, other: &ExecExpr, idx: usize) -> bool {
+        idx < self.ops.len() && idx < other.ops.len() && self.same_ops(other, idx + 1)
+    }
+
+    /// Whether the bases and the first `n` ops (both have at least `n`)
+    /// coincide.
+    fn same_ops(&self, other: &ExecExpr, n: usize) -> bool {
         let base_same = match (&self.base, &other.base) {
             (ExecBase::CpuThread, ExecBase::CpuThread) => true,
             (
@@ -656,8 +670,10 @@ impl ExecExpr {
             _ => false,
         };
         base_same
-            && self.ops.len() == other.ops.len()
-            && self.ops.iter().zip(&other.ops).all(|(a, b)| a.same(b))
+            && self.ops[..n]
+                .iter()
+                .zip(&other.ops[..n])
+                .all(|(a, b)| a.same(b))
     }
 }
 
@@ -1018,5 +1034,20 @@ mod tests {
         let a = ExecExpr::grid(Dim::x(Nat::var("n") * Nat::lit(1)), Dim::x(32u64));
         let b = ExecExpr::grid(Dim::x(Nat::var("n")), Dim::x(32u64));
         assert!(a.same(&b));
+    }
+
+    /// Two split branches share the block-level prefix and part there.
+    #[test]
+    fn same_prefix_compares_up_to_an_op() {
+        let b = ExecExpr::grid(Dim::x(2u64), Dim::x(64u64))
+            .forall(DimCompo::X)
+            .unwrap();
+        let fst = b.split(DimCompo::X, Nat::lit(32), Side::Fst).unwrap();
+        let snd = b.split(DimCompo::X, Nat::lit(32), Side::Snd).unwrap();
+        assert!(fst.same_prefix(&snd, 0));
+        assert!(!fst.same_prefix(&snd, 1));
+        assert!(fst.same_prefix(&fst.clone(), 1));
+        // No op at the index: nothing to compare.
+        assert!(!b.same_prefix(&fst, 1));
     }
 }

@@ -17,11 +17,18 @@
 //!    forall level on which two distinct executors could disagree; any
 //!    other shape is conservatively a conflict — exactly the reasoning
 //!    that rejects the paper's `arr[[thread]] = arr.rev[[thread]]`.
+//!
+//! An access recorded once for every iteration of a for-nat loop that
+//! the checker checks symbolically carries a [`SymIndex`]: its index
+//! step reads a whole interval of values. At that step a pair of
+//! accesses is `Equal` when some admissible pair of iterations makes the
+//! two indices equal and `Disjoint` otherwise, which is exactly the union
+//! of the verdicts of the per-iteration copies (`docs/DESIGN.md` §11).
 
 use crate::path::{PathStep, PlacePath};
 use crate::view::{windows_overlap, ViewStep};
-use descend_ast::Span;
-use descend_exec::{ExecBase, ExecExpr, ForallLevel, Side};
+use descend_ast::{Nat, Span};
+use descend_exec::{ExecBase, ExecExpr, ForallLevel, Side, Space};
 use std::fmt;
 
 /// Whether an access reads or writes (mirrors shared/unique borrows).
@@ -61,8 +68,30 @@ pub struct Access {
     pub exec: ExecExpr,
     /// Source location, for diagnostics.
     pub span: Span,
-    /// Rendered place expression, for diagnostics.
-    pub display: String,
+    /// The symbolic loop index of `path`, if the access stands for every
+    /// iteration of a loop checked once.
+    pub sym: Option<SymIndex>,
+}
+
+/// A symbolic loop index: the step at `step` of an access path is
+/// `Index(var + c)` for the variable `var` of a for-nat loop checked
+/// once, so it reads every value in `lo..hi` (the loop's range shifted
+/// by `c`), one per iteration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SymIndex {
+    /// Position of the index step in the path.
+    pub step: usize,
+    /// Smallest value the index reads.
+    pub lo: u64,
+    /// One past the largest value the index reads.
+    pub hi: u64,
+}
+
+impl Access {
+    /// The symbolic loop index at step `i`, if the step is one.
+    fn sym_at(&self, i: usize) -> Option<SymIndex> {
+        self.sym.filter(|s| s.step == i)
+    }
 }
 
 /// Result of a narrowing check: the forall levels that the access fails
@@ -99,7 +128,7 @@ pub fn narrowing_violation(
                 return false;
             }
             !path.selects().any(|sel| {
-                sel.level_index == lvl.op_index && exec_prefix_same(&sel.exec, exec, lvl.op_index)
+                sel.level_index == lvl.op_index && sel.exec.same_prefix(exec, lvl.op_index)
             })
         })
         .collect();
@@ -108,23 +137,6 @@ pub fn narrowing_violation(
     } else {
         Some(MissingLevels { missing })
     }
-}
-
-/// Whether the op prefixes (up to and including `idx`) of two exec
-/// expressions coincide.
-fn exec_prefix_same(a: &ExecExpr, b: &ExecExpr, idx: usize) -> bool {
-    if a.ops.len() <= idx || b.ops.len() <= idx {
-        return false;
-    }
-    let pa = ExecExpr {
-        base: a.base.clone(),
-        ops: a.ops[..=idx].to_vec(),
-    };
-    let pb = ExecExpr {
-        base: b.base.clone(),
-        ops: b.ops[..=idx].to_vec(),
-    };
-    pa.same(&pb)
 }
 
 /// Outcome of comparing two steps during the pairwise walk.
@@ -241,24 +253,79 @@ fn contains_overlapping_windows(v: &ViewStep) -> bool {
     }
 }
 
+/// The smallest and largest value an index step reads: those of the
+/// symbolic range, or the value of a literal; `None` for any other nat
+/// (the scatter sentinel).
+fn index_values(sym: Option<SymIndex>, n: &Nat) -> Option<(u64, u64)> {
+    match (sym, n) {
+        (Some(s), _) => Some((s.lo, s.hi - 1)),
+        (None, Nat::Lit(v)) => Some((*v, *v)),
+        (None, n) => n.as_lit().map(|v| (v, v)),
+    }
+}
+
+/// Compares step `i` of two chains, one of which may be a symbolic
+/// index (`a_sym`/`b_sym`, already filtered to this step). `repeats`
+/// is set when both chains are the same access compared with its own
+/// other iterations: whether two distinct iterations can read the same
+/// value at its symbolic index.
+fn compare_at(
+    (sa, a_sym): (&PathStep, Option<SymIndex>),
+    (sb, b_sym): (&PathStep, Option<SymIndex>),
+    repeats: Option<bool>,
+) -> StepCmp {
+    let (PathStep::Index(n1), PathStep::Index(n2)) = (sa, sb) else {
+        return compare_steps(sa, sb);
+    };
+    if a_sym.is_none() && b_sym.is_none() {
+        return compare_steps(sa, sb);
+    }
+    if let Some(repeats) = repeats {
+        return if repeats {
+            StepCmp::Equal
+        } else {
+            StepCmp::Disjoint
+        };
+    }
+    match (index_values(a_sym, n1), index_values(b_sym, n2)) {
+        (Some((lo1, last1)), Some((lo2, last2))) if lo1 <= last2 && lo2 <= last1 => StepCmp::Equal,
+        (Some(_), Some(_)) => StepCmp::Disjoint,
+        _ => StepCmp::Unknown,
+    }
+}
+
+/// The pairwise walk of two step chains over their common length: the
+/// first step that is `Disjoint` or `Unknown`, or `Equal` if every
+/// common step is.
+fn walk(
+    (a, a_sym): (&[PathStep], Option<SymIndex>),
+    (b, b_sym): (&[PathStep], Option<SymIndex>),
+    repeats: Option<bool>,
+) -> StepCmp {
+    for (i, (sa, sb)) in a.iter().zip(b).enumerate() {
+        let at = |sym: Option<SymIndex>| sym.filter(|s| s.step == i);
+        match compare_at((sa, at(a_sym)), (sb, at(b_sym)), repeats) {
+            StepCmp::Equal => {}
+            decided => return decided,
+        }
+    }
+    StepCmp::Equal
+}
+
 /// Whether two place paths may refer to overlapping memory regions,
 /// independent of which executors access them. Used for sequential
-/// (same-thread) borrow checking on the CPU side.
+/// (same-thread) borrow checking on the CPU side, and for accesses
+/// against live borrows; `b_sym` is `b`'s symbolic loop index, if any.
 ///
 /// Conservative: `false` means provably disjoint.
-pub fn may_overlap(a: &PlacePath, b: &PlacePath) -> bool {
+pub fn may_overlap(a: &PlacePath, b: &PlacePath, b_sym: Option<SymIndex>) -> bool {
     if a.root != b.root {
         return false;
     }
-    let common = a.steps.len().min(b.steps.len());
-    for i in 0..common {
-        match compare_steps(&a.steps[i], &b.steps[i]) {
-            StepCmp::Disjoint => return false,
-            StepCmp::Unknown => return true,
-            StepCmp::Equal => {}
-        }
-    }
-    true
+    !matches!(
+        walk((&a.steps, None), (&b.steps, b_sym), None),
+        StepCmp::Disjoint
+    )
 }
 
 /// Whether two accesses can constitute a data race: two *distinct*
@@ -266,6 +333,19 @@ pub fn may_overlap(a: &PlacePath, b: &PlacePath) -> bool {
 ///
 /// The check is conservative (sound): `false` means provably race-free.
 pub fn may_race(a: &Access, b: &Access) -> bool {
+    race(a, b, None)
+}
+
+/// Whether an access recorded once for every iteration of the symbolic
+/// loops around it races with itself in another iteration. Its symbolic
+/// index, if any, reads the same value in two distinct iterations
+/// exactly when `index_repeats`: when another symbolic loop encloses it
+/// too.
+pub fn may_race_repeated(a: &Access, index_repeats: bool) -> bool {
+    race(a, a, Some(index_repeats))
+}
+
+fn race(a: &Access, b: &Access, repeats: Option<bool>) -> bool {
     if a.mode == AccessMode::Shrd && b.mode == AccessMode::Shrd {
         return false;
     }
@@ -284,17 +364,12 @@ pub fn may_race(a: &Access, b: &Access) -> bool {
         return false;
     }
     // Pairwise step walk.
-    let steps_a = &a.path.steps;
-    let steps_b = &b.path.steps;
-    let common = steps_a.len().min(steps_b.len());
-    for i in 0..common {
-        match compare_steps(&steps_a[i], &steps_b[i]) {
-            StepCmp::Disjoint => return false,
-            StepCmp::Unknown => return true,
-            StepCmp::Equal => {}
-        }
+    match walk((&a.path.steps, a.sym), (&b.path.steps, b.sym), repeats) {
+        StepCmp::Disjoint => return false,
+        StepCmp::Unknown => return true,
+        StepCmp::Equal => {}
     }
-    if steps_a.len() != steps_b.len() {
+    if a.path.steps.len() != b.path.steps.len() {
         // One region contains the other: the shorter access touches the
         // whole region for every executor. Distinct executors overlap
         // unless the remaining steps cannot matter — be conservative.
@@ -319,10 +394,60 @@ pub fn may_race(a: &Access, b: &Access) -> bool {
             return true;
         }
         a.path.selects().any(|sel| {
-            sel.level_index == lvl.op_index && exec_prefix_same(&sel.exec, &a.exec, lvl.op_index)
+            sel.level_index == lvl.op_index && sel.exec.same_prefix(&a.exec, lvl.op_index)
         })
     };
     !levels.iter().all(covered)
+}
+
+/// Whether two potentially racing accesses are ordered by a block-wide
+/// barrier between them: both must be confined to a single block
+/// instance, i.e. their longest common equal step prefix contains a
+/// select for every block-space forall level (levels of extent 1 need
+/// none). Overlapping executors then necessarily share the block
+/// coordinate, and the barrier synchronizes that block.
+///
+/// A symbolic index continues the prefix when some pair of iterations
+/// reads equal values there. The pairs that read different values stop
+/// their prefix at that step instead, so the answer holds for every pair
+/// only when it is the same for both prefixes; `None` when it is not.
+pub fn barrier_ordered(a: &Access, b: &Access) -> Option<bool> {
+    let mut len = 0;
+    let mut first_sym = None;
+    for (i, (sa, sb)) in a.path.steps.iter().zip(&b.path.steps).enumerate() {
+        let (a_sym, b_sym) = (a.sym_at(i), b.sym_at(i));
+        let same = if a_sym.is_none() && b_sym.is_none() {
+            sa.same(sb)
+        } else {
+            first_sym.get_or_insert(i);
+            matches!(compare_at((sa, a_sym), (sb, b_sym), None), StepCmp::Equal)
+        };
+        if !same {
+            break;
+        }
+        len = i + 1;
+    }
+    let ordered = |len: usize| {
+        let prefix = &a.path.steps[..len];
+        let confined = |exec: &ExecExpr| {
+            exec.forall_levels()
+                .into_iter()
+                .filter(|l| l.space == Space::Block && l.extent.as_lit() != Some(1))
+                .all(|l| {
+                    prefix.iter().any(|s| {
+                        matches!(s, PathStep::Select(sel)
+                            if sel.level_index == l.op_index
+                                && sel.exec.same_prefix(exec, l.op_index))
+                    })
+                })
+        };
+        confined(&a.exec) && confined(&b.exec)
+    };
+    let widest = ordered(len);
+    match first_sym {
+        Some(k) if k < len && widest && !ordered(k) => None,
+        _ => Some(widest),
+    }
 }
 
 #[cfg(test)]
@@ -347,13 +472,12 @@ mod tests {
     }
 
     fn access(path: PlacePath, mode: AccessMode, exec: &ExecExpr) -> Access {
-        let display = path.to_string();
         Access {
             path,
             mode,
             exec: exec.clone(),
             span: Span::DUMMY,
-            display,
+            sym: None,
         }
     }
 
@@ -721,6 +845,119 @@ mod tests {
             access(p, AccessMode::Uniq, &t)
         };
         assert!(may_race(&mk(3, 3), &mk(2, 2)));
+    }
+
+    fn sym(access: Access, step: usize, lo: u64, hi: u64) -> Access {
+        Access {
+            sym: Some(SymIndex { step, lo, hi }),
+            ..access
+        }
+    }
+
+    /// `tmp[x][[thread]]` written and `tmp[y].rev[[thread]]` read: the
+    /// paths agree up to the index and diverge after it, so they race
+    /// exactly when the two indices can meet. A symbolic index reads its
+    /// whole interval.
+    #[test]
+    fn symbolic_indices_race_iff_their_intervals_meet() {
+        let (_, b, t) = setup_1d(1, 32);
+        let path = |n: Nat, rev: bool| {
+            let mut p = PlacePath::new("tmp", b.clone());
+            p.push(PathStep::Index(n));
+            if rev {
+                p.push(PathStep::View(ViewStep::Reverse { n: Nat::lit(32) }));
+            }
+            p.push(sel(&t, 1));
+            p
+        };
+        let write = sym(
+            access(path(Nat::var("i"), false), AccessMode::Uniq, &t),
+            0,
+            0,
+            4,
+        );
+        let read = |n: Nat| access(path(n, true), AccessMode::Shrd, &t);
+        assert!(may_race(&write, &read(Nat::lit(3))));
+        assert!(!may_race(&write, &read(Nat::lit(4))));
+        assert!(may_race(&read(Nat::lit(0)), &write), "symmetric");
+        let shifted = |lo: u64| sym(read(Nat::var("j") + Nat::lit(lo)), 0, lo, lo + 4);
+        assert!(may_race(&write, &shifted(3)));
+        assert!(!may_race(&write, &shifted(4)));
+        // The scatter index could be anything.
+        assert!(may_race(&write, &read(Nat::var(crate::DYN_IDX))));
+    }
+
+    /// An access standing for every iteration of its loop, against its
+    /// own other iterations: its symbolic index never repeats within one
+    /// loop, but does when another symbolic loop encloses it; an access
+    /// with no symbolic index touches the same place every iteration.
+    #[test]
+    fn repeated_access_repeats_its_index_only_under_another_loop() {
+        let (_, b, t) = setup_1d(1, 32);
+        // `tmp[i]` without a select: every thread writes the element.
+        let mut p = PlacePath::new("tmp", b.clone());
+        p.push(PathStep::Index(Nat::var("i")));
+        let each = sym(access(p, AccessMode::Uniq, &t), 0, 0, 4);
+        assert!(!may_race_repeated(&each, false));
+        assert!(may_race_repeated(&each, true));
+        let same = access(PlacePath::new("tmp", b.clone()), AccessMode::Uniq, &t);
+        assert!(may_race_repeated(&same, false));
+        let mut selected = PlacePath::new("tmp", b);
+        selected.push(sel(&t, 1));
+        let own = access(selected, AccessMode::Uniq, &t);
+        assert!(!may_race_repeated(&own, true));
+    }
+
+    /// A barrier orders two accesses confined to one block. A symbolic
+    /// index ahead of the block select leaves that open: the iterations
+    /// whose indices differ stop their common prefix before the select.
+    #[test]
+    fn barrier_ordering_through_a_symbolic_index() {
+        let (g, _, t) = setup_1d(4, 32);
+        let path = |index_first: bool, n: Nat| {
+            let mut p = PlacePath::new("arr", g.clone());
+            p.push(PathStep::Deref);
+            if index_first {
+                p.push(PathStep::Index(n.clone()));
+            }
+            p.push(sel(&t, 0));
+            if !index_first {
+                p.push(PathStep::Index(n));
+            }
+            p.push(sel(&t, 1));
+            p
+        };
+        for (index_first, step) in [(true, 1), (false, 2)] {
+            let w = sym(
+                access(path(index_first, Nat::var("i")), AccessMode::Uniq, &t),
+                step,
+                0,
+                4,
+            );
+            let r = |v: u64| access(path(index_first, Nat::lit(v)), AccessMode::Shrd, &t);
+            let expected = if index_first { None } else { Some(true) };
+            assert_eq!(barrier_ordered(&w, &r(2)), expected);
+            assert_eq!(barrier_ordered(&r(2), &r(2)), Some(true));
+            // No iteration reads 7: the prefix stops at the index.
+            assert_eq!(barrier_ordered(&w, &r(7)), Some(!index_first));
+        }
+    }
+
+    /// A live borrow of `arr[5]` overlaps an access through `arr[i]`
+    /// exactly when `i` reaches 5.
+    #[test]
+    fn borrows_overlap_symbolic_indices_by_interval() {
+        let (g, _, _) = setup_1d(1, 32);
+        let path = |n: Nat| {
+            let mut p = PlacePath::new("arr", g.clone());
+            p.push(PathStep::Index(n));
+            p
+        };
+        let borrowed = path(Nat::lit(5));
+        let each = path(Nat::var("i"));
+        let at = |lo, hi| Some(SymIndex { step: 0, lo, hi });
+        assert!(!may_overlap(&borrowed, &each, at(0, 5)));
+        assert!(may_overlap(&borrowed, &each, at(3, 8)));
     }
 
     #[test]

@@ -31,7 +31,10 @@ pub mod lower;
 pub mod path;
 pub mod view;
 
-pub use conflict::{may_overlap, may_race, narrowing_violation, Access, AccessMode};
+pub use conflict::{
+    barrier_ordered, may_overlap, may_race, may_race_repeated, narrowing_violation, Access,
+    AccessMode, SymIndex,
+};
 pub use lower::{
     lower_scalar_access, lower_scalar_access_at, simplify_idx, Coord, IdxExpr, DYN_IDX,
 };

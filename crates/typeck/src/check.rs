@@ -8,8 +8,9 @@ use descend_ast::ty::*;
 use descend_ast::{Nat, Span};
 use descend_exec::{ExecExpr, Side, Space};
 use descend_places::{
-    may_overlap, may_race, narrowing_violation, resolve_view_app, zip_ty, Access, AccessMode,
-    PathStep, PlacePath, SelectStep, ViewDefs, ViewStep, DYN_IDX,
+    barrier_ordered, may_overlap, may_race, may_race_repeated, narrowing_violation,
+    resolve_view_app, zip_ty, Access, AccessMode, PathStep, PlacePath, SelectStep, SymIndex,
+    ViewDefs, ViewStep, DYN_IDX,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -40,13 +41,16 @@ impl CheckedProgram {
 type TResult<T> = Result<T, TypeError>;
 
 /// The for-nat iterations one kernel instance (or host function) may
-/// check in total, nested loops included. Every iteration is checked
-/// separately, against every access recorded before it, so this caps
-/// the compile-time work a loop can demand: a `[lo..hi]` loop whose trip
-/// count exceeds what is left is rejected with
-/// [`ErrorKind::LoopBudgetExceeded`] before its first iteration. The
-/// largest loop nest of the benchmark programs, the paper-scale matmul,
-/// takes 264; matmul fits up to `n = 2048` (2 112).
+/// run in total, nested loops included. A loop checked per iteration
+/// checks each one against every access recorded before it, and the IR
+/// lowering unrolls every iteration of every loop, however it was
+/// checked, so this caps the compile-time work a loop can demand: a
+/// loop whose trip count exceeds what is left is rejected with
+/// [`ErrorKind::LoopBudgetExceeded`] at entry. A loop inside loops
+/// checked once is charged once for each of their iterations, as if
+/// they were checked per iteration. The largest loop nest of the
+/// benchmark programs, the paper-scale matmul, takes 264; matmul fits
+/// up to `n = 2048` (2 112).
 pub const LOOP_BUDGET: u64 = 1 << 12;
 
 /// Type-checks a complete program, returning the elaborated form.
@@ -327,70 +331,35 @@ impl<'p> GlobalCx<'p> {
         let tdim = subst_dim(tdim, &env, f.span)?;
         // Mark before checking to terminate recursion on self-launch.
         self.instantiated.insert(mangled.clone());
-        let mut fcx = FnCx::new(
-            self,
-            env.clone(),
-            ExecExpr::grid(bdim.clone(), tdim.clone()),
-        );
-        // Bind the execution resource and parameters.
-        fcx.exec_bindings.insert(
-            f.sig.exec_name.clone(),
-            ExecBinding {
-                expr: fcx.exec.clone(),
-                introduced: Vec::new(),
-            },
-        );
-        let mut params = Vec::new();
-        for p in &f.sig.params {
-            let ty = subst_ty(&p.ty, &env, f.span)?;
-            let DataTy::Ref(kind, mem, inner) = &ty else {
-                return Err(TypeError::new(
-                    ErrorKind::Unsupported,
-                    f.span,
-                    format!("kernel parameter `{}` must be a reference", p.name),
-                ));
-            };
-            // Non-global parameters (e.g. the paper's cpu.mem deref demo)
-            // are bound for checking but get no buffer slot: any use of
-            // them as memory errors before lowering.
-            let index = if *mem == Memory::GpuGlobal {
-                let (elem, dims) = scalar_and_dims(inner, f.span)?;
-                params.push(KernelParam {
-                    name: p.name.clone(),
-                    elem,
-                    dims: dims
-                        .iter()
-                        .map(|d| d.as_lit().expect("substituted dims are literal"))
-                        .collect(),
-                    uniq: *kind == RefKind::Uniq,
-                });
-                params.len() - 1
-            } else {
-                usize::MAX
-            };
-            fcx.bind(
-                &p.name,
-                Binding {
-                    ty: ty.clone(),
-                    mutable: false,
-                    owner: fcx.exec.clone(),
-                    kind: BindKind::KernelParam {
-                        index,
-                        mem: mem.clone(),
-                    },
-                },
-                f.span,
-            )?;
-        }
-        let body = fcx.check_block(&f.body, true)?;
+        // A rejection found after some loop was checked once may depend
+        // on what that loop recorded (a later access conflicting with it,
+        // or a case the interval rule cannot decide): the body is then
+        // checked again with every loop checked per iteration, so every
+        // diagnostic is the one checking each iteration gives.
+        let mut symbolic = true;
+        let (params, shared, body, loop_checks) = loop {
+            let mut fcx = FnCx::new(
+                self,
+                env.clone(),
+                ExecExpr::grid(bdim.clone(), tdim.clone()),
+            );
+            fcx.symbolic = symbolic;
+            let params = fcx.bind_kernel_params(f, &env)?;
+            match fcx.check_block(&f.body, true) {
+                Ok(body) => break (params, fcx.shared_allocs, body, fcx.loop_checks),
+                Err(_) if symbolic && fcx.loop_checks.once > 0 => symbolic = false,
+                Err(e) => return Err(e),
+            }
+        };
         let kernel = MonoKernel {
             name: mangled.clone(),
             source_name: f.sig.name.clone(),
             grid_dim: dim_to_xyz(&bdim),
             block_dim: dim_to_xyz(&tdim),
             params,
-            shared: fcx.shared_allocs,
+            shared,
             body,
+            loop_checks,
         };
         self.out.kernels.push(kernel);
         Ok(self.out.kernels.len() - 1)
@@ -714,9 +683,25 @@ struct FnCx<'g, 'p> {
     /// Elaborated host statements, in program order (only a host
     /// function produces any; `check_host_fn` returns them).
     host: Vec<HostStmt>,
-    /// For-nat iterations this function may still check (starts at
+    /// For-nat iterations this function may still run (starts at
     /// [`LOOP_BUDGET`]; nested loops draw from the same count).
     loop_budget: u64,
+    /// The loops whose body is being checked once, innermost last: their
+    /// variables are symbolic indices.
+    sym_loops: Vec<SymLoop>,
+    /// Whether eligible loops are checked once (cleared when a kernel is
+    /// checked again with every loop checked per iteration).
+    symbolic: bool,
+    /// How the loops checked so far were checked.
+    loop_checks: LoopChecks,
+}
+
+/// A loop whose body is being checked once: `var` stands for every
+/// value in `lo..hi`.
+struct SymLoop {
+    var: String,
+    lo: u64,
+    hi: u64,
 }
 
 impl<'g, 'p> FnCx<'g, 'p> {
@@ -735,11 +720,73 @@ impl<'g, 'p> FnCx<'g, 'p> {
             local_names: HashSet::new(),
             host: Vec::new(),
             loop_budget: LOOP_BUDGET,
+            sym_loops: Vec::new(),
+            symbolic: true,
+            loop_checks: LoopChecks::default(),
         }
     }
 
     fn on_gpu(&self) -> bool {
         !matches!(self.exec.base, descend_exec::ExecBase::CpuThread)
+    }
+
+    /// Binds a kernel's execution resource and parameters, returning the
+    /// buffer parameters.
+    fn bind_kernel_params(
+        &mut self,
+        f: &FnDef,
+        env: &HashMap<String, u64>,
+    ) -> TResult<Vec<KernelParam>> {
+        self.exec_bindings.insert(
+            f.sig.exec_name.clone(),
+            ExecBinding {
+                expr: self.exec.clone(),
+                introduced: Vec::new(),
+            },
+        );
+        let mut params = Vec::new();
+        for p in &f.sig.params {
+            let ty = subst_ty(&p.ty, env, f.span)?;
+            let DataTy::Ref(kind, mem, inner) = &ty else {
+                return Err(TypeError::new(
+                    ErrorKind::Unsupported,
+                    f.span,
+                    format!("kernel parameter `{}` must be a reference", p.name),
+                ));
+            };
+            // Non-global parameters (e.g. the paper's cpu.mem deref demo)
+            // are bound for checking but get no buffer slot: any use of
+            // them as memory errors before lowering.
+            let index = if *mem == Memory::GpuGlobal {
+                let (elem, dims) = scalar_and_dims(inner, f.span)?;
+                params.push(KernelParam {
+                    name: p.name.clone(),
+                    elem,
+                    dims: dims
+                        .iter()
+                        .map(|d| d.as_lit().expect("substituted dims are literal"))
+                        .collect(),
+                    uniq: *kind == RefKind::Uniq,
+                });
+                params.len() - 1
+            } else {
+                usize::MAX
+            };
+            self.bind(
+                &p.name,
+                Binding {
+                    ty: ty.clone(),
+                    mutable: false,
+                    owner: self.exec.clone(),
+                    kind: BindKind::KernelParam {
+                        index,
+                        mem: mem.clone(),
+                    },
+                },
+                f.span,
+            )?;
+        }
+        Ok(params)
     }
 
     fn bind(&mut self, name: &str, binding: Binding, span: Span) -> TResult<()> {
@@ -929,7 +976,14 @@ impl<'g, 'p> FnCx<'g, 'p> {
             }
             PlaceExprKind::Index(inner, n) => {
                 let mut tp = self.type_place(inner)?;
-                let n = self.subst_nat(n, p.span)?;
+                // A symbolic index is bounds-checked at its largest value.
+                let (n, max) = match self.symbolic_index(n, p.span) {
+                    Some(sym) => {
+                        let (n, max) = sym?;
+                        (n, Some(max))
+                    }
+                    None => (self.subst_nat(n, p.span)?, None),
+                };
                 let (elem, len) = match &tp.ty {
                     DataTy::Array(e, l) | DataTy::ArrayView(e, l) => ((**e).clone(), l.clone()),
                     other => {
@@ -940,7 +994,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
                         ))
                     }
                 };
-                if let (Some(i), Some(l)) = (n.as_lit(), len.as_lit()) {
+                if let (Some(i), Some(l)) = (max.or_else(|| n.as_lit()), len.as_lit()) {
                     if i >= l {
                         return Err(TypeError::new(
                             ErrorKind::OutOfBounds,
@@ -1099,7 +1153,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
             mode,
             exec: self.exec.clone(),
             span,
-            display: tp.path.to_string(),
+            sym: self.sym_index(&tp.path, span)?,
         };
         // 1. Narrowing.
         if let Some(missing) = narrowing_violation(&access.path, mode, &self.exec) {
@@ -1109,7 +1163,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
                 span,
                 format!(
                     "unique access to `{}` is not narrowed: no select distributes the {} {} level (extent {})",
-                    access.display,
+                    access.path,
                     lvl.space.noun(),
                     lvl.dim,
                     lvl.extent
@@ -1119,7 +1173,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
                 "insert the missing select: view `{0}` with `group::<..>` (or \
                  `split` it) into {2} parts and select one per {1} with \
                  `[[..]]`, so each of the {2} {1}s owns a distinct chunk",
-                access.display,
+                access.path,
                 lvl.space.noun(),
                 lvl.extent
             ))
@@ -1133,17 +1187,20 @@ impl<'g, 'p> FnCx<'g, 'p> {
         // the block-wide `sync` then happens-before-orders them.
         for (prior, prior_epoch) in &self.accesses {
             if may_race(&access, prior) {
-                let barrier_between = *prior_epoch != self.epoch;
-                if barrier_between && barrier_ordered(&access, prior) {
-                    continue;
+                if *prior_epoch != self.epoch {
+                    match barrier_ordered(&access, prior) {
+                        Some(true) => continue,
+                        Some(false) => {}
+                        None => return Err(undecidable(span)),
+                    }
                 }
-                return Err(TypeError::new(
-                    ErrorKind::ConflictingAccess,
-                    span,
-                    "cannot select memory because of a conflicting prior selection here",
-                )
-                .with_secondary(prior.span, format!("prior access of `{}`", prior.display)));
+                return Err(conflict(span, prior));
             }
+        }
+        // Inside loops checked once, the access stands for one access per
+        // iteration, each of which must not conflict with the others.
+        if !self.sym_loops.is_empty() && may_race_repeated(&access, self.sym_loops.len() > 1) {
+            return Err(conflict(span, &access));
         }
         // 3. Rust-style borrow conflicts (sequential aliasing). Accesses
         // that go *through* a reference binding are exempt: the borrow
@@ -1152,17 +1209,77 @@ impl<'g, 'p> FnCx<'g, 'p> {
         let is_write = mode != AccessMode::Shrd;
         if !tp.via_alias {
             for b in &self.borrows {
-                if (b.uniq || is_write) && may_overlap(&b.path, &access.path) {
+                if (b.uniq || is_write) && may_overlap(&b.path, &access.path, access.sym) {
                     return Err(TypeError::new(
                         ErrorKind::BorrowConflict,
                         span,
-                        format!("cannot access `{}` while it is borrowed", access.display),
+                        format!("cannot access `{}` while it is borrowed", access.path),
                     ));
                 }
             }
         }
         self.accesses.push((access, self.epoch));
         Ok(())
+    }
+
+    /// An index nat through the variable of a loop whose body is being
+    /// checked once: `None` if `n` mentions no such variable, else the
+    /// index as `var` or `var + c` with the largest value it reads (`hi +
+    /// c` fits in a `u64`). An index the loop's eligibility scan admitted
+    /// is affine in `var` with coefficient one, so its value at `lo`
+    /// gives `c`.
+    fn symbolic_index(&self, n: &Nat, span: Span) -> Option<TResult<(Nat, u64)>> {
+        let mut mentioned = self.sym_loops.iter().filter(|l| nat_mentions(n, &l.var));
+        let l = mentioned.next()?;
+        if mentioned.next().is_some() {
+            return Some(Err(undecidable(span)));
+        }
+        let at_lo = n
+            .subst(&|x| {
+                let v = if x == l.var {
+                    Some(l.lo)
+                } else {
+                    self.nat_env.get(x).copied()
+                };
+                v.map(Nat::lit)
+            })
+            .as_lit();
+        let c = at_lo
+            .and_then(|v| v.checked_sub(l.lo))
+            .filter(|c| l.hi.checked_add(*c).is_some());
+        Some(match c {
+            Some(0) => Ok((Nat::var(&l.var), l.hi - 1)),
+            Some(c) => Ok((Nat::var(&l.var) + Nat::lit(c), l.hi - 1 + c)),
+            None => Err(undecidable(span)),
+        })
+    }
+
+    /// The symbolic loop index of an access path. A path indexed through
+    /// two loops checked once is not decided: the interval rule compares
+    /// one index per path.
+    fn sym_index(&self, path: &PlacePath, span: Span) -> TResult<Option<SymIndex>> {
+        if self.sym_loops.is_empty() {
+            return Ok(None);
+        }
+        let mut found = None;
+        for (step, s) in path.steps.iter().enumerate() {
+            let PathStep::Index(n) = s else { continue };
+            let Some((var, c)) = loop_index(n) else {
+                continue;
+            };
+            let Some(l) = self.sym_loops.iter().find(|l| l.var == var) else {
+                continue;
+            };
+            if found.is_some() {
+                return Err(undecidable(span));
+            }
+            found = Some(SymIndex {
+                step,
+                lo: l.lo + c,
+                hi: l.hi + c,
+            });
+        }
+        Ok(found)
     }
 
     /// The memory-context rule (paper §2.3): a pointer into GPU memory
@@ -1242,6 +1359,10 @@ impl<'g, 'p> FnCx<'g, 'p> {
                             e.span,
                             format!("cannot move out of `{}`", tp.path),
                         ));
+                    }
+                    // Every iteration but the first would find it moved.
+                    if !self.sym_loops.is_empty() {
+                        return Err(undecidable(e.span));
                     }
                     self.record_access(&tp, AccessMode::Uniq, e.span)?;
                     let b = self
@@ -1503,21 +1624,25 @@ impl<'g, 'p> FnCx<'g, 'p> {
             } => self.check_let(name, *mutable, ty.as_ref(), init, s.span, out),
             StmtKind::Assign { place, op, value } => {
                 // Desugar `p += e` to `p = p + e` (reading p first).
+                let desugared;
                 let value_expr = match op {
-                    Some(binop) => Expr {
-                        kind: ExprKind::Binary(
-                            *binop,
-                            Box::new(Expr {
-                                kind: ExprKind::Place(place.clone()),
-                                span: place.span,
-                            }),
-                            Box::new(value.clone()),
-                        ),
-                        span: s.span,
-                    },
-                    None => value.clone(),
+                    Some(binop) => {
+                        desugared = Expr {
+                            kind: ExprKind::Binary(
+                                *binop,
+                                Box::new(Expr {
+                                    kind: ExprKind::Place(place.clone()),
+                                    span: place.span,
+                                }),
+                                Box::new(value.clone()),
+                            ),
+                            span: s.span,
+                        };
+                        &desugared
+                    }
+                    None => value,
                 };
-                let (vty, velab) = self.type_expr(&value_expr)?;
+                let (vty, velab) = self.type_expr(value_expr)?;
                 let tp = self.type_place(place)?;
                 if !tp.writable {
                     return Err(TypeError::new(
@@ -1718,7 +1843,10 @@ impl<'g, 'p> FnCx<'g, 'p> {
                 Ok(())
             }
             StmtKind::ForNat { var, range, body } => {
-                if self.nat_env.contains_key(var) || self.bindings.contains_key(var) {
+                if self.nat_env.contains_key(var)
+                    || self.bindings.contains_key(var)
+                    || self.sym_loops.iter().any(|l| l.var == *var)
+                {
                     return Err(TypeError::new(
                         ErrorKind::Shadowing,
                         s.span,
@@ -1729,7 +1857,13 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     .values(&|x| self.nat_env.get(x).copied())
                     .map_err(|m| TypeError::new(ErrorKind::NonStaticNat, s.span, m))?;
                 let trips = values.len() as u64;
-                if trips > self.loop_budget {
+                // Every iteration of the loops checked once around this
+                // one runs it again.
+                let runs = self
+                    .sym_loops
+                    .iter()
+                    .fold(trips, |n, l| n.saturating_mul(l.hi - l.lo));
+                if runs > self.loop_budget {
                     return Err(TypeError::new(
                         ErrorKind::LoopBudgetExceeded,
                         s.span,
@@ -1744,28 +1878,41 @@ impl<'g, 'p> FnCx<'g, 'p> {
                          (`group`, `windows`) or schedule more threads instead",
                     ));
                 }
-                self.loop_budget -= trips;
+                self.loop_budget -= runs;
+                let range_lo = match range {
+                    NatRange::Range { .. } if trips >= 2 && self.on_gpu() => values.clone().next(),
+                    _ => None,
+                };
+                if let Some(lo) = range_lo {
+                    if self.symbolic
+                        && var != DYN_IDX
+                        && checkable_once(var, body)
+                        && self.check_once(var, lo, lo + trips, body, out).is_ok()
+                    {
+                        self.loop_checks.once += 1;
+                        return Ok(());
+                    }
+                }
                 // Every iteration is checked; a `[lo..hi]` loop on the
                 // GPU is then folded back into one rolled loop where
                 // that is exact (`LoopFold`).
-                let mut fold = match (range, values.clone().next()) {
-                    (NatRange::Range { .. }, Some(lo)) if trips >= 2 && self.on_gpu() => {
-                        Some(LoopFold::new(var, lo, lo + trips))
-                    }
-                    _ => None,
-                };
+                let mut fold = range_lo.map(|lo| {
+                    let outer = self.sym_loops.iter().map(|l| l.var.clone()).collect();
+                    LoopFold::new(var, lo, lo + trips, outer)
+                });
                 for v in values {
                     self.nat_env.insert(var.clone(), v);
-                    let stmts = self.check_block(body, false)?;
-                    match &mut fold {
-                        Some(fold) => fold.push(stmts, out),
-                        None => out.extend(stmts),
-                    }
+                    let stmts = self.check_block(body, false);
                     self.nat_env.remove(var);
+                    match &mut fold {
+                        Some(fold) => fold.push(stmts?, out),
+                        None => out.extend(stmts?),
+                    }
                 }
                 if let Some(fold) = fold {
                     fold.finish(out);
                 }
+                self.loop_checks.per_iteration += 1;
                 Ok(())
             }
             StmtKind::Sync => {
@@ -1803,14 +1950,13 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     .iter()
                     .any(|op| matches!(op, descend_exec::ExecOp::Split { .. }));
                 if all_blocks_sync {
-                    let shared_roots: HashSet<String> = self
-                        .bindings
-                        .iter()
-                        .filter(|(_, b)| matches!(b.kind, BindKind::SharedAlloc { .. }))
-                        .map(|(n, _)| n.clone())
-                        .collect();
-                    self.accesses
-                        .retain(|(a, _)| !shared_roots.contains(&a.path.root));
+                    let bindings = &self.bindings;
+                    self.accesses.retain(|(a, _)| {
+                        !matches!(
+                            bindings.get(&a.path.root).map(|b| &b.kind),
+                            Some(BindKind::SharedAlloc { .. })
+                        )
+                    });
                     self.epoch += 1;
                 }
                 out.push(ElabStmt::Sync);
@@ -1826,6 +1972,49 @@ impl<'g, 'p> FnCx<'g, 'p> {
                 let stmts = self.check_block(b, false)?;
                 out.extend(stmts);
                 Ok(())
+            }
+        }
+    }
+
+    /// Checks the body of `for var in [lo..hi]` once, `var` a symbolic
+    /// index over the range, and appends the loop's elaboration. On an
+    /// error, the records the attempt made are dropped again and the
+    /// error returned: the caller then checks the loop per iteration,
+    /// which gives every rejection its usual diagnostic.
+    fn check_once(
+        &mut self,
+        var: &str,
+        lo: u64,
+        hi: u64,
+        body: &Block,
+        out: &mut Vec<ElabStmt>,
+    ) -> TResult<()> {
+        let (accesses, borrows, scopes) =
+            (self.accesses.len(), self.borrows.len(), self.scopes.len());
+        let (budget, checks) = (self.loop_budget, self.loop_checks);
+        self.sym_loops.push(SymLoop {
+            var: var.to_string(),
+            lo,
+            hi,
+        });
+        let checked = self.check_block(body, false);
+        self.sym_loops.pop();
+        match checked {
+            Ok(stmts) => {
+                let outer: Vec<String> = self.sym_loops.iter().map(|l| l.var.clone()).collect();
+                emit_checked_once(var, lo, hi, stmts, &outer, out);
+                Ok(())
+            }
+            Err(e) => {
+                // The body binds no names and runs no barrier (see
+                // `checkable_once`), so the records it made are the ones
+                // past these marks.
+                self.accesses.truncate(accesses);
+                self.borrows.truncate(borrows);
+                self.scopes.truncate(scopes);
+                self.loop_budget = budget;
+                self.loop_checks = checks;
+                Err(e)
             }
         }
     }
@@ -2567,43 +2756,116 @@ fn split_offset(exec: &ExecExpr, space: Space, dim: DimCompo) -> u64 {
     offset
 }
 
-/// Whether two potentially racing accesses are ordered by a block-wide
-/// barrier between them: both must be confined to a single block instance,
-/// i.e. their longest common equal step prefix contains a select for every
-/// block-space forall level (levels of extent 1 need none). Overlapping
-/// executors then necessarily share the block coordinate, and the barrier
-/// synchronizes that block.
-fn barrier_ordered(a: &Access, b: &Access) -> bool {
-    let mut prefix_selects: Vec<&SelectStep> = Vec::new();
-    for (sa, sb) in a.path.steps.iter().zip(&b.path.steps) {
-        if !sa.same(sb) {
-            break;
-        }
-        if let PathStep::Select(sel) = sa {
-            prefix_selects.push(sel);
+/// The access-conflict error of an access against a prior one.
+fn conflict(span: Span, prior: &Access) -> TypeError {
+    TypeError::new(
+        ErrorKind::ConflictingAccess,
+        span,
+        "cannot select memory because of a conflicting prior selection here",
+    )
+    .with_secondary(prior.span, format!("prior access of `{}`", prior.path))
+}
+
+/// The error of a case a loop's symbolic check does not decide. It never
+/// reaches a user: the loop, or the kernel, is checked per iteration
+/// instead.
+fn undecidable(span: Span) -> TypeError {
+    TypeError::new(
+        ErrorKind::Unsupported,
+        span,
+        "not decided for all iterations at once",
+    )
+}
+
+/// Whether `n` mentions the variable `var`.
+fn nat_mentions(n: &Nat, var: &str) -> bool {
+    match n {
+        Nat::Lit(_) => false,
+        Nat::Var(x) => x == var,
+        Nat::Add(a, b) | Nat::Sub(a, b) | Nat::Mul(a, b) | Nat::Div(a, b) | Nat::Mod(a, b) => {
+            nat_mentions(a, var) || nat_mentions(b, var)
         }
     }
-    let confined = |exec: &ExecExpr| {
-        exec.forall_levels()
-            .into_iter()
-            .filter(|l| l.space == Space::Block && l.extent.as_lit() != Some(1))
-            .all(|l| {
-                prefix_selects.iter().any(|sel| {
-                    sel.level_index == l.op_index && sel.exec.ops.len() > l.op_index && {
-                        let pa = ExecExpr {
-                            base: sel.exec.base.clone(),
-                            ops: sel.exec.ops[..=l.op_index].to_vec(),
-                        };
-                        let pb = ExecExpr {
-                            base: exec.base.clone(),
-                            ops: exec.ops[..=l.op_index].to_vec(),
-                        };
-                        pa.same(&pb)
-                    }
-                })
-            })
-    };
-    confined(&a.exec) && confined(&b.exec)
+}
+
+/// Whether the body of a GPU loop over `var` can be checked once, with
+/// `var` symbolic: it holds no `let`, `sync`, `split`, `sched`,
+/// `to_warps`, shuffle, borrow, call or launch anywhere (so it binds no
+/// name, moves no barrier epoch and keeps the execution resource), and
+/// `var` occurs only in index nats affine in it with coefficient one
+/// (`var`, `var + c`): the iterations differ only in the values those
+/// indices read. Nested loops qualify on the same terms, their ranges
+/// free of `var`.
+fn checkable_once(var: &str, body: &Block) -> bool {
+    /// `var`'s coefficient in `n`, if `n` is affine in it.
+    fn coefficient(n: &Nat, var: &str) -> Option<i64> {
+        match n {
+            Nat::Lit(_) => Some(0),
+            Nat::Var(x) => Some(i64::from(x == var)),
+            Nat::Add(a, b) => Some(coefficient(a, var)? + coefficient(b, var)?),
+            Nat::Sub(a, b) => Some(coefficient(a, var)? - coefficient(b, var)?),
+            Nat::Mul(..) | Nat::Div(..) | Nat::Mod(..) => (!nat_mentions(n, var)).then_some(0),
+        }
+    }
+    fn view(app: &ViewApp, var: &str) -> bool {
+        !app.nat_args.iter().any(|n| nat_mentions(n, var))
+            && app.view_args.iter().all(|a| view(a, var))
+    }
+    fn place(p: &PlaceExpr, var: &str) -> bool {
+        match &p.kind {
+            PlaceExprKind::Ident(_) => true,
+            PlaceExprKind::Proj(inner, _)
+            | PlaceExprKind::Deref(inner)
+            | PlaceExprKind::Select(inner, ..) => place(inner, var),
+            PlaceExprKind::Index(inner, n) => {
+                place(inner, var) && (!nat_mentions(n, var) || coefficient(n, var) == Some(1))
+            }
+            PlaceExprKind::View(inner, app) => place(inner, var) && view(app, var),
+            PlaceExprKind::Zip(a, b) => place(a, var) && place(b, var),
+        }
+    }
+    fn expr(e: &Expr, var: &str) -> bool {
+        match &e.kind {
+            ExprKind::Lit(_) => true,
+            ExprKind::Place(p) => place(p, var),
+            ExprKind::Binary(_, a, b) => expr(a, var) && expr(b, var),
+            ExprKind::Unary(_, a) => expr(a, var),
+            ExprKind::Borrow { .. }
+            | ExprKind::Call { .. }
+            | ExprKind::Launch { .. }
+            | ExprKind::Alloc { .. }
+            | ExprKind::Shfl { .. } => false,
+        }
+    }
+    fn block(b: &Block, var: &str) -> bool {
+        b.stmts.iter().all(|s| match &s.kind {
+            StmtKind::Assign {
+                place: p, value, ..
+            } => place(p, var) && expr(value, var),
+            StmtKind::Expr(e) => expr(e, var),
+            StmtKind::AtomicRmw {
+                place: p,
+                index,
+                value,
+                ..
+            } => place(p, var) && index.as_ref().is_none_or(|i| expr(i, var)) && expr(value, var),
+            StmtKind::Scope(b) => block(b, var),
+            StmtKind::ForNat { range, body, .. } => {
+                let bounds: &[&Nat] = match range {
+                    NatRange::Range { lo, hi } => &[lo, hi],
+                    NatRange::Halving { from } => &[from],
+                    NatRange::Doubling { from, limit } => &[from, limit],
+                };
+                !bounds.iter().any(|n| nat_mentions(n, var)) && block(body, var)
+            }
+            StmtKind::Let { .. }
+            | StmtKind::Sync
+            | StmtKind::SplitExec { .. }
+            | StmtKind::Sched { .. }
+            | StmtKind::ToWarps { .. } => false,
+        })
+    }
+    block(body, var)
 }
 
 /// Whether an elaborated expression contains a warp shuffle anywhere.

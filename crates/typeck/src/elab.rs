@@ -10,13 +10,16 @@
 //! - a list of [`HostStmt`]s describing the host program (allocations,
 //!   transfers and kernel launches) for the host interpreter.
 //!
-//! The checker checks a for-nat loop once per iteration. Where the
+//! The checker checks an eligible GPU for-nat loop once, with the loop
+//! variable symbolic, and [`emit_checked_once`] turns that one body into
+//! exactly the elaboration checking each iteration would have produced.
+//! Every other loop is checked once per iteration, and where the
 //! iterations' elaborations provably differ only in the indices the loop
 //! variable selects, [`LoopFold`] folds them back into one rolled
-//! [`ElabStmt::ForNat`]: the emitters print it as one loop, and the IR
-//! lowering unrolls it, reproducing each iteration exactly. Every other
-//! loop stays unrolled, one elaborated copy of its body per iteration
-//! (see `docs/DESIGN.md` §11).
+//! [`ElabStmt::ForNat`]. The emitters print a rolled loop as one loop,
+//! and the IR lowering unrolls it, reproducing each iteration exactly.
+//! Every other loop stays unrolled, one elaborated copy of its body per
+//! iteration (see `docs/DESIGN.md` §11).
 
 use descend_ast::ty::DimCompo;
 use descend_ast::{term::AtomicOp, term::BinOp, term::ShflKind, term::UnOp, Nat};
@@ -181,9 +184,9 @@ pub enum ElabStmt {
     /// `PathStep::Index(Nat::Var(var))` stands for the iteration's value;
     /// iteration `v` is exactly `body` with those steps reading
     /// `Index(Nat::Lit(v))`. The checker only emits this form when it
-    /// checked every iteration and proved that equality (see
-    /// `docs/DESIGN.md` §11); the body never contains a `Sync`, `Split`,
-    /// `Local` or shuffle.
+    /// checked the body once with `var` symbolic, or checked every
+    /// iteration and proved that equality (see `docs/DESIGN.md` §11);
+    /// the body never contains a `Sync`, `Split`, `Local` or shuffle.
     ForNat {
         /// Loop variable.
         var: String,
@@ -243,6 +246,19 @@ pub struct MonoKernel {
     pub shared: Vec<SharedAlloc>,
     /// The elaborated SPMD body.
     pub body: Vec<ElabStmt>,
+    /// How the checker checked the instance's for-nat loops.
+    pub loop_checks: LoopChecks,
+}
+
+/// How the checker checked the for-nat loops of one kernel instance.
+/// Every time checking reaches a loop counts once, so a loop nested in
+/// a loop checked per iteration counts once per outer iteration.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoopChecks {
+    /// Loops whose body was checked once, with the variable symbolic.
+    pub once: u32,
+    /// Loops checked once per iteration.
+    pub per_iteration: u32,
 }
 
 impl MonoKernel {
@@ -303,6 +319,9 @@ pub(crate) struct LoopFold {
     var: String,
     lo: u64,
     hi: u64,
+    /// Variables of the loops checked once around this one: they stay
+    /// symbolic in every iteration.
+    outer: Vec<String>,
     /// The value of the iteration the next `push` carries.
     next: u64,
     /// The candidate body while the loop can still roll.
@@ -310,12 +329,14 @@ pub(crate) struct LoopFold {
 }
 
 impl LoopFold {
-    /// A fold of `var in [lo..hi]`; `hi - lo` must be at least 2.
-    pub(crate) fn new(var: &str, lo: u64, hi: u64) -> LoopFold {
+    /// A fold of `var in [lo..hi]` inside loops over `outer` checked
+    /// once; `hi - lo` must be at least 2.
+    pub(crate) fn new(var: &str, lo: u64, hi: u64, outer: Vec<String>) -> LoopFold {
         LoopFold {
             var: var.to_string(),
             lo,
             hi,
+            outer,
             next: lo,
             body: None,
         }
@@ -340,7 +361,7 @@ impl LoopFold {
             v,
             abstract_lo: second.then_some(self.lo),
         };
-        if unify.stmts(&mut body, &it) && (!second || lowers(&mut body, &self.var)) {
+        if unify.stmts(&mut body, &it) && (!second || lowers(&mut body, &self.var, &self.outer)) {
             self.body = Some(body);
         } else {
             for j in self.lo..v {
@@ -540,24 +561,82 @@ fn for_each_access_mut(stmts: &mut [ElabStmt], f: &mut dyn FnMut(&mut ElabAccess
     }
 }
 
-/// Iteration `v` of a rolled body over `var`.
+/// The loop variable and offset of a symbolic index nat: `var` or
+/// `var + c`, the two shapes the checker gives an index through the
+/// variable of a loop it checks once.
+pub(crate) fn loop_index(n: &Nat) -> Option<(&str, u64)> {
+    match n {
+        Nat::Var(x) => Some((x, 0)),
+        Nat::Add(a, c) => match (&**a, &**c) {
+            (Nat::Var(x), Nat::Lit(c)) => Some((x, *c)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Iteration `v` of a body symbolic in `var`: each index `var + c`
+/// reads `v + c`.
 fn instantiate(body: &[ElabStmt], var: &str, v: u64) -> Vec<ElabStmt> {
     let mut out = body.to_vec();
     for_each_access_mut(&mut out, &mut |a| {
         for step in &mut a.path.steps {
-            if matches!(step, PathStep::Index(Nat::Var(x)) if x == var) {
-                *step = PathStep::Index(Nat::lit(v));
+            if let PathStep::Index(n) = step {
+                if let Some((_, c)) = loop_index(n).filter(|(x, _)| *x == var) {
+                    *n = Nat::lit(v + c);
+                }
             }
         }
     });
     out
 }
 
+/// Elaborates a `[lo..hi]` loop (at least two iterations) whose body
+/// the checker checked once, `body` being that check's elaboration with
+/// every index through `var` symbolic (`var` or `var + c`), inside loops
+/// over `outer` also checked once. Appends exactly what checking each
+/// iteration and folding them with [`LoopFold`] appends: iteration `v`
+/// is `body` with `var := v`, so the iterations differ only in those
+/// indices, and the fold rolls them into one [`ElabStmt::ForNat`] iff
+/// `body` is non-empty and rollable, reads no `var + c` with `c > 0`
+/// (the second iteration reads `lo + 1 + c` where the first read
+/// `lo + c`, which the fold does not abstract) and lowers with the loop
+/// variables symbolic. Otherwise the iterations are spelled out.
+pub(crate) fn emit_checked_once(
+    var: &str,
+    lo: u64,
+    hi: u64,
+    mut body: Vec<ElabStmt>,
+    outer: &[String],
+    out: &mut Vec<ElabStmt>,
+) {
+    let mut offset = false;
+    for_each_access_mut(&mut body, &mut |a| {
+        offset |= a.path.steps.iter().any(|s| {
+            matches!(s, PathStep::Index(n) if loop_index(n).is_some_and(|(x, c)| x == var && c > 0))
+        });
+    });
+    if !body.is_empty() && rollable(&body) && !offset && lowers(&mut body, var, outer) {
+        out.push(ElabStmt::ForNat {
+            var: var.to_string(),
+            lo,
+            hi,
+            body,
+        });
+    } else {
+        for v in lo..hi {
+            out.extend(instantiate(&body, var, v));
+        }
+    }
+}
+
 /// Whether every access of a rolled body over `var` lowers to an index
-/// expression whose only variables are rolled loop variables (`var` and
-/// those of nested rolled loops) or the scatter index: the accesses the
-/// emitters print with the loop variables left symbolic.
-fn lowers(body: &mut [ElabStmt], var: &str) -> bool {
+/// expression whose only variables are loop variables left symbolic
+/// (`var`, those of nested rolled loops and `outer`, the variables of
+/// enclosing loops checked once) or the scatter index: the accesses the
+/// emitters print with the loop variables left symbolic. An enclosing
+/// loop's variable lowers as any of its literal values would.
+fn lowers(body: &mut [ElabStmt], var: &str, outer: &[String]) -> bool {
     fn loop_vars(stmts: &[ElabStmt], out: &mut Vec<String>) {
         for s in stmts {
             if let ElabStmt::ForNat { var, body, .. } = s {
@@ -577,6 +656,7 @@ fn lowers(body: &mut [ElabStmt], var: &str) -> bool {
         }
     }
     let mut vars = vec![var.to_string()];
+    vars.extend_from_slice(outer);
     loop_vars(body, &mut vars);
     let mut ok = true;
     for_each_access_mut(body, &mut |a| {

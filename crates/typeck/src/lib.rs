@@ -37,13 +37,19 @@
 //!   instantiation (like C++ templates). The paper checks polymorphically;
 //!   the same programs are accepted/rejected for every artifact
 //!   reproduced here, and `where` clauses are validated at instantiation.
-//! - **Per-iteration checking**: for-nat loops (whose ranges are static
-//!   by construction) are checked once per iteration, at most
-//!   [`LOOP_BUDGET`] iterations per kernel instance. A `[lo..hi]` loop
-//!   whose iterations provably differ only in the indices its variable
-//!   selects is elaborated as one rolled [`ElabStmt::ForNat`], which the
-//!   emitters print as a loop and the IR lowering unrolls; every other
-//!   loop is elaborated unrolled.
+//! - **Loops checked once, or per iteration**: a GPU `[lo..hi]` loop
+//!   whose variable only indexes (`var`, `var + c`) and whose body holds
+//!   no `let`, barrier, split or shuffle is checked once, the variable
+//!   bound to a symbolic index over the range; its accesses conflict by
+//!   an exact interval rule. Every other loop (and any loop whose
+//!   symbolic check fails or cannot be decided) is checked once per
+//!   iteration, its static range bound value by value. Either way at
+//!   most [`LOOP_BUDGET`] iterations per kernel instance. A `[lo..hi]`
+//!   loop whose iterations provably differ only in the indices its
+//!   variable selects is elaborated as one rolled [`ElabStmt::ForNat`],
+//!   which the emitters print as a loop and the IR lowering unrolls;
+//!   every other loop is elaborated unrolled. [`MonoKernel::loop_checks`]
+//!   says which loops took which path.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,7 +63,7 @@ pub use check::{
     check_context, check_fn, check_program, launch_callees, CheckedFn, CheckedProgram, LOOP_BUDGET,
 };
 pub use elab::{
-    ElabAccess, ElabExpr, ElabStmt, HostStmt, KernelParam, MemKind, MonoKernel, ScalarKind,
-    SharedAlloc,
+    ElabAccess, ElabExpr, ElabStmt, HostStmt, KernelParam, LoopChecks, MemKind, MonoKernel,
+    ScalarKind, SharedAlloc,
 };
 pub use error::{ErrorKind, TypeError};

@@ -1,12 +1,16 @@
 //! Rolled for-nat elaboration: which loops the checker folds into one
 //! `ElabStmt::ForNat`, and that every other loop elaborates exactly as
-//! before, one copy of its body per iteration. The iteration budget
-//! rejects oversized loops at entry.
+//! before, one copy of its body per iteration; which loops it checks
+//! once, with the variable symbolic, and that rejections keep the
+//! diagnostics of checking each iteration. The iteration budget rejects
+//! oversized loops at entry.
 
-use descend_typeck::{check_program, ElabStmt, ErrorKind, MonoKernel, LOOP_BUDGET};
+use descend_typeck::{
+    check_program, ElabStmt, ErrorKind, LoopChecks, MonoKernel, TypeError, LOOP_BUDGET,
+};
 
-fn kernel(body: &str) -> MonoKernel {
-    let src = format!(
+fn source(body: &str) -> String {
+    format!(
         r#"
 fn k(v: &uniq gpu.global [f64; 256], w: &uniq gpu.global [f64; 256],
      u: &uniq gpu.global [f64; 1024])
@@ -19,12 +23,27 @@ fn k(v: &uniq gpu.global [f64; 256], w: &uniq gpu.global [f64; 256],
     }}
 }}
 "#
-    );
-    let prog = descend_parser::parse(&src).expect("test sources parse");
+    )
+}
+
+fn kernel(body: &str) -> MonoKernel {
+    let prog = descend_parser::parse(&source(body)).expect("test sources parse");
     check_program(&prog)
         .unwrap_or_else(|e| panic!("{e}"))
         .kernels
         .remove(0)
+}
+
+fn rejection(body: &str) -> TypeError {
+    let prog = descend_parser::parse(&source(body)).expect("test sources parse");
+    check_program(&prog).expect_err("the kernel is rejected")
+}
+
+fn checks(once: u32, per_iteration: u32) -> LoopChecks {
+    LoopChecks {
+        once,
+        per_iteration,
+    }
 }
 
 /// `(var, lo, hi, body statements net of source markers)` of every
@@ -60,6 +79,7 @@ fn index_loops_roll() {
     );
     assert_eq!(rolled(&k.body), [("i".to_string(), 0, 4, 1)]);
     assert_eq!(count(&k.body), 1);
+    assert_eq!(k.loop_checks, checks(1, 0));
 }
 
 #[test]
@@ -75,6 +95,9 @@ fn nested_loops_roll_inner_first() {
         rolled(&k.body),
         [("j".to_string(), 1, 3, 1), ("i".to_string(), 0, 4, 1)]
     );
+    // The store indexes through both variables: the inner loop is
+    // checked per iteration, inside the outer loop checked once.
+    assert_eq!(k.loop_checks, checks(1, 1));
 }
 
 #[test]
@@ -92,6 +115,8 @@ fn loops_with_barriers_stay_unrolled_around_rolled_inner_loops() {
     // Three copies of (store, sync, rolled loop, sync).
     assert_eq!(count(&k.body), 12);
     assert_eq!(rolled(&k.body), vec![("i".to_string(), 0, 2, 1); 3]);
+    // The barrier loop per iteration, its inner loop once per copy.
+    assert_eq!(k.loop_checks, checks(3, 1));
 }
 
 #[test]
@@ -106,6 +131,7 @@ fn single_iteration_and_halving_loops_stay_unrolled() {
     );
     assert!(rolled(&k.body).is_empty());
     assert_eq!(count(&k.body), 3);
+    assert_eq!(k.loop_checks, checks(0, 2));
 }
 
 #[test]
@@ -118,6 +144,7 @@ fn bodies_with_locals_stay_unrolled() {
     );
     assert!(rolled(&k.body).is_empty());
     assert_eq!(count(&k.body), 4);
+    assert_eq!(k.loop_checks, checks(0, 1));
 }
 
 /// A loop variable that reaches a view parameter makes iterations
@@ -132,6 +159,7 @@ fn view_parameters_stay_unrolled() {
     );
     assert!(rolled(&k.body).is_empty());
     assert_eq!(count(&k.body), 3);
+    assert_eq!(k.loop_checks, checks(0, 1));
 }
 
 /// The first two iterations fit `v[i]`, the third does not: the match is
@@ -145,6 +173,7 @@ fn a_late_mismatch_falls_back_to_the_unrolled_elaboration() {
     );
     assert!(rolled(&k.body).is_empty());
     assert_eq!(count(&k.body), 4);
+    assert_eq!(k.loop_checks, checks(0, 1));
     let roll = kernel(
         "for i in [0..4] {
             (*u).group::<16>[[thread]][i] = 1.0;
@@ -249,4 +278,112 @@ fn shift_spans_reaches_rolled_bodies() {
     k.shift_spans(10);
     let after: Vec<u32> = before.iter().map(|s| s + 10).collect();
     assert_eq!(inner_spans(&k.body), after);
+}
+
+/// Store paths of the top-level stores, rendered.
+fn stores(body: &[ElabStmt]) -> Vec<String> {
+    body.iter()
+        .filter_map(|s| match s {
+            ElabStmt::Store { access, .. } => Some(access.path.to_string()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// An index `i + c` is checked once like `i`; the fold would not roll
+/// it (the first two iterations read `[c]` and `[c + 1]`), so the
+/// iterations are spelled out exactly as checking each would.
+#[test]
+fn offset_indices_are_checked_once_and_spelled_out() {
+    let k = kernel(
+        "for i in [0..3] {
+            (*v).group::<4>[[thread]][i + 1] = (*w).group::<4>[[thread]][i] * 2.0;
+        }",
+    );
+    assert_eq!(k.loop_checks, checks(1, 0));
+    assert!(rolled(&k.body).is_empty());
+    let stores = stores(&k.body);
+    assert_eq!(stores.len(), 3);
+    for (s, i) in stores.iter().zip(1..) {
+        assert!(s.ends_with(&format!("[{i}]")), "{stores:?}");
+    }
+}
+
+/// 4 000 stores to one place: checked once, not 4 000 times against
+/// every earlier copy.
+#[test]
+fn a_long_loop_over_one_place_is_checked_once() {
+    let k = kernel(
+        "for i in [0..4000] {
+            tmp[[thread]] = 1.0;
+        }",
+    );
+    assert_eq!(k.loop_checks, checks(1, 0));
+    assert_eq!(rolled(&k.body), [("i".to_string(), 0, 4000, 1)]);
+}
+
+/// A conflict inside a loop falls back to checking each iteration, and
+/// reports what that finds first: iteration 1's write against iteration
+/// 0's read of row 1 (row 4, read at iteration 3, would be out of
+/// bounds).
+#[test]
+fn a_conflict_in_the_loop_is_reported_per_iteration() {
+    let e = rejection(
+        "let mut acc = 0.0;
+        for i in [0..4] {
+            acc = acc + (*v).group::<4>.transpose[i + 1].rev[[thread]];
+            (*v).group::<4>.transpose[i][[thread]] = acc;
+        }",
+    );
+    assert_eq!(e.kind, ErrorKind::ConflictingAccess);
+    assert_eq!(
+        e.diag.secondary[0].message,
+        "prior access of `v.*.group::<4>.transpose[1].reverse[[thread:X]]`"
+    );
+}
+
+/// A conflict with a loop checked once, found after the loop, names the
+/// first iteration that conflicts, as checking each iteration does.
+#[test]
+fn a_conflict_after_a_loop_checked_once_names_the_iteration() {
+    let e = rejection(
+        "for i in [0..4] {
+            (*v).group::<4>.transpose[i][[thread]] = 1.0;
+        }
+        let x = (*v).group::<4>.transpose[2].rev[[thread]];",
+    );
+    assert_eq!(e.kind, ErrorKind::ConflictingAccess);
+    assert_eq!(
+        e.diag.secondary[0].message,
+        "prior access of `v.*.group::<4>.transpose[2][[thread:X]]`"
+    );
+    // Without the conflict, the loop is checked once.
+    let k = kernel(
+        "for i in [0..3] {
+            (*v).group::<4>.transpose[i][[thread]] = 1.0;
+        }
+        let x = (*v).group::<4>.transpose[3].rev[[thread]];",
+    );
+    assert_eq!(k.loop_checks, checks(1, 0));
+}
+
+/// An access checked once stands for one access per iteration, and must
+/// not conflict with its own other iterations: a write through
+/// overlapping windows conflicts with itself one iteration later.
+#[test]
+fn an_access_conflicts_with_its_own_other_iterations() {
+    let body = |trips: u32| {
+        format!(
+            "for i in [0..{trips}] {{
+                (*u).group::<16>[[thread]].windows::<3, 1>[0][i] = 1.0;
+            }}"
+        )
+    };
+    assert_eq!(kernel(&body(1)).loop_checks, checks(0, 1));
+    let e = rejection(&body(2));
+    assert_eq!(e.kind, ErrorKind::ConflictingAccess);
+    assert_eq!(
+        e.diag.secondary[0].message,
+        "prior access of `u.*.group::<16>[[thread:X]].windows::<3, 1>[0][0]`"
+    );
 }

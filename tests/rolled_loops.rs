@@ -6,13 +6,16 @@
 //! compared on the verdict, on the simulator IR (source markers aside:
 //! the two texts differ in where their statements sit), and on the
 //! buffers and `LaunchStats` of a launch under both executors with race
-//! detection on. Each case also states whether its loops roll, so the
-//! comparison cannot pass on programs where nothing rolled.
+//! detection on; a rejected program must be rejected by both with the
+//! same code and messages. Each case also states whether its loops roll,
+//! and which of its loops the checker checked once (the variable a
+//! symbolic index) rather than per iteration, so the comparison cannot
+//! pass on programs where nothing rolled or nothing was checked once.
 
 use descend::benchmarks::sources;
 use descend::compiler::{Compiled, Compiler};
 use descend::sim::{ExecMode, Gpu, KernelIr, LaunchConfig, Stmt};
-use descend::typeck::ElabStmt;
+use descend::typeck::{ElabStmt, LoopChecks};
 use proptest::prelude::*;
 
 /// `src` with every `for x in [lo..hi] { .. }` of literal bounds replaced
@@ -161,10 +164,18 @@ fn launch(
     Ok((args.iter().map(|b| gpu.read_scalars(*b)).collect(), stats))
 }
 
+/// What the loop form of an accepted program compiled to: its rolled
+/// loops, and how the checker checked its loops, over all its kernels.
+#[derive(Debug, PartialEq)]
+struct Loops {
+    rolled: usize,
+    checks: LoopChecks,
+}
+
 /// Compiles `src` and its hand-unrolled form and compares them; returns
-/// the rolled loops in the loop form's kernels (`None`: both rejected,
-/// with the same code).
-fn rolled_matches_unrolled(src: &str) -> Result<Option<usize>, String> {
+/// the loop form's [`Loops`] (`None`: both rejected, with the same code
+/// and messages).
+fn rolled_matches_unrolled(src: &str) -> Result<Option<Loops>, String> {
     let unrolled_src = unroll(src);
     assert_ne!(unrolled_src, src, "the program has a loop to unroll");
     let compiler = Compiler::new();
@@ -174,8 +185,15 @@ fn rolled_matches_unrolled(src: &str) -> Result<Option<usize>, String> {
     ) {
         (Ok(r), Ok(u)) => (r, u),
         (Err(r), Err(u)) => {
-            // Same verdict: the same error code.
-            if r.diag.code != u.diag.code {
+            // Same verdict: the same error code and messages (the spans
+            // differ: the two texts place their statements differently).
+            let messages = |d: &descend::diag::Diagnostic| {
+                let mut m = vec![d.title.clone(), d.primary.message.clone()];
+                m.extend(d.secondary.iter().map(|l| l.message.clone()));
+                m.extend(d.help.iter().cloned());
+                (d.code, m)
+            };
+            if messages(&r.diag) != messages(&u.diag) {
                 return Err(format!(
                     "verdicts differ:\n{}\nvs\n{}",
                     r.rendered, u.rendered
@@ -194,11 +212,16 @@ fn rolled_matches_unrolled(src: &str) -> Result<Option<usize>, String> {
     if rolled.kernels.len() != unrolled.kernels.len() {
         return Err("kernel counts differ".into());
     }
-    let mut loops = 0;
+    let mut loops = Loops {
+        rolled: 0,
+        checks: LoopChecks::default(),
+    };
     for (k, (r, u)) in rolled.kernels.iter().zip(&unrolled.kernels).enumerate() {
-        loops += rolled_loops(&r.mono.body);
-        if rolled_loops(&u.mono.body) != 0 {
-            return Err("the unrolled text still rolls".into());
+        loops.rolled += rolled_loops(&r.mono.body);
+        loops.checks.once += r.mono.loop_checks.once;
+        loops.checks.per_iteration += r.mono.loop_checks.per_iteration;
+        if rolled_loops(&u.mono.body) != 0 || u.mono.loop_checks != LoopChecks::default() {
+            return Err("the unrolled text still has loops".into());
         }
         let strip = |ir: &KernelIr| KernelIr {
             body: without_src(&ir.body),
@@ -247,49 +270,106 @@ fn k(v: &uniq gpu.global [f64; 192]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
     }
 }
 "#;
-    // (program, rolled loops in its loop form): matmul's k loop rolls
-    // once per unrolled t iteration; each transpose has two i loops.
-    for (name, src, loops) in [
-        ("matmul(64)", sources::matmul(64), 2),
-        ("transpose(256)", sources::transpose(256), 2),
-        ("transpose_tiles", tiles, 2),
-        ("multiple_elements_per_thread", elements.to_string(), 1),
+    // (program, rolled loops in its loop form, loops checked once and
+    // per iteration): matmul's k loop is checked once and rolls once per
+    // iteration of its t loop, which holds a barrier and is checked per
+    // iteration; each transpose has two i loops.
+    for (name, src, rolled, once, per_iteration) in [
+        ("matmul(64)", sources::matmul(64), 2, 2, 1),
+        ("transpose(256)", sources::transpose(256), 2, 2, 0),
+        ("transpose_tiles", tiles, 2, 2, 0),
+        (
+            "multiple_elements_per_thread",
+            elements.to_string(),
+            1,
+            1,
+            0,
+        ),
     ] {
-        let rolled = rolled_matches_unrolled(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(rolled, Some(loops), "{name}");
+        let loops = rolled_matches_unrolled(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let checks = LoopChecks {
+            once,
+            per_iteration,
+        };
+        assert_eq!(loops, Some(Loops { rolled, checks }), "{name}");
     }
+    // The paper-scale matmul: all eight k loops are checked once.
+    let mm = Compiler::new()
+        .compile_source(&sources::matmul(256))
+        .expect("matmul compiles");
+    let checks = LoopChecks {
+        once: 8,
+        per_iteration: 1,
+    };
+    assert_eq!(mm.kernels[0].mono.loop_checks, checks);
+    assert_eq!(rolled_loops(&mm.kernels[0].mono.body), 8);
 }
 
-/// One generated statement: its form and which loop variable indexes it.
+/// One generated statement: its form, which loop variable indexes it,
+/// and the offset `c` of its index `x + c`.
 #[derive(Clone, Debug)]
 struct GenStmt {
     form: u8,
     inner: bool,
     outer_var: bool,
+    offset: u64,
 }
 
+/// The forms [`gen_program`] renders.
+const FORMS: u8 = 10;
+
 fn gen_stmt() -> impl Strategy<Value = GenStmt> {
-    (0u8..5, proptest::bool::ANY, proptest::bool::ANY).prop_map(|(form, inner, outer_var)| {
-        GenStmt {
+    (
+        0u8..FORMS,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        0u64..6,
+    )
+        .prop_map(|(form, inner, outer_var, offset)| GenStmt {
             form,
             inner,
             outer_var,
-        }
-    })
+            // Half the indices are the bare variable.
+            offset: offset.saturating_sub(2),
+        })
 }
 
-/// A kernel whose 64 threads each own eight elements of `v` (grouped)
-/// and of `u` (transposed), with a two-deep loop nest over `[lo..hi]`
-/// ranges inside `[0..8]`.
+impl GenStmt {
+    /// The loop variable the statement indexes with.
+    fn var(&self) -> &'static str {
+        if self.outer_var || !self.inner {
+            "i"
+        } else {
+            "j"
+        }
+    }
+}
+
+/// A kernel whose 64 threads each own eight elements of `v` (grouped,
+/// or transposed to one row per index) and of `u` (transposed), with
+/// atomics on `h`, and a two-deep loop nest over `[lo..hi]` ranges
+/// inside `[0..8]`. Indices are `x + c` with `c` up to 3, below and
+/// above the trip counts, so a write and a read through the same row
+/// of `v`, or an atomic and a plain read of the same `h` cell, race
+/// exactly when some pair of iterations makes their indices meet; an
+/// index past the end of its array is out of bounds.
 fn gen_program(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> String {
     let render = |s: &GenStmt| {
-        let x = if s.outer_var || !s.inner { "i" } else { "j" };
+        let x = match s.offset {
+            0 => s.var().to_string(),
+            c => format!("{} + {c}", s.var()),
+        };
         match s.form {
             0 => format!("(*v).group::<8>[[thread]][{x}] = (*w).group::<8>[[thread]][{x}] * 2.0;"),
             1 => format!("(*u).group::<64>.transpose[[thread]][{x}] = 3.0;"),
             2 => format!("acc = acc + (*w).group::<8>[[thread]].rev[{x}];"),
             3 => format!("acc = acc + (*w).group::<8>.transpose[{x}][[thread]];"),
-            _ => format!("(*v).group::<8>[[thread]][{x}] = acc;"),
+            4 => format!("(*v).group::<8>[[thread]][{x}] = acc;"),
+            5 => format!("(*v).group::<8>.transpose[{x}][[thread]] = acc;"),
+            6 => format!("acc = acc + (*v).group::<8>.transpose[{x}].rev[[thread]];"),
+            7 => "(*v).group::<8>[[thread]][0] = acc;".to_string(),
+            8 => format!("atomic_add((*h)[{x}], 1);"),
+            _ => format!("hv = hv + (*h)[{x}];"),
         }
     };
     let body = |inner: bool| {
@@ -303,11 +383,13 @@ fn gen_program(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Strin
     format!(
         r#"
 fn k(v: &uniq gpu.global [f64; 512], u: &uniq gpu.global [f64; 512],
-     w: & gpu.global [f64; 512], out: &uniq gpu.global [f64; 64])
+     w: & gpu.global [f64; 512], h: &uniq gpu.global [i32; 16],
+     out: &uniq gpu.global [f64; 64], hout: &uniq gpu.global [i32; 64])
 -[grid: gpu.grid<X<1>, X<64>>]-> () {{
     sched(X) block in grid {{
         sched(X) thread in block {{
             let mut acc = 0.0;
+            let mut hv = 0;
             for i in [{}..{}] {{
                 {}
                 for j in [{}..{}] {{
@@ -315,6 +397,7 @@ fn k(v: &uniq gpu.global [f64; 512], u: &uniq gpu.global [f64; 512],
                 }}
             }}
             (*out)[[thread]] = acc;
+            (*hout)[[thread]] = hv;
         }}
     }}
 }}
@@ -328,10 +411,53 @@ fn k(v: &uniq gpu.global [f64; 512], u: &uniq gpu.global [f64; 512],
     )
 }
 
+/// The [`Loops`] of a generated program the checker accepts. A loop of
+/// at least two trips is checked once (the inner loop then once inside
+/// it); any other loop per iteration, the inner loop once per outer
+/// iteration. A loop rolls when it runs at least twice over a non-empty
+/// body (the outer body always holds at least the inner loop's source
+/// marker) that indexes through its variable only bare, never `x + c`
+/// with `c > 0`.
+fn expected_loops(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Loops {
+    let trips = |(lo, hi): (u64, u64)| (hi - lo) as u32;
+    let (to, ti) = (trips(outer), trips(inner));
+    // Whether a statement that runs indexes with `var + c`, `c > 0`
+    // (form 7 stores to the same place in every iteration).
+    let offset_in = |var: &str, inner_only: bool| {
+        stmts.iter().any(|s| {
+            let runs = if s.inner { ti > 0 } else { !inner_only };
+            runs && s.form != 7 && s.offset > 0 && s.var() == var
+        })
+    };
+    let inner_rolls =
+        usize::from(ti >= 2 && stmts.iter().any(|s| s.inner) && !offset_in("j", true));
+    let outer_rolls = to >= 2 && !offset_in("i", false);
+    let rolled = if outer_rolls {
+        1 + inner_rolls
+    } else {
+        to as usize * inner_rolls
+    };
+    let (inner_once, inner_per_iteration) = if ti >= 2 { (1, 0) } else { (0, 1) };
+    let checks = if to >= 2 {
+        LoopChecks {
+            once: 1 + inner_once,
+            per_iteration: inner_per_iteration,
+        }
+    } else {
+        LoopChecks {
+            once: to * inner_once,
+            per_iteration: 1 + to * inner_per_iteration,
+        }
+    };
+    Loops { rolled, checks }
+}
+
 proptest! {
     /// Generated loop nests: the loop form and the unrolled text agree,
-    /// and a loop rolls exactly when it runs at least twice over a
-    /// non-empty body.
+    /// on the verdict and, for accepted programs, on the IR, buffers and
+    /// launch statistics; every loop of an accepted program that can be
+    /// checked once is, and each loop rolls exactly when folding its
+    /// iterations would.
     #[test]
     fn generated_loops_roll_exactly(
         outer in (0u64..8, 0u64..9),
@@ -341,17 +467,10 @@ proptest! {
         let outer = (outer.0.min(outer.1), outer.0.max(outer.1));
         let inner = (inner.0.min(inner.1), inner.0.max(inner.1));
         let src = gen_program(outer, inner, &stmts);
-        let rolled = rolled_matches_unrolled(&src);
-        prop_assert!(rolled.is_ok(), "{}\n{}", rolled.unwrap_err(), src);
-        // An empty body has nothing to roll; the outer body always holds
-        // at least the inner loop's source marker.
-        let trips = |(lo, hi): (u64, u64)| hi - lo;
-        let inner_rolls = usize::from(trips(inner) >= 2 && stmts.iter().any(|s| s.inner));
-        let expected = if trips(outer) >= 2 {
-            1 + inner_rolls
-        } else {
-            trips(outer) as usize * inner_rolls
-        };
-        prop_assert_eq!(rolled.unwrap(), Some(expected), "{}", src);
+        let loops = rolled_matches_unrolled(&src);
+        prop_assert!(loops.is_ok(), "{}\n{}", loops.unwrap_err(), src);
+        if let Some(loops) = loops.unwrap() {
+            prop_assert_eq!(loops, expected_loops(outer, inner, &stmts), "{}", src);
+        }
     }
 }
