@@ -47,7 +47,9 @@
 //! harness can feed the same inputs the simulator sees and read back
 //! every CPU buffer. A generated `main` dispatches on `argv[1]`.
 
-use crate::shared::{axis_name, for_each_stmt, indent, render_body, Builtin, HostSizes, Layout};
+use crate::shared::{
+    builtin_spelling, for_each_stmt, indent, render_body, Builtin, HostSizes, Layout,
+};
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
 use descend_codegen::CodegenError;
@@ -91,16 +93,19 @@ impl KernelBackend for CBackend {
         }
     }
 
-    fn builtin(&self, b: Builtin, axis: Axis) -> String {
-        let base = match b {
-            Builtin::BlockIdx => "blockIdx",
-            Builtin::ThreadIdx => "threadIdx",
-            Builtin::BlockDim => "blockDim",
-            Builtin::GridDim => "gridDim",
-        };
+    fn builtin(&self, b: Builtin, axis: Axis) -> &'static str {
         // Plain `int64_t` locals derived from the loop counters; the
         // kernel frame declares exactly the ones the body references.
-        format!("{base}_{}", axis_name(axis))
+        builtin_spelling(
+            &[
+                ["blockIdx_x", "blockIdx_y", "blockIdx_z"],
+                ["threadIdx_x", "threadIdx_y", "threadIdx_z"],
+                ["blockDim_x", "blockDim_y", "blockDim_z"],
+                ["gridDim_x", "gridDim_y", "gridDim_z"],
+            ],
+            b,
+            axis,
+        )
     }
 
     fn barrier(&self) -> &'static str {

@@ -6,7 +6,7 @@
 //! DESIGN.md), but its index expressions are byte-for-byte the ones the
 //! simulator executes, via the shared lowering in [`crate::shared`].
 
-use crate::shared::{axis_name, indent, render_body, Builtin, HostSizes, Nested};
+use crate::shared::{builtin_spelling, indent, render_body, Builtin, HostSizes, Nested};
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
 use descend_codegen::CodegenError;
@@ -31,14 +31,17 @@ impl KernelBackend for CudaBackend {
         k.cuda_name()
     }
 
-    fn builtin(&self, b: Builtin, axis: Axis) -> String {
-        let base = match b {
-            Builtin::BlockIdx => "blockIdx",
-            Builtin::ThreadIdx => "threadIdx",
-            Builtin::BlockDim => "blockDim",
-            Builtin::GridDim => "gridDim",
-        };
-        format!("{base}.{}", axis_name(axis))
+    fn builtin(&self, b: Builtin, axis: Axis) -> &'static str {
+        builtin_spelling(
+            &[
+                ["blockIdx.x", "blockIdx.y", "blockIdx.z"],
+                ["threadIdx.x", "threadIdx.y", "threadIdx.z"],
+                ["blockDim.x", "blockDim.y", "blockDim.z"],
+                ["gridDim.x", "gridDim.y", "gridDim.z"],
+            ],
+            b,
+            axis,
+        )
     }
 
     fn barrier(&self) -> &'static str {

@@ -117,7 +117,7 @@ pub trait KernelBackend {
 
     /// Spelling of a hardware coordinate builtin along an axis
     /// (e.g. `blockIdx.x`, `get_group_id(0)`, `block_idx.x`).
-    fn builtin(&self, b: Builtin, axis: Axis) -> String;
+    fn builtin(&self, b: Builtin, axis: Axis) -> &'static str;
 
     /// The block-wide barrier statement, without indentation.
     fn barrier(&self) -> &'static str;

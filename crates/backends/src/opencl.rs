@@ -10,8 +10,8 @@
 //! (`get_group_id(0)` for `blockIdx.x`, ...) differ from CUDA.
 
 use crate::shared::{
-    for_each_stmt, indent, kernel_uses_scalar, kernel_uses_shuffle, render_body, Builtin,
-    HostSizes, Nested,
+    builtin_spelling, for_each_stmt, indent, kernel_uses_scalar, kernel_uses_shuffle, render_body,
+    Builtin, HostSizes, Nested,
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -52,14 +52,6 @@ fn uses_f32_atomic_add(checked: &CheckedProgram) -> bool {
     hit
 }
 
-fn axis_index(a: Axis) -> usize {
-    match a {
-        Axis::X => 0,
-        Axis::Y => 1,
-        Axis::Z => 2,
-    }
-}
-
 impl KernelBackend for OpenClBackend {
     fn name(&self) -> &'static str {
         "opencl"
@@ -79,14 +71,25 @@ impl KernelBackend for OpenClBackend {
         }
     }
 
-    fn builtin(&self, b: Builtin, axis: Axis) -> String {
-        let f = match b {
-            Builtin::BlockIdx => "get_group_id",
-            Builtin::ThreadIdx => "get_local_id",
-            Builtin::BlockDim => "get_local_size",
-            Builtin::GridDim => "get_num_groups",
-        };
-        format!("{f}({})", axis_index(axis))
+    fn builtin(&self, b: Builtin, axis: Axis) -> &'static str {
+        builtin_spelling(
+            &[
+                ["get_group_id(0)", "get_group_id(1)", "get_group_id(2)"],
+                ["get_local_id(0)", "get_local_id(1)", "get_local_id(2)"],
+                [
+                    "get_local_size(0)",
+                    "get_local_size(1)",
+                    "get_local_size(2)",
+                ],
+                [
+                    "get_num_groups(0)",
+                    "get_num_groups(1)",
+                    "get_num_groups(2)",
+                ],
+            ],
+            b,
+            axis,
+        )
     }
 
     fn barrier(&self) -> &'static str {

@@ -132,13 +132,22 @@ fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKern
     out
 }
 
-/// The lower-case component letter of an axis (`x`/`y`/`z`).
-pub fn axis_name(a: Axis) -> &'static str {
-    match a {
-        Axis::X => "x",
-        Axis::Y => "y",
-        Axis::Z => "z",
-    }
+/// A backend's spelling of a builtin, picked from its table: one row
+/// per [`Builtin`] in declaration order, one column per axis
+/// (`x`, `y`, `z`).
+pub fn builtin_spelling(table: &[[&'static str; 3]; 4], b: Builtin, axis: Axis) -> &'static str {
+    let row = match b {
+        Builtin::BlockIdx => 0,
+        Builtin::ThreadIdx => 1,
+        Builtin::BlockDim => 2,
+        Builtin::GridDim => 3,
+    };
+    let col = match axis {
+        Axis::X => 0,
+        Axis::Y => 1,
+        Axis::Z => 2,
+    };
+    table[row][col]
 }
 
 /// Whether a kernel touches the given scalar kind anywhere — parameters,
@@ -222,10 +231,10 @@ pub fn render_ir_expr(
         Expr::LitB(v) => {
             let _ = write!(out, "{v}");
         }
-        Expr::BlockIdx(a) => out.push_str(&be.builtin(Builtin::BlockIdx, *a)),
-        Expr::ThreadIdx(a) => out.push_str(&be.builtin(Builtin::ThreadIdx, *a)),
-        Expr::BlockDim(a) => out.push_str(&be.builtin(Builtin::BlockDim, *a)),
-        Expr::GridDim(a) => out.push_str(&be.builtin(Builtin::GridDim, *a)),
+        Expr::BlockIdx(a) => out.push_str(be.builtin(Builtin::BlockIdx, *a)),
+        Expr::ThreadIdx(a) => out.push_str(be.builtin(Builtin::ThreadIdx, *a)),
+        Expr::BlockDim(a) => out.push_str(be.builtin(Builtin::BlockDim, *a)),
+        Expr::GridDim(a) => out.push_str(be.builtin(Builtin::GridDim, *a)),
         Expr::Local(i) => match names.local(*i) {
             Some(n) => out.push_str(n),
             None => {

@@ -17,8 +17,8 @@
 //! allocation sizes, dispatch shapes and copy directions reviewable.
 
 use crate::shared::{
-    atomic_targets, axis_name, kernel_uses_scalar, kernel_uses_shuffle, render_body, Builtin,
-    HostSizes, Nested,
+    atomic_targets, builtin_spelling, kernel_uses_scalar, kernel_uses_shuffle, render_body,
+    Builtin, HostSizes, Nested,
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
@@ -92,14 +92,17 @@ impl KernelBackend for WgslBackend {
         }
     }
 
-    fn builtin(&self, b: Builtin, axis: Axis) -> String {
-        let base = match b {
-            Builtin::BlockIdx => "block_idx",
-            Builtin::ThreadIdx => "thread_idx",
-            Builtin::BlockDim => "block_dim",
-            Builtin::GridDim => "grid_dim",
-        };
-        format!("{base}.{}", axis_name(axis))
+    fn builtin(&self, b: Builtin, axis: Axis) -> &'static str {
+        builtin_spelling(
+            &[
+                ["block_idx.x", "block_idx.y", "block_idx.z"],
+                ["thread_idx.x", "thread_idx.y", "thread_idx.z"],
+                ["block_dim.x", "block_dim.y", "block_dim.z"],
+                ["grid_dim.x", "grid_dim.y", "grid_dim.z"],
+            ],
+            b,
+            axis,
+        )
     }
 
     fn barrier(&self) -> &'static str {

@@ -8,10 +8,14 @@
 //! - **parse**: whole-source → AST, keyed by the source hash;
 //! - **typeck**: per *function*, keyed by the function's own source
 //!   slice, the program's view/const items, and — for host functions —
-//!   the definitions of the kernels they launch
+//!   the signatures of the non-generic kernels they launch and the whole
+//!   definitions of the generic ones
 //!   ([`descend_typeck::launch_callees`] is the syntactic dependency
 //!   set; launches are the only cross-function dependency the language
-//!   has);
+//!   has). A host's check types a non-generic launch against the
+//!   kernel's signature and leaves the body to the kernel's own query,
+//!   so each kernel body is checked once per compile and an edit inside
+//!   one re-checks no launcher;
 //! - **lower**: per kernel *instance* (simulator IR), keyed by the
 //!   defining function's slice plus the mangled instance name;
 //! - **emit**: per kernel instance *and backend*, same key plus the
@@ -39,7 +43,7 @@ use descend_ast::Span;
 use descend_backends::{backend_by_name, KernelBackend, BACKEND_NAMES};
 use descend_codegen::kernel_to_ir;
 use descend_typeck::{
-    check_context, check_fn, launch_callees, CheckedProgram, HostStmt, MonoKernel,
+    check_context, check_fn, launch_callees, CheckedFn, CheckedProgram, HostStmt, MonoKernel,
 };
 use gpu_sim::KernelIr;
 use std::collections::hash_map::DefaultHasher;
@@ -111,6 +115,7 @@ impl QueryStats {
 #[derive(Clone, Debug)]
 struct StoredFn {
     kernels: Vec<StoredKernel>,
+    launched: Vec<String>,
     host: Option<Vec<HostStmt>>,
 }
 
@@ -272,7 +277,8 @@ impl CompileSession {
         // Per-function typeck queries, merged in check_program's order:
         // non-generic GPU functions standalone first (deduplicated by
         // instance name, as repeated instantiation would be), then host
-        // functions, whose launches append any instances not yet seen.
+        // functions, whose generic instances are appended when not yet
+        // seen and whose launches are remapped by instance name.
         let mut kernels: Vec<MonoKernel> = Vec::new();
         let mut kernel_index: HashMap<String, usize> = HashMap::new();
         let mut host_fns: Vec<(String, Vec<HostStmt>)> = Vec::new();
@@ -285,8 +291,7 @@ impl CompileSession {
                 // A duplicate-named kernel is never re-instantiated.
                 continue;
             }
-            let (ks, _) = self.typeck_query(&ast, &cx, f)?;
-            for mono in ks {
+            for mono in self.typeck_query(&ast, &cx, f)?.kernels {
                 merge_kernel(mono, &mut kernels, &mut kernel_index);
             }
         }
@@ -295,12 +300,22 @@ impl CompileSession {
             if !matches!(f.sig.exec_ty, ExecTy::CpuThread) {
                 continue;
             }
-            let (ks, host) = self.typeck_query(&ast, &cx, f)?;
-            let remap: Vec<usize> = ks
-                .into_iter()
-                .map(|mono| merge_kernel(mono, &mut kernels, &mut kernel_index))
+            let checked = self.typeck_query(&ast, &cx, f)?;
+            for mono in checked.kernels {
+                merge_kernel(mono, &mut kernels, &mut kernel_index);
+            }
+            let remap: Vec<usize> = checked
+                .launched
+                .iter()
+                .map(|name| {
+                    *kernel_index
+                        .get(name)
+                        .expect("a launched non-generic kernel is checked by its own query first")
+                })
                 .collect();
-            let mut stmts = host.expect("host queries elaborate host statements");
+            let mut stmts = checked
+                .host
+                .expect("host queries elaborate host statements");
             for s in &mut stmts {
                 if let HostStmt::Launch { kernel, .. } = s {
                     *kernel = remap[*kernel];
@@ -344,15 +359,15 @@ impl CompileSession {
         })
     }
 
-    /// The per-function typeck query: kernels this function's check
-    /// instantiates (with spans rebased to the current program) plus,
-    /// for host functions, the elaborated host statements.
+    /// The per-function typeck query: [`check_fn`]'s result, with the
+    /// spans of the kernel instances it checked rebased to the current
+    /// program.
     fn typeck_query(
         &mut self,
         ast: &Program,
         cx: &ProgramCx<'_>,
         f: &FnDef,
-    ) -> Result<(Vec<MonoKernel>, Option<Vec<HostStmt>>), CompileError> {
+    ) -> Result<CheckedFn, CompileError> {
         let key = cx.fn_key(f);
         if let Some(stored) = self.typeck_ok.get(&key) {
             self.stats.typeck.hit();
@@ -375,6 +390,7 @@ impl CompileSession {
                             StoredKernel { mono, fn_start }
                         })
                         .collect(),
+                    launched: checked.launched,
                     host: checked.host,
                 };
                 let out = materialize(&stored, cx);
@@ -493,7 +509,7 @@ impl CompileSession {
 
 /// Rebases a stored typeck result to the current program: kernels whose
 /// defining function moved are span-shifted by the offset delta.
-fn materialize(stored: &StoredFn, cx: &ProgramCx<'_>) -> (Vec<MonoKernel>, Option<Vec<HostStmt>>) {
+fn materialize(stored: &StoredFn, cx: &ProgramCx<'_>) -> CheckedFn {
     let kernels = stored
         .kernels
         .iter()
@@ -503,23 +519,24 @@ fn materialize(stored: &StoredFn, cx: &ProgramCx<'_>) -> (Vec<MonoKernel>, Optio
             mono
         })
         .collect();
-    (kernels, stored.host.clone())
+    CheckedFn {
+        kernels,
+        launched: stored.launched.clone(),
+        host: stored.host.clone(),
+    }
 }
 
 /// Appends a kernel instance unless one with the same mangled name is
-/// already present; returns the instance's global index either way.
+/// already present.
 fn merge_kernel(
     mono: MonoKernel,
     kernels: &mut Vec<MonoKernel>,
     index: &mut HashMap<String, usize>,
-) -> usize {
-    if let Some(&i) = index.get(&mono.name) {
-        return i;
+) {
+    if !index.contains_key(&mono.name) {
+        index.insert(mono.name.clone(), kernels.len());
+        kernels.push(mono);
     }
-    kernels.push(mono);
-    let i = kernels.len() - 1;
-    index.insert(kernels[i].name.clone(), i);
-    i
 }
 
 fn type_err(e: descend_typeck::TypeError, src: &str) -> CompileError {
@@ -550,8 +567,21 @@ struct ProgramCx<'s> {
     /// Content hash of the view/const items every function depends on.
     context_hash: u64,
     /// Per function name (first definition wins, matching
-    /// `Program::fn_def`): content hash and current start offset.
-    fns: HashMap<String, (u64, u32)>,
+    /// `Program::fn_def`).
+    fns: HashMap<String, FnHashes>,
+}
+
+/// What the queries key on of one function.
+struct FnHashes {
+    /// Hash of the whole definition.
+    content: u64,
+    /// Hash of what a launcher's check reads of it: the signature of a
+    /// non-generic function (its body is its own query's), the whole
+    /// definition of a generic one (each instance's body is checked in
+    /// the launcher's query).
+    as_callee: u64,
+    /// Current start offset.
+    start: u32,
 }
 
 impl<'s> ProgramCx<'s> {
@@ -566,8 +596,15 @@ impl<'s> ProgramCx<'s> {
                 Item::Fn(f) => {
                     let content = fn_content_hash(src, f);
                     items.write_u64(content);
-                    fns.entry(f.sig.name.clone())
-                        .or_insert((content, slice_start(f.span)));
+                    fns.entry(f.sig.name.clone()).or_insert_with(|| FnHashes {
+                        content,
+                        as_callee: if f.sig.generics.is_empty() {
+                            fn_signature_hash(src, f)
+                        } else {
+                            content
+                        },
+                        start: slice_start(f.span),
+                    });
                 }
                 Item::View(v) => {
                     let content = item_content_hash(src, v.span, || format!("{v:?}"));
@@ -593,8 +630,10 @@ impl<'s> ProgramCx<'s> {
     }
 
     /// The cache key of a function's typeck query: its own content, the
-    /// view/const context, and the content of every kernel it launches
-    /// (or an absence marker, so adding the missing kernel invalidates).
+    /// view/const context, and what its check reads of every kernel it
+    /// launches — a non-generic callee's signature, a generic callee's
+    /// whole definition — or an absence marker, so adding the missing
+    /// kernel invalidates.
     fn fn_key(&self, f: &FnDef) -> u64 {
         let mut h = DefaultHasher::new();
         h.write(b"typeck");
@@ -603,7 +642,7 @@ impl<'s> ProgramCx<'s> {
         for callee in launch_callees(f) {
             h.write(callee.as_bytes());
             match self.fns.get(&callee) {
-                Some((content, _)) => h.write_u64(*content),
+                Some(e) => h.write_u64(e.as_callee),
                 None => h.write(b"absent"),
             }
         }
@@ -618,7 +657,7 @@ impl<'s> ProgramCx<'s> {
         h.write(b"kinst");
         h.write_u64(self.context_hash);
         match self.fns.get(&mk.source_name) {
-            Some((content, _)) => h.write_u64(*content),
+            Some(e) => h.write_u64(e.content),
             None => h.write(b"absent"),
         }
         h.write(mk.name.as_bytes());
@@ -629,7 +668,7 @@ impl<'s> ProgramCx<'s> {
     /// 0 when unknown or span-less, pairing with `slice_start` so
     /// synthesized programs always rebase by delta 0.
     fn fn_start(&self, name: &str) -> u32 {
-        self.fns.get(name).map_or(0, |(_, start)| *start)
+        self.fns.get(name).map_or(0, |e| e.start)
     }
 }
 
@@ -662,4 +701,16 @@ fn item_content_hash(src: &str, span: Span, fallback: impl Fn() -> String) -> u6
 
 fn fn_content_hash(src: &str, f: &FnDef) -> u64 {
     item_content_hash(src, f.span, || format!("{f:?}"))
+}
+
+/// Content hash of a function's signature: the text from `fn` up to the
+/// body's opening brace (`where` clauses included), or the structural
+/// signature for synthesized ASTs.
+fn fn_signature_hash(src: &str, f: &FnDef) -> u64 {
+    let sig = if f.body.span.is_dummy() {
+        Span::DUMMY
+    } else {
+        Span::new(f.span.start, f.body.span.start)
+    };
+    item_content_hash(src, sig, || format!("{:?}", f.sig))
 }

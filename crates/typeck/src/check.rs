@@ -89,15 +89,20 @@ pub fn check_program(program: &Program) -> TResult<CheckedProgram> {
 /// [`check_fn`]).
 #[derive(Clone, Debug, Default)]
 pub struct CheckedFn {
-    /// Kernel instantiations produced by this function's check, in
+    /// The kernel instances whose bodies this check checked, in
     /// discovery order: a non-generic GPU function yields its own single
-    /// instance; a host function yields every kernel instance it
-    /// launches (generic or not).
+    /// instance; a host function yields only the *generic* instances it
+    /// launches. A non-generic kernel a host launches is typed against
+    /// its signature alone and appears in [`CheckedFn::launched`] only:
+    /// its body is its own function's check.
     pub kernels: Vec<MonoKernel>,
-    /// For host functions, the elaborated host statements. Their
-    /// [`HostStmt::Launch`] indices refer into [`CheckedFn::kernels`]
-    /// *of this result* — callers merging several `CheckedFn`s must
-    /// remap them (deduplicating kernels by mangled instance name).
+    /// For host functions, the mangled name of the instance each
+    /// [`HostStmt::Launch`] index refers to (index `i` names
+    /// `launched[i]`), in first-launch order; empty otherwise. Callers
+    /// merging several `CheckedFn`s remap the indices through these
+    /// names onto the merged kernel table.
+    pub launched: Vec<String>,
+    /// For host functions, the elaborated host statements.
     pub host: Option<Vec<HostStmt>>,
 }
 
@@ -118,14 +123,24 @@ pub fn check_context(program: &Program) -> TResult<()> {
 /// Checks a single function of `program` in isolation — the
 /// per-function typeck entry point for incremental compilation.
 ///
-/// The result depends only on the function's own definition, the
-/// program's views and constants, and (for host functions) the
-/// definitions of the kernels it launches — never on other host
-/// functions — so it can be cached keyed by those inputs. Checking
-/// every function of a program this way and merging the results (in
-/// [`check_program`]'s order, deduplicating kernels by mangled name)
-/// reproduces [`check_program`]'s output exactly; the workspace-level
-/// incremental test pins that equivalence corpus-wide.
+/// A host function's check types each launch against the kernel's
+/// signature: arity, generic kinds, `where` clauses, the `gpu.grid`
+/// execution type and its dims, and the argument types. It checks the
+/// body only of the *generic* instances it launches (each distinct
+/// instantiation once); a non-generic kernel's body is that kernel's
+/// own `check_fn`, and the host's result records just its mangled name
+/// in [`CheckedFn::launched`]. So the result depends only on the
+/// function's own definition, the program's views and constants, the
+/// signatures of the non-generic kernels it launches and the whole
+/// definitions of the generic ones — never on other host functions or
+/// on a non-generic kernel's body — and it can be cached keyed by those
+/// inputs. Checking every function of a program this way and merging
+/// the results (kernels before hosts, in [`check_program`]'s order,
+/// deduplicating instances by mangled name and remapping launches
+/// through [`CheckedFn::launched`]) reproduces [`check_program`]'s
+/// output exactly, first error included: a rejected kernel body is
+/// reported by the kernel's own check, which the merge runs first. The
+/// workspace-level incremental test pins that equivalence corpus-wide.
 ///
 /// Generic GPU functions return an empty result, mirroring
 /// [`check_program`]: they are checked per instantiation at launch
@@ -142,13 +157,16 @@ pub fn check_fn(program: &Program, f: &FnDef) -> TResult<CheckedFn> {
             cx.instantiate_kernel(f, &[], f.span)?;
             Ok(CheckedFn {
                 kernels: cx.out.kernels,
+                launched: Vec::new(),
                 host: None,
             })
         }
         ExecTy::CpuThread => {
+            cx.signatures_only = true;
             let stmts = cx.check_host_fn(f)?;
             Ok(CheckedFn {
                 kernels: cx.out.kernels,
+                launched: cx.instances,
                 host: Some(stmts),
             })
         }
@@ -229,7 +247,15 @@ struct GlobalCx<'p> {
     program: &'p Program,
     views: ViewDefs,
     consts: HashMap<String, u64>,
-    instantiated: HashSet<String>,
+    /// Mangled names of the kernel instances met so far, in order: a
+    /// [`HostStmt::Launch`] index is a position here. Unless
+    /// `signatures_only`, every instance's body is checked and
+    /// `out.kernels` holds them at the same positions.
+    instances: Vec<String>,
+    /// Whether a launch of a non-generic kernel is typed against its
+    /// signature alone, recording only the instance name (a host
+    /// function's [`check_fn`]: the body is the kernel's own query).
+    signatures_only: bool,
     out: CheckedProgram,
 }
 
@@ -255,7 +281,8 @@ impl<'p> GlobalCx<'p> {
             program,
             views,
             consts,
-            instantiated: HashSet::new(),
+            instances: Vec::new(),
+            signatures_only: false,
             out: CheckedProgram::default(),
         })
     }
@@ -264,8 +291,9 @@ impl<'p> GlobalCx<'p> {
         self.consts.clone()
     }
 
-    /// Instantiates and checks a GPU kernel, returning its index in the
-    /// kernel table.
+    /// Instantiates a GPU kernel, returning its position in
+    /// `instances`. The body is checked unless the kernel is non-generic
+    /// and `signatures_only` is set.
     fn instantiate_kernel(
         &mut self,
         f: &FnDef,
@@ -294,13 +322,7 @@ impl<'p> GlobalCx<'p> {
             }
         }
         let mangled = mangle(&f.sig.name, nat_args);
-        if self.instantiated.contains(&mangled) {
-            let idx = self
-                .out
-                .kernels
-                .iter()
-                .position(|k| k.name == mangled)
-                .expect("instantiated kernels are recorded");
+        if let Some(idx) = self.instances.iter().position(|n| *n == mangled) {
             return Ok(idx);
         }
         let mut env = self.nat_env();
@@ -330,7 +352,11 @@ impl<'p> GlobalCx<'p> {
         let bdim = subst_dim(bdim, &env, f.span)?;
         let tdim = subst_dim(tdim, &env, f.span)?;
         // Mark before checking to terminate recursion on self-launch.
-        self.instantiated.insert(mangled.clone());
+        self.instances.push(mangled.clone());
+        let idx = self.instances.len() - 1;
+        if self.signatures_only && f.sig.generics.is_empty() {
+            return Ok(idx);
+        }
         // A rejection found after some loop was checked once may depend
         // on what that loop recorded (a later access conflicting with it,
         // or a case the interval rule cannot decide): the body is then
@@ -362,7 +388,7 @@ impl<'p> GlobalCx<'p> {
             loop_checks,
         };
         self.out.kernels.push(kernel);
-        Ok(self.out.kernels.len() - 1)
+        Ok(idx)
     }
 
     /// Checks a CPU host function.
@@ -2627,18 +2653,14 @@ impl<'g, 'p> FnCx<'g, 'p> {
         args: &[Expr],
         span: Span,
     ) -> TResult<()> {
-        let fndef = self
-            .gcx
-            .program
-            .fn_def(name)
-            .ok_or_else(|| {
-                TypeError::new(
-                    ErrorKind::UnknownName,
-                    span,
-                    format!("unknown kernel `{name}`"),
-                )
-            })?
-            .clone();
+        let program: &'p Program = self.gcx.program;
+        let fndef = program.fn_def(name).ok_or_else(|| {
+            TypeError::new(
+                ErrorKind::UnknownName,
+                span,
+                format!("unknown kernel `{name}`"),
+            )
+        })?;
         if !matches!(fndef.sig.exec_ty, ExecTy::GpuGrid(..)) {
             return Err(TypeError::new(
                 ErrorKind::LaunchConfigMismatch,
@@ -2723,8 +2745,9 @@ impl<'g, 'p> FnCx<'g, 'p> {
             })?;
             arg_names.push(root);
         }
-        // Instantiate (checks body once per distinct instantiation).
-        let idx = self.gcx.instantiate_kernel(&fndef, &nat_vals, span)?;
+        // Instantiate: a generic kernel's body is checked once per
+        // distinct instantiation; see `GlobalCx::signatures_only`.
+        let idx = self.gcx.instantiate_kernel(fndef, &nat_vals, span)?;
         self.host.push(HostStmt::Launch {
             kernel: idx,
             args: arg_names,

@@ -6,12 +6,16 @@
 //! to a cold compile of the same source. Pinned corpus-wide, for the
 //! fail corpus's diagnostics, and across edits that move (but do not
 //! change) functions; plus hit/miss accounting showing that an edit
-//! re-runs only the queries whose inputs changed.
+//! re-runs only the queries whose inputs changed. A host function's
+//! typeck query reads only the signatures of the non-generic kernels it
+//! launches, so each kernel body is checked once per compile, by the
+//! kernel's own query.
 
+use descend::ast::term::Program;
 use descend::backends::backend_by_name;
 use descend::benchmarks::sources;
 use descend::compiler::{CompileSession, Compiler};
-use descend::typeck::check_program;
+use descend::typeck::{check_fn, check_program, ErrorKind};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -261,10 +265,11 @@ fn run_triple() -[t: cpu.thread]-> () {
 }
 "#;
 
-/// Editing one kernel re-runs only that kernel's typeck/lower/emit and
-/// the typeck of the host function that launches it; everything about
-/// the untouched kernel (and its launcher) is served from cache. The
-/// result still matches a cold compile byte-for-byte.
+/// Editing one kernel's body re-runs only that kernel's
+/// typeck/lower/emit: its launcher's typeck reads only the kernel's
+/// signature, so it hits, as does everything about the untouched kernel
+/// and its launcher. The result still matches a cold compile
+/// byte-for-byte.
 #[test]
 fn editing_one_function_only_invalidates_its_own_queries() {
     let mut session = CompileSession::new();
@@ -280,12 +285,12 @@ fn editing_one_function_only_invalidates_its_own_queries() {
     // units (one per backend) re-run by definition.
     assert_eq!(stats.parse.misses, 1);
     assert_eq!(stats.emit_program.misses, 4);
-    // Of the four functions, exactly `triple` and `run_triple` (whose
-    // launch dependency changed) re-check; `double` and `run_double`
-    // hit.
+    // Of the four functions, exactly `triple` re-checks; `double`,
+    // `run_double` and `run_triple` (which reads only `triple`'s
+    // unchanged signature) hit.
     assert_eq!(
         (stats.typeck.hits, stats.typeck.misses),
-        (2, 2),
+        (3, 1),
         "{stats:?}"
     );
     // One of the two kernel instances re-lowers and re-emits.
@@ -346,4 +351,242 @@ fn warm_compiles_run_identically() {
     assert_eq!(run.cpu["h"], vec![4.5; 64]);
     let run = warm.run_host("run_double", &inputs, &cfg).expect("runs");
     assert_eq!(run.cpu["h"], vec![3.0; 64]);
+}
+
+/// [`TWO_KERNELS`] with `triple`'s *signature* edited, body untouched.
+/// Each edit must miss `triple` and its launcher `run_triple` (the
+/// launcher reads the signature) and hit `double` and `run_double`; the
+/// warm result, artifacts or diagnostic, equals a cold compile's.
+#[test]
+fn editing_a_kernel_signature_invalidates_its_launcher() {
+    let header = "fn triple(v: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<2>, X<32>>]-> ()";
+    assert!(TWO_KERNELS.contains(header));
+
+    // A `where` clause that holds: the program still compiles.
+    let mut session = CompileSession::new();
+    session.compile_source(TWO_KERNELS).expect("compiles");
+    let edited = TWO_KERNELS.replace(header, &format!("{header} where 64 == 2 * 32"));
+    session.reset_stats();
+    let warm = session.compile_source(&edited).expect("edited compiles");
+    let stats = *session.stats();
+    assert_eq!(
+        (stats.typeck.hits, stats.typeck.misses),
+        (2, 2),
+        "{stats:?}"
+    );
+    let cold = Compiler::new().compile_source(&edited).expect("compiles");
+    assert_identical(&cold, &warm, "where clause added");
+
+    // A parameter the launch does not pass: the kernel checks, its
+    // launcher is re-checked and rejects the launch.
+    let mut session = CompileSession::new();
+    session.compile_source(TWO_KERNELS).expect("compiles");
+    let edited = TWO_KERNELS.replace(
+        header,
+        &header.replace("[f64; 64])", "[f64; 64], w: & gpu.global [f64; 64])"),
+    );
+    session.reset_stats();
+    let warm = session
+        .compile_source(&edited)
+        .expect_err("launch mismatch");
+    let stats = *session.stats();
+    assert_eq!(
+        (stats.typeck.hits, stats.typeck.misses),
+        (2, 2),
+        "{stats:?}"
+    );
+    let cold = Compiler::new()
+        .compile_source(&edited)
+        .expect_err("rejects");
+    let ast = parse(&edited);
+    let reference = check_program(&ast).expect_err("rejects");
+    assert_eq!(reference.kind, ErrorKind::ArityMismatch);
+    assert_eq!(cold.rendered, warm.rendered, "warm diagnostic differs");
+    assert_eq!(cold.diag, reference.diag, "session vs check_program");
+    let launch = edited.find("triple<<<").expect("the launch");
+    assert_eq!(
+        cold.diag.primary.span.start as usize, launch,
+        "reported at the launch"
+    );
+}
+
+/// A generic kernel's instances are checked in its launcher's query, so
+/// an edit inside the generic body re-checks the launcher (it has no
+/// query of its own to hit), and the warm result equals a cold one.
+#[test]
+fn editing_a_generic_kernel_body_invalidates_its_launcher() {
+    let src = std::fs::read_to_string(corpus_dir().join("fill_generic.descend")).unwrap();
+    let mut session = CompileSession::new();
+    session.compile_source(&src).expect("compiles");
+    let edited = src.replace("= 1.0;", "= 2.0;");
+    assert_ne!(edited, src);
+    session.reset_stats();
+    let warm = session.compile_source(&edited).expect("edited compiles");
+    let stats = *session.stats();
+    assert_eq!(
+        (stats.typeck.hits, stats.typeck.misses),
+        (0, 1),
+        "{stats:?}"
+    );
+    let cold = Compiler::new().compile_source(&edited).expect("compiles");
+    assert_identical(&cold, &warm, "generic body edited");
+}
+
+fn parse(src: &str) -> Program {
+    descend::parser::parse(src).expect("test sources parse")
+}
+
+/// A valid host function launching a kernel whose body races.
+const RACY_KERNEL: &str = r#"
+fn rev_per_block(arr: &uniq gpu.global [f64; 2048])
+-[grid: gpu.grid<X<8>, X<256>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            (*arr).group::<256>[[block]][[thread]] =
+                (*arr).group::<256>[[block]].rev[[thread]];
+        }
+    }
+}
+
+fn main() -[t: cpu.thread]-> () {
+    let h = alloc::<cpu.mem, [f64; 2048]>();
+    let d = gpu_alloc_copy(&h);
+    rev_per_block<<<X<8>, X<256>>>>(&uniq d);
+    copy_mem_to_host(&uniq h, &d);
+}
+"#;
+
+/// The diagnostic every pipeline gives [`RACY_KERNEL`].
+const RACY_KERNEL_RENDERED: &str = "\
+error[E0102]: conflicting memory access
+  --> 6:13
+   |
+ 6 |             (*arr).group::<256>[[block]][[thread]] =
+   |             ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^ cannot select memory because of a conflicting prior selection here
+  --> 7:17
+   |
+ 7 |                 (*arr).group::<256>[[block]].rev[[thread]];
+   |                 ------------------------------------------ prior access of `arr.*.group::<256>[[block:X]].reverse[[thread:X]]`
+";
+
+/// A host's check types a launch of a non-generic kernel against the
+/// kernel's signature and does not check its body: the host checks, the
+/// kernel's own check reports the race, and every pipeline rejects the
+/// program with that diagnostic, the kernel's query first.
+#[test]
+fn a_racy_kernel_body_is_reported_by_its_own_query() {
+    let ast = parse(RACY_KERNEL);
+    let host = ast.fn_def("main").expect("host");
+    let kernel = ast.fn_def("rev_per_block").expect("kernel");
+
+    let checked = check_fn(&ast, host).expect("the host matches the kernel's signature");
+    assert!(checked.kernels.is_empty(), "{:?}", checked.kernels);
+    assert_eq!(checked.launched, ["rev_per_block"]);
+    let err = check_fn(&ast, kernel).expect_err("the kernel body races");
+    assert_eq!(err.kind, ErrorKind::ConflictingAccess);
+    assert_eq!(err.diag.code, Some("E0102"));
+    let write = RACY_KERNEL
+        .find("(*arr).group::<256>[[block]][[thread]]")
+        .unwrap();
+    assert_eq!(err.diag.primary.span.start as usize, write);
+    assert_eq!(err.diag.render(RACY_KERNEL), RACY_KERNEL_RENDERED);
+
+    let reference = check_program(&ast).expect_err("check_program rejects");
+    assert_eq!(
+        reference.diag, err.diag,
+        "check_program vs the kernel's check"
+    );
+    let mut session = CompileSession::new();
+    let cold = session.compile_source(RACY_KERNEL).expect_err("rejects");
+    assert_eq!(cold.diag, err.diag, "session vs the kernel's check");
+    assert_eq!(cold.rendered, RACY_KERNEL_RENDERED);
+    // Only the kernel's query ran: it failed before the host's.
+    assert_eq!(session.stats().typeck.misses, 1, "{:?}", session.stats());
+    let one_shot = Compiler::new()
+        .compile_source(RACY_KERNEL)
+        .expect_err("rejects");
+    assert_eq!(one_shot.rendered, RACY_KERNEL_RENDERED);
+    let warm = session.compile_source(RACY_KERNEL).expect_err("rejects");
+    assert_eq!(warm.diag, err.diag, "warm session");
+}
+
+/// Generic kernels have no query of their own: each instance a host
+/// launches is checked inside the host's query, so the host's result
+/// carries the instances and an error in a generic body is the host
+/// query's error.
+#[test]
+fn generic_instances_are_checked_in_the_launching_host_query() {
+    let src = std::fs::read_to_string(corpus_dir().join("fill_generic.descend")).unwrap();
+    let ast = parse(&src);
+    let checked = check_fn(&ast, ast.fn_def("main").unwrap()).expect("checks");
+    let names: Vec<&str> = checked.kernels.iter().map(|k| k.name.as_str()).collect();
+    assert_eq!(names, ["fill__64_2", "fill__128_4"]);
+    assert_eq!(checked.launched, ["fill__64_2", "fill__128_4"]);
+    assert!(checked.kernels.iter().all(|k| !k.body.is_empty()));
+
+    let racy_generic = r#"
+fn rev<n: nat>(arr: &uniq gpu.global [f64; n])
+-[grid: gpu.grid<X<1>, X<n>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            (*arr).group::<n>[[block]][[thread]] =
+                (*arr).group::<n>[[block]].rev[[thread]];
+        }
+    }
+}
+
+fn main() -[t: cpu.thread]-> () {
+    let h = alloc::<cpu.mem, [f64; 64]>();
+    let d = gpu_alloc_copy(&h);
+    rev::<64><<<X<1>, X<64>>>>(&uniq d);
+    copy_mem_to_host(&uniq h, &d);
+}
+"#;
+    let ast = parse(racy_generic);
+    let generic = check_fn(&ast, ast.fn_def("rev").unwrap()).expect("nothing standalone");
+    assert!(generic.kernels.is_empty() && generic.host.is_none());
+    let err = check_fn(&ast, ast.fn_def("main").unwrap()).expect_err("the instance races");
+    assert_eq!(err.kind, ErrorKind::ConflictingAccess);
+    let reference = check_program(&ast).expect_err("rejects");
+    assert_eq!(reference.diag, err.diag);
+    let mut session = CompileSession::new();
+    let cold = session.compile_source(racy_generic).expect_err("rejects");
+    assert_eq!(cold.diag, err.diag);
+    // The host's query is the only one and it reported the error.
+    assert_eq!(session.stats().typeck.misses, 1, "{:?}", session.stats());
+}
+
+/// Over the pass corpus, a host function's check carries a full
+/// elaboration only for the generic instances it launches; each
+/// non-generic kernel it launches is named in `launched` and elaborated
+/// by its own check alone.
+#[test]
+fn host_checks_carry_only_generic_instances_corpus_wide() {
+    let mut launches = 0;
+    for f in descend_files(&corpus_dir()) {
+        let src = std::fs::read_to_string(&f).unwrap();
+        let ctx = f.file_name().unwrap().to_string_lossy().into_owned();
+        let ast = parse(&src);
+        let generic = |name: &str| ast.fn_def(name).is_some_and(|d| !d.sig.generics.is_empty());
+        for item in &ast.items {
+            let descend::ast::term::Item::Fn(host) = item else {
+                continue;
+            };
+            if !matches!(host.sig.exec_ty, descend::ast::ty::ExecTy::CpuThread) {
+                continue;
+            }
+            let checked = check_fn(&ast, host).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            for k in &checked.kernels {
+                assert!(generic(&k.source_name), "{ctx}: {} elaborated", k.name);
+                assert!(checked.launched.contains(&k.name), "{ctx}: {}", k.name);
+            }
+            for name in &checked.launched {
+                let elaborated = checked.kernels.iter().any(|k| &k.name == name);
+                let def = name.split("__").next().unwrap();
+                assert_eq!(elaborated, generic(def), "{ctx}: {name}");
+                launches += 1;
+            }
+        }
+    }
+    assert!(launches >= 14, "the corpus launches kernels: {launches}");
 }
