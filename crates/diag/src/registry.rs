@@ -253,12 +253,27 @@ pub const REGISTRY: &[CodeInfo] = &[
     CodeInfo {
         code: "E0121",
         title: "for-nat loop exceeds the iteration budget",
-        explanation: "Every for-nat loop is checked once per iteration, so its trip \
-                      count is compile-time work. Each kernel instance may check at most \
+        explanation: "A for-nat loop's trip count is compile-time work: the checker \
+                      checks a loop it cannot check once (a body with a barrier, a `let`, \
+                      a `split`, a variable reaching a view or split position) once per \
+                      iteration, and the IR lowering unrolls every iteration of every \
+                      loop, however it was checked. Each kernel instance may run at most \
                       4096 for-nat iterations in total, nested loops drawing from the \
                       same count; a `[lo..hi]` loop whose trip count exceeds what is left \
                       is rejected at loop entry, before any iteration is checked. The \
                       message gives the trip count and the remaining budget.",
+    },
+    CodeInfo {
+        code: "E0122",
+        title: "function name collides with a generic instance",
+        explanation: "A kernel instance is identified by its mangled name: the generic \
+                      function's name, two underscores, and its nat arguments joined by \
+                      single underscores, so `fill::<64, 2>` is `fill__64_2`. A \
+                      non-generic function with such a name would be taken for the \
+                      instance, or the instance for it, and one of the two bodies would \
+                      go unchecked and uncompiled. Every function whose name one of the \
+                      program's generic functions could mangle to is therefore rejected; \
+                      rename it.",
     },
     CodeInfo {
         code: LOWERING_FAILED,

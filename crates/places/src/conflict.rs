@@ -18,12 +18,15 @@
 //!    other shape is conservatively a conflict — exactly the reasoning
 //!    that rejects the paper's `arr[[thread]] = arr.rev[[thread]]`.
 //!
-//! An access recorded once for every iteration of a for-nat loop that
-//! the checker checks symbolically carries a [`SymIndex`]: its index
-//! step reads a whole interval of values. At that step a pair of
-//! accesses is `Equal` when some admissible pair of iterations makes the
-//! two indices equal and `Disjoint` otherwise, which is exactly the union
-//! of the verdicts of the per-iteration copies (`docs/DESIGN.md` §11).
+//! An access recorded once for every iteration of the for-nat loops that
+//! the checker checks symbolically carries [`SymSteps`]: each of its
+//! symbolic index steps reads a whole interval of values, one step per
+//! loop variable. At such a step a pair of accesses is `Equal` when some
+//! admissible pair of iterations makes the two indices equal and
+//! `Disjoint` otherwise. The loops' iterations form a product of
+//! intervals, so the steps constrain independent choices and this is
+//! exactly the union of the verdicts of the per-iteration copies
+//! (`docs/DESIGN.md` §11).
 
 use crate::path::{PathStep, PlacePath};
 use crate::view::{windows_overlap, ViewStep};
@@ -68,9 +71,9 @@ pub struct Access {
     pub exec: ExecExpr,
     /// Source location, for diagnostics.
     pub span: Span,
-    /// The symbolic loop index of `path`, if the access stands for every
-    /// iteration of a loop checked once.
-    pub sym: Option<SymIndex>,
+    /// The symbolic loop indices of `path`, if the access stands for
+    /// every iteration of the loops checked once around it.
+    pub sym: SymSteps,
 }
 
 /// A symbolic loop index: the step at `step` of an access path is
@@ -87,10 +90,45 @@ pub struct SymIndex {
     pub hi: u64,
 }
 
-impl Access {
-    /// The symbolic loop index at step `i`, if the step is one.
-    fn sym_at(&self, i: usize) -> Option<SymIndex> {
-        self.sym.filter(|s| s.step == i)
+/// The symbolic loop indices of an access path, in path order, each
+/// through a distinct loop variable. One index is kept inline: an access
+/// is recorded for every statement, and few have two.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub enum SymSteps {
+    /// No symbolic index.
+    #[default]
+    None,
+    /// One symbolic index.
+    One(SymIndex),
+    /// Two or more, in path order.
+    Many(Vec<SymIndex>),
+}
+
+impl SymSteps {
+    /// The indices, in path order.
+    pub fn as_slice(&self) -> &[SymIndex] {
+        match self {
+            SymSteps::None => &[],
+            SymSteps::One(s) => std::slice::from_ref(s),
+            SymSteps::Many(v) => v,
+        }
+    }
+
+    /// Appends an index at a later step than any present.
+    pub fn push(&mut self, s: SymIndex) {
+        *self = match std::mem::take(self) {
+            SymSteps::None => SymSteps::One(s),
+            SymSteps::One(first) => SymSteps::Many(vec![first, s]),
+            SymSteps::Many(mut v) => {
+                v.push(s);
+                SymSteps::Many(v)
+            }
+        };
+    }
+
+    /// The symbolic index at step `i`, if the step is one.
+    fn at(&self, i: usize) -> Option<SymIndex> {
+        self.as_slice().iter().copied().find(|s| s.step == i)
     }
 }
 
@@ -267,8 +305,8 @@ fn index_values(sym: Option<SymIndex>, n: &Nat) -> Option<(u64, u64)> {
 /// Compares step `i` of two chains, one of which may be a symbolic
 /// index (`a_sym`/`b_sym`, already filtered to this step). `repeats`
 /// is set when both chains are the same access compared with its own
-/// other iterations: whether two distinct iterations can read the same
-/// value at its symbolic index.
+/// other iterations: whether two distinct iterations that read the same
+/// values at every earlier step can read the same value at this one.
 fn compare_at(
     (sa, a_sym): (&PathStep, Option<SymIndex>),
     (sb, b_sym): (&PathStep, Option<SymIndex>),
@@ -296,15 +334,19 @@ fn compare_at(
 
 /// The pairwise walk of two step chains over their common length: the
 /// first step that is `Disjoint` or `Unknown`, or `Equal` if every
-/// common step is.
+/// common step is. With `repeats` (an access against its own other
+/// iterations, see [`may_race_repeated`]) and no repeating index, two
+/// distinct iterations that agree at every symbolic step but the last
+/// differ at the last: the walk of such a pair is the longest.
 fn walk(
-    (a, a_sym): (&[PathStep], Option<SymIndex>),
-    (b, b_sym): (&[PathStep], Option<SymIndex>),
+    (a, a_sym): (&[PathStep], &SymSteps),
+    (b, b_sym): (&[PathStep], &SymSteps),
     repeats: Option<bool>,
 ) -> StepCmp {
+    let last = a_sym.as_slice().last().map(|s| s.step);
     for (i, (sa, sb)) in a.iter().zip(b).enumerate() {
-        let at = |sym: Option<SymIndex>| sym.filter(|s| s.step == i);
-        match compare_at((sa, at(a_sym)), (sb, at(b_sym)), repeats) {
+        let repeats = repeats.map(|r| r || last != Some(i));
+        match compare_at((sa, a_sym.at(i)), (sb, b_sym.at(i)), repeats) {
             StepCmp::Equal => {}
             decided => return decided,
         }
@@ -315,15 +357,15 @@ fn walk(
 /// Whether two place paths may refer to overlapping memory regions,
 /// independent of which executors access them. Used for sequential
 /// (same-thread) borrow checking on the CPU side, and for accesses
-/// against live borrows; `b_sym` is `b`'s symbolic loop index, if any.
+/// against live borrows; `b_sym` are `b`'s symbolic loop indices.
 ///
 /// Conservative: `false` means provably disjoint.
-pub fn may_overlap(a: &PlacePath, b: &PlacePath, b_sym: Option<SymIndex>) -> bool {
+pub fn may_overlap(a: &PlacePath, b: &PlacePath, b_sym: &SymSteps) -> bool {
     if a.root != b.root {
         return false;
     }
     !matches!(
-        walk((&a.steps, None), (&b.steps, b_sym), None),
+        walk((&a.steps, &SymSteps::None), (&b.steps, b_sym), None),
         StepCmp::Disjoint
     )
 }
@@ -337,10 +379,11 @@ pub fn may_race(a: &Access, b: &Access) -> bool {
 }
 
 /// Whether an access recorded once for every iteration of the symbolic
-/// loops around it races with itself in another iteration. Its symbolic
-/// index, if any, reads the same value in two distinct iterations
-/// exactly when `index_repeats`: when another symbolic loop encloses it
-/// too.
+/// loops around it races with itself in another iteration. Two distinct
+/// iterations can read the same values at all its symbolic indices
+/// exactly when `index_repeats`: when some symbolic loop around it has
+/// no index in the path. Otherwise they differ at some index, and the
+/// pairs that differ only at the last one walk furthest.
 pub fn may_race_repeated(a: &Access, index_repeats: bool) -> bool {
     race(a, a, Some(index_repeats))
 }
@@ -364,7 +407,7 @@ fn race(a: &Access, b: &Access, repeats: Option<bool>) -> bool {
         return false;
     }
     // Pairwise step walk.
-    match walk((&a.path.steps, a.sym), (&b.path.steps, b.sym), repeats) {
+    match walk((&a.path.steps, &a.sym), (&b.path.steps, &b.sym), repeats) {
         StepCmp::Disjoint => return false,
         StepCmp::Unknown => return true,
         StepCmp::Equal => {}
@@ -410,12 +453,14 @@ fn race(a: &Access, b: &Access, repeats: Option<bool>) -> bool {
 /// A symbolic index continues the prefix when some pair of iterations
 /// reads equal values there. The pairs that read different values stop
 /// their prefix at that step instead, so the answer holds for every pair
-/// only when it is the same for both prefixes; `None` when it is not.
+/// only when the prefix ending at every symbolic step gives the same
+/// answer as the whole; `None` when one does not. A longer prefix only
+/// adds selects, so it is enough to compare the first.
 pub fn barrier_ordered(a: &Access, b: &Access) -> Option<bool> {
     let mut len = 0;
     let mut first_sym = None;
     for (i, (sa, sb)) in a.path.steps.iter().zip(&b.path.steps).enumerate() {
-        let (a_sym, b_sym) = (a.sym_at(i), b.sym_at(i));
+        let (a_sym, b_sym) = (a.sym.at(i), b.sym.at(i));
         let same = if a_sym.is_none() && b_sym.is_none() {
             sa.same(sb)
         } else {
@@ -477,7 +522,7 @@ mod tests {
             mode,
             exec: exec.clone(),
             span: Span::DUMMY,
-            sym: None,
+            sym: SymSteps::None,
         }
     }
 
@@ -847,11 +892,9 @@ mod tests {
         assert!(may_race(&mk(3, 3), &mk(2, 2)));
     }
 
-    fn sym(access: Access, step: usize, lo: u64, hi: u64) -> Access {
-        Access {
-            sym: Some(SymIndex { step, lo, hi }),
-            ..access
-        }
+    fn sym(mut access: Access, step: usize, lo: u64, hi: u64) -> Access {
+        access.sym.push(SymIndex { step, lo, hi });
+        access
     }
 
     /// `tmp[x][[thread]]` written and `tmp[y].rev[[thread]]` read: the
@@ -943,6 +986,129 @@ mod tests {
         }
     }
 
+    /// `tmp[x][y][[thread]]` written and `tmp[x'][y'].rev[[thread]]`
+    /// read, the indices through two loop variables: the iterations form
+    /// a product of intervals, so the pair races exactly when the
+    /// intervals meet at both steps.
+    #[test]
+    fn two_symbolic_indices_race_iff_both_intervals_meet() {
+        let (_, b, t) = setup_1d(1, 32);
+        let path = |x: Nat, y: Nat, rev: bool| {
+            let mut p = PlacePath::new("tmp", b.clone());
+            p.push(PathStep::Index(x));
+            p.push(PathStep::Index(y));
+            if rev {
+                p.push(PathStep::View(ViewStep::Reverse { n: Nat::lit(32) }));
+            }
+            p.push(sel(&t, 1));
+            p
+        };
+        let (i, j) = (Nat::var("i"), Nat::var("j"));
+        let write = |(ilo, ihi), (jlo, jhi)| {
+            let w = access(path(i.clone(), j.clone(), false), AccessMode::Uniq, &t);
+            sym(sym(w, 0, ilo, ihi), 1, jlo, jhi)
+        };
+        let read =
+            |x: u64, y: u64| access(path(Nat::lit(x), Nat::lit(y), true), AccessMode::Shrd, &t);
+        let w = write((0, 4), (2, 6));
+        assert_eq!(w.sym.as_slice().len(), 2);
+        assert!(may_race(&w, &read(3, 2)));
+        assert!(!may_race(&w, &read(4, 2)), "the first interval misses");
+        assert!(!may_race(&w, &read(3, 6)), "the second interval misses");
+        // Both sides symbolic, in swapped roles: `[j][i]` against `[i][j]`.
+        let r = sym(
+            sym(
+                access(path(j.clone(), i.clone(), true), AccessMode::Shrd, &t),
+                0,
+                4,
+                8,
+            ),
+            1,
+            0,
+            2,
+        );
+        assert!(!may_race(&w, &r));
+        assert!(may_race(&write((0, 5), (0, 6)), &r));
+    }
+
+    /// An access through two loop variables against its own other
+    /// iterations: two distinct iterations differ at some index, and the
+    /// pairs that agree at the first walk on to the second; with a third
+    /// loop that indexes nothing, some pairs agree everywhere.
+    #[test]
+    fn a_repeated_access_differs_at_its_last_symbolic_index() {
+        let (_, b, t) = setup_1d(1, 32);
+        let each = |windows: bool| {
+            let mut p = PlacePath::new("tmp", b.clone());
+            p.push(PathStep::Index(Nat::var("i")));
+            if windows {
+                p.push(PathStep::View(ViewStep::Windows {
+                    w: Nat::lit(3),
+                    s: Nat::lit(1),
+                }));
+            }
+            p.push(PathStep::Index(Nat::var("j")));
+            let last = p.steps.len() - 1;
+            sym(sym(access(p, AccessMode::Uniq, &t), 0, 0, 4), last, 0, 4)
+        };
+        assert!(!may_race_repeated(&each(false), false));
+        assert!(may_race_repeated(&each(false), true));
+        // The iterations that agree at `i` reach the overlapping windows.
+        assert!(may_race_repeated(&each(true), false));
+    }
+
+    /// With two symbolic steps the barrier answer must hold for the
+    /// prefixes cut at each: an index ahead of the block select leaves it
+    /// open, indices after it do not.
+    #[test]
+    fn barrier_ordering_through_two_symbolic_indices() {
+        let (g, _, t) = setup_1d(4, 32);
+        let path = |index_first: bool, x: Nat, y: Nat| {
+            let mut p = PlacePath::new("arr", g.clone());
+            p.push(PathStep::Deref);
+            if index_first {
+                p.push(PathStep::Index(x.clone()));
+            }
+            p.push(sel(&t, 0));
+            if !index_first {
+                p.push(PathStep::Index(x));
+            }
+            p.push(PathStep::Index(y));
+            p.push(sel(&t, 1));
+            p
+        };
+        for (index_first, steps) in [(true, (1, 3)), (false, (2, 3))] {
+            let w = access(
+                path(index_first, Nat::var("i"), Nat::var("j")),
+                AccessMode::Uniq,
+                &t,
+            );
+            let w = sym(sym(w, steps.0, 0, 4), steps.1, 0, 4);
+            let r = access(
+                path(index_first, Nat::lit(1), Nat::lit(2)),
+                AccessMode::Shrd,
+                &t,
+            );
+            let expected = if index_first { None } else { Some(true) };
+            assert_eq!(barrier_ordered(&w, &r), expected);
+        }
+    }
+
+    /// One symbolic index is kept inline; a second moves them to a `Vec`.
+    #[test]
+    fn sym_steps_keep_one_index_inline() {
+        let mut s = SymSteps::None;
+        assert!(s.as_slice().is_empty());
+        let at = |step| SymIndex { step, lo: 0, hi: 2 };
+        s.push(at(1));
+        assert_eq!(s, SymSteps::One(at(1)));
+        s.push(at(3));
+        s.push(at(4));
+        assert_eq!(s.as_slice(), [at(1), at(3), at(4)]);
+        assert_eq!(s.at(3), Some(at(3)));
+        assert_eq!(s.at(2), None);
+    }
+
     /// A live borrow of `arr[5]` overlaps an access through `arr[i]`
     /// exactly when `i` reaches 5.
     #[test]
@@ -955,9 +1121,9 @@ mod tests {
         };
         let borrowed = path(Nat::lit(5));
         let each = path(Nat::var("i"));
-        let at = |lo, hi| Some(SymIndex { step: 0, lo, hi });
-        assert!(!may_overlap(&borrowed, &each, at(0, 5)));
-        assert!(may_overlap(&borrowed, &each, at(3, 8)));
+        let at = |lo, hi| SymSteps::One(SymIndex { step: 0, lo, hi });
+        assert!(!may_overlap(&borrowed, &each, &at(0, 5)));
+        assert!(may_overlap(&borrowed, &each, &at(3, 8)));
     }
 
     #[test]

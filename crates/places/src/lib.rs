@@ -33,7 +33,7 @@ pub mod view;
 
 pub use conflict::{
     barrier_ordered, may_overlap, may_race, may_race_repeated, narrowing_violation, Access,
-    AccessMode, SymIndex,
+    AccessMode, SymIndex, SymSteps,
 };
 pub use lower::{
     lower_scalar_access, lower_scalar_access_at, simplify_idx, Coord, IdxExpr, DYN_IDX,

@@ -10,7 +10,7 @@ use descend_exec::{ExecExpr, Side, Space};
 use descend_places::{
     barrier_ordered, may_overlap, may_race, may_race_repeated, narrowing_violation,
     resolve_view_app, zip_ty, Access, AccessMode, PathStep, PlacePath, SelectStep, SymIndex,
-    ViewDefs, ViewStep, DYN_IDX,
+    SymSteps, ViewDefs, ViewStep, DYN_IDX,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -64,6 +64,7 @@ pub const LOOP_BUDGET: u64 = 1 << 12;
 /// The first [`TypeError`] encountered, with a renderable diagnostic.
 pub fn check_program(program: &Program) -> TResult<CheckedProgram> {
     let mut cx = GlobalCx::new(program)?;
+    check_instance_names(program)?;
     // Check non-generic GPU functions standalone.
     for item in &program.items {
         if let Item::Fn(f) = item {
@@ -107,7 +108,8 @@ pub struct CheckedFn {
 }
 
 /// Validates the program-wide item context all functions share: view
-/// definitions are registered and nat constants evaluate.
+/// definitions are registered, nat constants evaluate, and no
+/// non-generic function is named like a generic kernel instance.
 ///
 /// This is the program-level prefix of [`check_program`]; incremental
 /// drivers run it once per compile before issuing per-function
@@ -115,9 +117,59 @@ pub struct CheckedFn {
 ///
 /// # Errors
 ///
-/// The first [`TypeError`] from constant evaluation.
+/// The first [`TypeError`] from constant evaluation, else
+/// [`ErrorKind::InstanceNameCollision`] for the first function named
+/// like an instance.
 pub fn check_context(program: &Program) -> TResult<()> {
-    GlobalCx::new(program).map(|_| ())
+    GlobalCx::new(program)?;
+    check_instance_names(program)
+}
+
+/// Rejects a non-generic function whose name is one that a generic
+/// function of the program mangles an instance to (see [`mangle`]):
+/// `g__<n>` followed by `_<n>` once for each further generic of `g`.
+/// Kernel instances are identified by these names, so the function and
+/// the instance would be taken for each other and one body would go
+/// unchecked.
+fn check_instance_names(program: &Program) -> TResult<()> {
+    let fns = || {
+        program.items.iter().filter_map(|item| match item {
+            Item::Fn(f) => Some(f),
+            _ => None,
+        })
+    };
+    for f in fns().filter(|f| f.sig.generics.is_empty()) {
+        for g in fns().filter(|g| !g.sig.generics.is_empty()) {
+            let Some(args) = mangled_args(&f.sig.name, &g.sig.name, g.sig.generics.len()) else {
+                continue;
+            };
+            return Err(TypeError::new(
+                ErrorKind::InstanceNameCollision,
+                f.span,
+                format!(
+                    "`{}` is the name of the instance `{}::<{}>` of the generic function `{}`",
+                    f.sig.name,
+                    g.sig.name,
+                    args.replace('_', ", "),
+                    g.sig.name
+                ),
+            )
+            .with_help("rename the function: names of this form belong to generic instances"));
+        }
+    }
+    Ok(())
+}
+
+/// The nat arguments `n_m_…` of `name`, if it is `generic__n_m_…` with
+/// `arity` numbers, each spelled as [`mangle`] spells a `u64`.
+fn mangled_args<'a>(name: &'a str, generic: &str, arity: usize) -> Option<&'a str> {
+    let args = name.strip_prefix(generic)?.strip_prefix("__")?;
+    let canonical = |a: &str| {
+        a.bytes().all(|b| b.is_ascii_digit())
+            && (a == "0" || !a.starts_with('0'))
+            && a.parse::<u64>().is_ok()
+    };
+    (args.split('_').count() == arity && args.split('_').all(canonical)).then_some(args)
 }
 
 /// Checks a single function of `program` in isolation — the
@@ -134,13 +186,14 @@ pub fn check_context(program: &Program) -> TResult<()> {
 /// signatures of the non-generic kernels it launches and the whole
 /// definitions of the generic ones — never on other host functions or
 /// on a non-generic kernel's body — and it can be cached keyed by those
-/// inputs. Checking every function of a program this way and merging
-/// the results (kernels before hosts, in [`check_program`]'s order,
-/// deduplicating instances by mangled name and remapping launches
-/// through [`CheckedFn::launched`]) reproduces [`check_program`]'s
-/// output exactly, first error included: a rejected kernel body is
-/// reported by the kernel's own check, which the merge runs first. The
-/// workspace-level incremental test pins that equivalence corpus-wide.
+/// inputs. Running [`check_context`], then checking every function of a
+/// program this way and merging the results (kernels before hosts, in
+/// [`check_program`]'s order, deduplicating instances by mangled name
+/// and remapping launches through [`CheckedFn::launched`]) reproduces
+/// [`check_program`]'s output exactly, first error included: a rejected
+/// kernel body is reported by the kernel's own check, which the merge
+/// runs first. The workspace-level incremental test pins that
+/// equivalence corpus-wide.
 ///
 /// Generic GPU functions return an empty result, mirroring
 /// [`check_program`]: they are checked per instantiation at launch
@@ -1224,8 +1277,10 @@ impl<'g, 'p> FnCx<'g, 'p> {
             }
         }
         // Inside loops checked once, the access stands for one access per
-        // iteration, each of which must not conflict with the others.
-        if !self.sym_loops.is_empty() && may_race_repeated(&access, self.sym_loops.len() > 1) {
+        // iteration, each of which must not conflict with the others. Its
+        // indices repeat when some of those loops has no index in it.
+        let repeats = access.sym.as_slice().len() < self.sym_loops.len();
+        if !self.sym_loops.is_empty() && may_race_repeated(&access, repeats) {
             return Err(conflict(span, &access));
         }
         // 3. Rust-style borrow conflicts (sequential aliasing). Accesses
@@ -1235,7 +1290,7 @@ impl<'g, 'p> FnCx<'g, 'p> {
         let is_write = mode != AccessMode::Shrd;
         if !tp.via_alias {
             for b in &self.borrows {
-                if (b.uniq || is_write) && may_overlap(&b.path, &access.path, access.sym) {
+                if (b.uniq || is_write) && may_overlap(&b.path, &access.path, &access.sym) {
                     return Err(TypeError::new(
                         ErrorKind::BorrowConflict,
                         span,
@@ -1280,26 +1335,32 @@ impl<'g, 'p> FnCx<'g, 'p> {
         })
     }
 
-    /// The symbolic loop index of an access path. A path indexed through
-    /// two loops checked once is not decided: the interval rule compares
-    /// one index per path.
-    fn sym_index(&self, path: &PlacePath, span: Span) -> TResult<Option<SymIndex>> {
+    /// The symbolic loop indices of an access path, one per loop checked
+    /// once that indexes it. The joint rule compares them step by step,
+    /// which needs each through a distinct variable: a path indexed
+    /// through one variable at two steps is not decided. (The budget
+    /// keeps the loops checked once, each of two trips or more, fewer
+    /// than 13 deep.)
+    fn sym_index(&self, path: &PlacePath, span: Span) -> TResult<SymSteps> {
+        let mut found = SymSteps::None;
         if self.sym_loops.is_empty() {
-            return Ok(None);
+            return Ok(found);
         }
-        let mut found = None;
+        let mut used = 0u64;
         for (step, s) in path.steps.iter().enumerate() {
             let PathStep::Index(n) = s else { continue };
             let Some((var, c)) = loop_index(n) else {
                 continue;
             };
-            let Some(l) = self.sym_loops.iter().find(|l| l.var == var) else {
+            let Some(k) = self.sym_loops.iter().position(|l| l.var == var) else {
                 continue;
             };
-            if found.is_some() {
+            if used & 1 << k != 0 {
                 return Err(undecidable(span));
             }
-            found = Some(SymIndex {
+            used |= 1 << k;
+            let l = &self.sym_loops[k];
+            found.push(SymIndex {
                 step,
                 lo: l.lo + c,
                 hi: l.hi + c,
@@ -1739,22 +1800,13 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     .exec
                     .to_warps()
                     .map_err(|e| TypeError::new(ErrorKind::ScheduleError, s.span, e.to_string()))?;
-                let saved_exec = std::mem::replace(&mut self.exec, new_exec.clone());
                 // No forall is introduced: the body sees the same
                 // threads, now organized as warp space over lane space.
-                self.bind_exec(
-                    var,
-                    ExecBinding {
-                        expr: new_exec,
-                        introduced: Vec::new(),
-                    },
-                    s.span,
-                )?;
-                let stmts = self.check_block(body, false)?;
-                self.exec_bindings.remove(var);
-                self.exec = saved_exec;
-                out.extend(stmts);
-                Ok(())
+                let eb = ExecBinding {
+                    expr: new_exec,
+                    introduced: Vec::new(),
+                };
+                self.check_scheduled(var, eb, s.span, body, out)
             }
             StmtKind::Sched {
                 dims,
@@ -1780,20 +1832,11 @@ impl<'g, 'p> FnCx<'g, 'p> {
                     })?;
                     introduced.push(new_exec.ops.len() - 1);
                 }
-                let saved_exec = std::mem::replace(&mut self.exec, new_exec.clone());
-                self.bind_exec(
-                    var,
-                    ExecBinding {
-                        expr: new_exec,
-                        introduced,
-                    },
-                    s.span,
-                )?;
-                let stmts = self.check_block(body, false)?;
-                self.exec_bindings.remove(var);
-                self.exec = saved_exec;
-                out.extend(stmts);
-                Ok(())
+                let eb = ExecBinding {
+                    expr: new_exec,
+                    introduced,
+                };
+                self.check_scheduled(var, eb, s.span, body, out)
             }
             StmtKind::SplitExec {
                 dim,
@@ -1919,24 +1962,12 @@ impl<'g, 'p> FnCx<'g, 'p> {
                         return Ok(());
                     }
                 }
-                // Every iteration is checked; a `[lo..hi]` loop on the
-                // GPU is then folded back into one rolled loop where
-                // that is exact (`LoopFold`).
-                let mut fold = range_lo.map(|lo| {
-                    let outer = self.sym_loops.iter().map(|l| l.var.clone()).collect();
-                    LoopFold::new(var, lo, lo + trips, outer)
-                });
+                // Every iteration is checked and elaborated in turn.
                 for v in values {
                     self.nat_env.insert(var.clone(), v);
                     let stmts = self.check_block(body, false);
                     self.nat_env.remove(var);
-                    match &mut fold {
-                        Some(fold) => fold.push(stmts?, out),
-                        None => out.extend(stmts?),
-                    }
-                }
-                if let Some(fold) = fold {
-                    fold.finish(out);
+                    out.extend(stmts?);
                 }
                 self.loop_checks.per_iteration += 1;
                 Ok(())
@@ -2002,6 +2033,29 @@ impl<'g, 'p> FnCx<'g, 'p> {
         }
     }
 
+    /// Checks the body of a `sched` or `to_warps` with `var` bound to
+    /// the execution resource `eb` it schedules, and appends its
+    /// statements. The resource and the binding are restored on an error
+    /// too: a loop checked once drops the error and checks each
+    /// iteration.
+    fn check_scheduled(
+        &mut self,
+        var: &str,
+        eb: ExecBinding,
+        span: Span,
+        body: &Block,
+        out: &mut Vec<ElabStmt>,
+    ) -> TResult<()> {
+        let exec = eb.expr.clone();
+        self.bind_exec(var, eb, span)?;
+        let saved_exec = std::mem::replace(&mut self.exec, exec);
+        let stmts = self.check_block(body, false);
+        self.exec_bindings.remove(var);
+        self.exec = saved_exec;
+        out.extend(stmts?);
+        Ok(())
+    }
+
     /// Checks the body of `for var in [lo..hi]` once, `var` a symbolic
     /// index over the range, and appends the loop's elaboration. On an
     /// error, the records the attempt made are dropped again and the
@@ -2033,8 +2087,8 @@ impl<'g, 'p> FnCx<'g, 'p> {
             }
             Err(e) => {
                 // The body binds no names and runs no barrier (see
-                // `checkable_once`), so the records it made are the ones
-                // past these marks.
+                // `checkable_once`; a `sched` restores its own binding),
+                // so the records it made are the ones past these marks.
                 self.accesses.truncate(accesses);
                 self.borrows.truncate(borrows);
                 self.scopes.truncate(scopes);
@@ -2812,13 +2866,14 @@ fn nat_mentions(n: &Nat, var: &str) -> bool {
 }
 
 /// Whether the body of a GPU loop over `var` can be checked once, with
-/// `var` symbolic: it holds no `let`, `sync`, `split`, `sched`,
-/// `to_warps`, shuffle, borrow, call or launch anywhere (so it binds no
-/// name, moves no barrier epoch and keeps the execution resource), and
-/// `var` occurs only in index nats affine in it with coefficient one
-/// (`var`, `var + c`): the iterations differ only in the values those
-/// indices read. Nested loops qualify on the same terms, their ranges
-/// free of `var`.
+/// `var` symbolic: it holds no `let`, `sync`, `split`, shuffle, borrow,
+/// call or launch anywhere (so it binds no name but the execution
+/// resources of its `sched`s and `to_warps`, which unbind them on the
+/// way out, and moves no barrier epoch), and `var` occurs only in index
+/// nats affine in it with coefficient one (`var`, `var + c`): the
+/// iterations differ only in the values those indices read. Nested
+/// loops qualify on the same terms, their ranges free of `var`, so the
+/// iterations of a nest checked once form a product of intervals.
 fn checkable_once(var: &str, body: &Block) -> bool {
     /// `var`'s coefficient in `n`, if `n` is affine in it.
     fn coefficient(n: &Nat, var: &str) -> Option<i64> {
@@ -2872,7 +2927,9 @@ fn checkable_once(var: &str, body: &Block) -> bool {
                 value,
                 ..
             } => place(p, var) && index.as_ref().is_none_or(|i| expr(i, var)) && expr(value, var),
-            StmtKind::Scope(b) => block(b, var),
+            StmtKind::Scope(b)
+            | StmtKind::Sched { body: b, .. }
+            | StmtKind::ToWarps { body: b, .. } => block(b, var),
             StmtKind::ForNat { range, body, .. } => {
                 let bounds: &[&Nat] = match range {
                     NatRange::Range { lo, hi } => &[lo, hi],
@@ -2881,11 +2938,7 @@ fn checkable_once(var: &str, body: &Block) -> bool {
                 };
                 !bounds.iter().any(|n| nat_mentions(n, var)) && block(body, var)
             }
-            StmtKind::Let { .. }
-            | StmtKind::Sync
-            | StmtKind::SplitExec { .. }
-            | StmtKind::Sched { .. }
-            | StmtKind::ToWarps { .. } => false,
+            StmtKind::Let { .. } | StmtKind::Sync | StmtKind::SplitExec { .. } => false,
         })
     }
     block(body, var)

@@ -12,14 +12,13 @@
 //!
 //! The checker checks an eligible GPU for-nat loop once, with the loop
 //! variable symbolic, and [`emit_checked_once`] turns that one body into
-//! exactly the elaboration checking each iteration would have produced.
-//! Every other loop is checked once per iteration, and where the
-//! iterations' elaborations provably differ only in the indices the loop
-//! variable selects, [`LoopFold`] folds them back into one rolled
-//! [`ElabStmt::ForNat`]. The emitters print a rolled loop as one loop,
-//! and the IR lowering unrolls it, reproducing each iteration exactly.
-//! Every other loop stays unrolled, one elaborated copy of its body per
-//! iteration (see `docs/DESIGN.md` §11).
+//! exactly the elaboration checking each iteration would have produced:
+//! one rolled [`ElabStmt::ForNat`] where that body can stand for every
+//! iteration, the iterations spelled out otherwise. The emitters print a
+//! rolled loop as one loop, and the IR lowering unrolls it, reproducing
+//! each iteration exactly. Every other loop is checked, and elaborated,
+//! once per iteration: one copy of its body per iteration (see
+//! `docs/DESIGN.md` §11).
 
 use descend_ast::ty::DimCompo;
 use descend_ast::{term::AtomicOp, term::BinOp, term::ShflKind, term::UnOp, Nat};
@@ -184,9 +183,9 @@ pub enum ElabStmt {
     /// `PathStep::Index(Nat::Var(var))` stands for the iteration's value;
     /// iteration `v` is exactly `body` with those steps reading
     /// `Index(Nat::Lit(v))`. The checker only emits this form when it
-    /// checked the body once with `var` symbolic, or checked every
-    /// iteration and proved that equality (see `docs/DESIGN.md` §11);
-    /// the body never contains a `Sync`, `Split`, `Local` or shuffle.
+    /// checked the body once with `var` symbolic (see `docs/DESIGN.md`
+    /// §11); the body never contains a `Sync`, `Split`, `Local` or
+    /// shuffle.
     ForNat {
         /// Loop variable.
         var: String,
@@ -301,92 +300,8 @@ fn shift_stmts(stmts: &mut [ElabStmt], delta: i64) {
     }
 }
 
-/// Folds the per-iteration elaborations of a `[lo..hi]` for-nat loop
-/// into one [`ElabStmt::ForNat`] where that is exact.
-///
-/// The checker [`push`](LoopFold::push)es each iteration's statements
-/// as it checks them. The first iteration is kept as the candidate
-/// body; the second turns it symbolic (each `Index(Nat::Lit(lo))` that
-/// reads `lo + 1` there becomes `Index(Nat::Var(var))`); every
-/// iteration, the second included, is then compared against the body
-/// in one parallel walk, without cloning. The loop rolls only if the
-/// first iteration contains no `Sync`, `Split`, `Local` or shuffle,
-/// every iteration matches, and every access of the body lowers with
-/// the loop variables left symbolic. On the first mismatch the
-/// iterations seen so far are re-instantiated from the body and the
-/// rest appended as they come: exactly the unrolled elaboration.
-pub(crate) struct LoopFold {
-    var: String,
-    lo: u64,
-    hi: u64,
-    /// Variables of the loops checked once around this one: they stay
-    /// symbolic in every iteration.
-    outer: Vec<String>,
-    /// The value of the iteration the next `push` carries.
-    next: u64,
-    /// The candidate body while the loop can still roll.
-    body: Option<Vec<ElabStmt>>,
-}
-
-impl LoopFold {
-    /// A fold of `var in [lo..hi]` inside loops over `outer` checked
-    /// once; `hi - lo` must be at least 2.
-    pub(crate) fn new(var: &str, lo: u64, hi: u64, outer: Vec<String>) -> LoopFold {
-        LoopFold {
-            var: var.to_string(),
-            lo,
-            hi,
-            outer,
-            next: lo,
-            body: None,
-        }
-    }
-
-    /// Takes the next iteration's statements, appending to `out` what
-    /// can no longer roll.
-    pub(crate) fn push(&mut self, it: Vec<ElabStmt>, out: &mut Vec<ElabStmt>) {
-        let v = self.next;
-        self.next += 1;
-        let Some(mut body) = self.body.take() else {
-            if v == self.lo && !it.is_empty() && rollable(&it) && self.var != DYN_IDX {
-                self.body = Some(it);
-            } else {
-                out.extend(it);
-            }
-            return;
-        };
-        let second = v == self.lo + 1;
-        let mut unify = Unify {
-            var: &self.var,
-            v,
-            abstract_lo: second.then_some(self.lo),
-        };
-        if unify.stmts(&mut body, &it) && (!second || lowers(&mut body, &self.var, &self.outer)) {
-            self.body = Some(body);
-        } else {
-            for j in self.lo..v {
-                out.extend(instantiate(&body, &self.var, j));
-            }
-            out.extend(it);
-        }
-    }
-
-    /// Appends the rolled loop, if the loop still rolls after its last
-    /// iteration.
-    pub(crate) fn finish(self, out: &mut Vec<ElabStmt>) {
-        if let Some(body) = self.body {
-            out.push(ElabStmt::ForNat {
-                var: self.var,
-                lo: self.lo,
-                hi: self.hi,
-                body,
-            });
-        }
-    }
-}
-
-/// Whether an iteration's statements may form a rolled body: no
-/// barrier, split, local declaration or shuffle anywhere in them.
+/// Whether a loop body's statements may form a rolled body: no barrier,
+/// split, local declaration or shuffle anywhere in them.
 fn rollable(stmts: &[ElabStmt]) -> bool {
     fn no_shfl(e: &ElabExpr) -> bool {
         match e {
@@ -405,117 +320,6 @@ fn rollable(stmts: &[ElabStmt]) -> bool {
         ElabStmt::ForNat { body, .. } => rollable(body),
         ElabStmt::Src(_) => true,
     })
-}
-
-/// The parallel walk of a candidate body against one iteration's
-/// statements: whether the iteration is the body with `var := v`. With
-/// `abstract_lo`, an index that reads `lo` in the body and `v` in the
-/// iteration is first made symbolic in `var`.
-struct Unify<'a> {
-    var: &'a str,
-    v: u64,
-    abstract_lo: Option<u64>,
-}
-
-impl Unify<'_> {
-    fn stmts(&mut self, body: &mut [ElabStmt], it: &[ElabStmt]) -> bool {
-        body.len() == it.len()
-            && body.iter_mut().zip(it).all(|pair| match pair {
-                (
-                    ElabStmt::AssignLocal { name, value },
-                    ElabStmt::AssignLocal {
-                        name: name2,
-                        value: value2,
-                    },
-                ) => name == name2 && self.expr(value, value2),
-                (
-                    ElabStmt::Store { access, value },
-                    ElabStmt::Store {
-                        access: access2,
-                        value: value2,
-                    },
-                ) => self.access(access, access2) && self.expr(value, value2),
-                (
-                    ElabStmt::Atomic {
-                        op,
-                        access,
-                        index,
-                        value,
-                    },
-                    ElabStmt::Atomic {
-                        op: op2,
-                        access: access2,
-                        index: index2,
-                        value: value2,
-                    },
-                ) => {
-                    op == op2
-                        && self.access(access, access2)
-                        && match (index, index2) {
-                            (None, None) => true,
-                            (Some(a), Some(b)) => self.expr(a, b),
-                            _ => false,
-                        }
-                        && self.expr(value, value2)
-                }
-                (
-                    ElabStmt::ForNat { var, lo, hi, body },
-                    ElabStmt::ForNat {
-                        var: var2,
-                        lo: lo2,
-                        hi: hi2,
-                        body: body2,
-                    },
-                ) => var == var2 && lo == lo2 && hi == hi2 && self.stmts(body, body2),
-                (ElabStmt::Src(a), ElabStmt::Src(b)) => a == b,
-                _ => false,
-            })
-    }
-
-    fn expr(&mut self, body: &mut ElabExpr, it: &ElabExpr) -> bool {
-        match (body, it) {
-            // Bitwise, so `-0.0` and `0.0` (which print differently)
-            // never unify.
-            (ElabExpr::Lit(k, x), ElabExpr::Lit(k2, y)) => k == k2 && x.to_bits() == y.to_bits(),
-            (ElabExpr::Local(a), ElabExpr::Local(b)) => a == b,
-            (ElabExpr::Load(a), ElabExpr::Load(b)) => self.access(a, b),
-            (ElabExpr::Binary(op, a, b), ElabExpr::Binary(op2, a2, b2)) => {
-                op == op2 && self.expr(a, a2) && self.expr(b, b2)
-            }
-            (ElabExpr::Unary(op, a), ElabExpr::Unary(op2, a2)) => op == op2 && self.expr(a, a2),
-            _ => false,
-        }
-    }
-
-    fn access(&mut self, body: &mut ElabAccess, it: &ElabAccess) -> bool {
-        body.mem == it.mem
-            && body.elem == it.elem
-            && body.root_dims == it.root_dims
-            && body.path.root == it.path.root
-            && body.path.owner == it.path.owner
-            && body.path.steps.len() == it.path.steps.len()
-            && body
-                .path
-                .steps
-                .iter_mut()
-                .zip(&it.path.steps)
-                .all(|(b, i)| self.step(b, i))
-    }
-
-    fn step(&mut self, body: &mut PathStep, it: &PathStep) -> bool {
-        match (&*body, it) {
-            (PathStep::Index(Nat::Var(x)), PathStep::Index(Nat::Lit(n))) if x == self.var => {
-                *n == self.v
-            }
-            (PathStep::Index(Nat::Lit(l)), PathStep::Index(Nat::Lit(n)))
-                if Some(*l) == self.abstract_lo && *n == self.v =>
-            {
-                *body = PathStep::Index(Nat::var(self.var));
-                true
-            }
-            _ => body == it,
-        }
-    }
 }
 
 /// Calls `f` on every access of `stmts`: loads, stores and atomic
@@ -594,14 +398,13 @@ fn instantiate(body: &[ElabStmt], var: &str, v: u64) -> Vec<ElabStmt> {
 /// Elaborates a `[lo..hi]` loop (at least two iterations) whose body
 /// the checker checked once, `body` being that check's elaboration with
 /// every index through `var` symbolic (`var` or `var + c`), inside loops
-/// over `outer` also checked once. Appends exactly what checking each
-/// iteration and folding them with [`LoopFold`] appends: iteration `v`
-/// is `body` with `var := v`, so the iterations differ only in those
-/// indices, and the fold rolls them into one [`ElabStmt::ForNat`] iff
-/// `body` is non-empty and rollable, reads no `var + c` with `c > 0`
-/// (the second iteration reads `lo + 1 + c` where the first read
-/// `lo + c`, which the fold does not abstract) and lowers with the loop
-/// variables symbolic. Otherwise the iterations are spelled out.
+/// over `outer` also checked once. Iteration `v` is `body` with
+/// `var := v`, so the iterations differ only in those indices. They roll
+/// into one [`ElabStmt::ForNat`] iff `body` is non-empty and rollable,
+/// reads no `var + c` with `c > 0` and lowers with the loop variables
+/// symbolic; otherwise the iterations are spelled out, as checking each
+/// would elaborate them. An index `var + c` with `c > 0` keeps its loop
+/// spelled out: the text this compiler has always printed for it.
 pub(crate) fn emit_checked_once(
     var: &str,
     lo: u64,

@@ -55,13 +55,17 @@ pub enum ErrorKind {
     /// A for-nat loop whose trip count exceeds what is left of the
     /// kernel instance's iteration budget.
     LoopBudgetExceeded,
+    /// A non-generic function named like an instance of a generic one
+    /// (`fill__64_2` beside `fill<n, c>`): instances are identified by
+    /// those names.
+    InstanceNameCollision,
 }
 
 impl ErrorKind {
     /// Every variant, in declaration (= code) order. Coverage tests
     /// iterate this to demand a conformance program and a documentation
     /// entry per kind.
-    pub const ALL: [ErrorKind; 21] = [
+    pub const ALL: [ErrorKind; 22] = [
         ErrorKind::MismatchedTypes,
         ErrorKind::ConflictingAccess,
         ErrorKind::NarrowingViolation,
@@ -83,6 +87,7 @@ impl ErrorKind {
         ErrorKind::OutOfBounds,
         ErrorKind::NonStaticNat,
         ErrorKind::LoopBudgetExceeded,
+        ErrorKind::InstanceNameCollision,
     ];
 
     /// The stable error code of this kind, one per variant in
@@ -112,6 +117,7 @@ impl ErrorKind {
             ErrorKind::OutOfBounds => "E0119",
             ErrorKind::NonStaticNat => "E0120",
             ErrorKind::LoopBudgetExceeded => "E0121",
+            ErrorKind::InstanceNameCollision => "E0122",
         }
     }
 }

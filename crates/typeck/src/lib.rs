@@ -39,17 +39,17 @@
 //!   reproduced here, and `where` clauses are validated at instantiation.
 //! - **Loops checked once, or per iteration**: a GPU `[lo..hi]` loop
 //!   whose variable only indexes (`var`, `var + c`) and whose body holds
-//!   no `let`, barrier, split or shuffle is checked once, the variable
-//!   bound to a symbolic index over the range; its accesses conflict by
-//!   an exact interval rule. Every other loop (and any loop whose
-//!   symbolic check fails or cannot be decided) is checked once per
-//!   iteration, its static range bound value by value. Either way at
-//!   most [`LOOP_BUDGET`] iterations per kernel instance. A `[lo..hi]`
-//!   loop whose iterations provably differ only in the indices its
-//!   variable selects is elaborated as one rolled [`ElabStmt::ForNat`],
-//!   which the emitters print as a loop and the IR lowering unrolls;
-//!   every other loop is elaborated unrolled. [`MonoKernel::loop_checks`]
-//!   says which loops took which path.
+//!   no `let`, barrier, split, shuffle, borrow or call is checked once,
+//!   the variable bound to a symbolic index over the range; its accesses
+//!   conflict by an exact interval rule, applied jointly to paths
+//!   indexed through several such loops. Every other loop (and any loop
+//!   whose symbolic check fails or cannot be decided) is checked once
+//!   per iteration, its static range bound value by value. Either way at
+//!   most [`LOOP_BUDGET`] iterations per kernel instance. A loop checked
+//!   once whose body can stand for every iteration is elaborated as one
+//!   rolled [`ElabStmt::ForNat`], which the emitters print as a loop and
+//!   the IR lowering unrolls; every other loop is elaborated unrolled.
+//!   [`MonoKernel::loop_checks`] says which loops took which path.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

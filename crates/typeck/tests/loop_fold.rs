@@ -1,4 +1,4 @@
-//! Rolled for-nat elaboration: which loops the checker folds into one
+//! Rolled for-nat elaboration: which loops the checker rolls into one
 //! `ElabStmt::ForNat`, and that every other loop elaborates exactly as
 //! before, one copy of its body per iteration; which loops it checks
 //! once, with the variable symbolic, and that rejections keep the
@@ -95,9 +95,9 @@ fn nested_loops_roll_inner_first() {
         rolled(&k.body),
         [("j".to_string(), 1, 3, 1), ("i".to_string(), 0, 4, 1)]
     );
-    // The store indexes through both variables: the inner loop is
-    // checked per iteration, inside the outer loop checked once.
-    assert_eq!(k.loop_checks, checks(1, 1));
+    // The store indexes through both variables, each at its own step:
+    // the joint rule checks both loops once.
+    assert_eq!(k.loop_checks, checks(2, 0));
 }
 
 #[test]
@@ -386,4 +386,90 @@ fn an_access_conflicts_with_its_own_other_iterations() {
         e.diag.secondary[0].message,
         "prior access of `u.*.group::<16>[[thread:X]].windows::<3, 1>[0][0]`"
     );
+}
+
+/// A kernel whose block-level body is `body`, over a 64-thread block.
+fn block_kernel(body: &str) -> MonoKernel {
+    let src = format!(
+        r#"
+fn k(v: &uniq gpu.global [f64; 256], u: &uniq gpu.global [f64; 1024])
+-[grid: gpu.grid<X<1>, X<64>>]-> () {{
+    sched(X) block in grid {{
+{body}
+    }}
+}}
+"#
+    );
+    let prog = descend_parser::parse(&src).expect("test sources parse");
+    check_program(&prog)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .kernels
+        .remove(0)
+}
+
+/// A `sched` or `to_warps` inside a loop body is checked once with it.
+#[test]
+fn scheduled_bodies_are_checked_once() {
+    let k = block_kernel(
+        "for i in [0..4] {
+            sched(X) thread in block {
+                (*v).group::<64>[i][[thread]] = 1.0;
+            }
+        }",
+    );
+    assert_eq!(k.loop_checks, checks(1, 0));
+    assert_eq!(rolled(&k.body), [("i".to_string(), 0, 4, 1)]);
+    let k = block_kernel(
+        "for i in [0..4] {
+            to_warps wb in block {
+                sched(X) warp in wb {
+                    sched(X) lane in warp {
+                        (*v).group::<64>[i].group::<32>[[warp]][[lane]] = 1.0;
+                    }
+                }
+            }
+        }",
+    );
+    assert_eq!(k.loop_checks, checks(1, 0));
+    assert_eq!(rolled(&k.body), [("i".to_string(), 0, 4, 1)]);
+}
+
+/// When the check once gives up inside a `sched` (one variable at two
+/// steps is not decided), the execution resource and the `sched`'s
+/// binding are restored, so checking each iteration accepts the loop.
+#[test]
+fn a_scheduled_body_that_gives_up_is_checked_per_iteration() {
+    let k = block_kernel(
+        "for i in [0..4] {
+            sched(X) thread in block {
+                (*u).group::<64>.group::<4>[i][i][[thread]] = 1.0;
+            }
+        }",
+    );
+    assert_eq!(k.loop_checks, checks(0, 1));
+    assert!(rolled(&k.body).is_empty());
+    assert_eq!(count(&k.body), 4);
+}
+
+/// Two iterations of a nest that agree on the outer index meet the
+/// overlapping windows after it before they differ (at the inner index,
+/// or nowhere when the inner variable indexes nothing): the write
+/// conflicts with itself, and the rejection is the one checking each
+/// iteration gives.
+#[test]
+fn a_nested_access_conflicts_through_windows_between_its_indices() {
+    for inner in ["i", "0"] {
+        let e = rejection(&format!(
+            "for j in [0..2] {{
+                for i in [0..2] {{
+                    (*u).group::<16>[[thread]].group::<4>[j].windows::<3, 1>[0][{inner}] = 1.0;
+                }}
+            }}"
+        ));
+        assert_eq!(e.kind, ErrorKind::ConflictingAccess);
+        assert_eq!(
+            e.diag.secondary[0].message,
+            "prior access of `u.*.group::<16>[[thread:X]].group::<4>[0].windows::<3, 1>[0][0]`"
+        );
+    }
 }

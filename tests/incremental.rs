@@ -432,6 +432,45 @@ fn editing_a_generic_kernel_body_invalidates_its_launcher() {
     assert_identical(&cold, &warm, "generic body edited");
 }
 
+/// A non-generic kernel named like an instance of a generic one
+/// (`fill__64_2` beside `fill<n, c>`) is rejected by the program-wide
+/// context check, which runs uncached on every compile: adding it to a
+/// warm session rejects the program exactly as a cold compile and
+/// `check_program` do, and removing it again compiles as before.
+#[test]
+fn adding_a_function_named_like_a_generic_instance_rejects_warm_as_cold() {
+    let src = std::fs::read_to_string(corpus_dir().join("fill_generic.descend")).unwrap();
+    let colliding = "
+fn fill__64_2(v: &uniq gpu.global [f64; 64])
+-[grid: gpu.grid<X<2>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            (*v).group::<32>[[block]][[thread]] = 2.0;
+        }
+    }
+}
+";
+    let edited = format!("{src}{colliding}");
+    let mut session = CompileSession::new();
+    session.compile_source(&src).expect("compiles");
+    let warm = session.compile_source(&edited).expect_err("rejects");
+    let cold = Compiler::new()
+        .compile_source(&edited)
+        .expect_err("rejects");
+    let reference = check_program(&parse(&edited)).expect_err("rejects");
+    assert_eq!(reference.kind, ErrorKind::InstanceNameCollision);
+    assert_eq!(cold.rendered, warm.rendered, "warm diagnostic differs");
+    assert_eq!(cold.diag, reference.diag, "session vs check_program");
+    assert_eq!(
+        cold.diag.primary.span.start as usize,
+        edited.find("fn fill__64_2").unwrap(),
+        "reported at the colliding function"
+    );
+    let back = session.compile_source(&src).expect("compiles again");
+    let cold = Compiler::new().compile_source(&src).expect("compiles");
+    assert_identical(&cold, &back, "colliding function removed");
+}
+
 fn parse(src: &str) -> Program {
     descend::parser::parse(src).expect("test sources parse")
 }

@@ -270,10 +270,22 @@ fn k(v: &uniq gpu.global [f64; 192]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
     }
 }
 "#;
+    let scheduled = r#"
+fn k(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
+    sched(X) block in grid {
+        for i in [0..4] {
+            sched(X) thread in block {
+                (*v).group::<64>[i][[thread]] = 1.0;
+            }
+        }
+    }
+}
+"#;
     // (program, rolled loops in its loop form, loops checked once and
     // per iteration): matmul's k loop is checked once and rolls once per
     // iteration of its t loop, which holds a barrier and is checked per
-    // iteration; each transpose has two i loops.
+    // iteration; each transpose has two i loops; a block-level loop
+    // around a `sched` is checked once with it.
     for (name, src, rolled, once, per_iteration) in [
         ("matmul(64)", sources::matmul(64), 2, 2, 1),
         ("transpose(256)", sources::transpose(256), 2, 2, 0),
@@ -285,6 +297,7 @@ fn k(v: &uniq gpu.global [f64; 192]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
             1,
             0,
         ),
+        ("sched_in_loop", scheduled.to_string(), 1, 1, 0),
     ] {
         let loops = rolled_matches_unrolled(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let checks = LoopChecks {
@@ -306,7 +319,9 @@ fn k(v: &uniq gpu.global [f64; 192]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
 }
 
 /// One generated statement: its form, which loop variable indexes it,
-/// and the offset `c` of its index `x + c`.
+/// and the offset `c` of its index `x + c`. The two-variable forms index
+/// `[x + c][y]`: in the inner body `y` is the other loop's variable, in
+/// the outer body it is `i` again.
 #[derive(Clone, Debug)]
 struct GenStmt {
     form: u8,
@@ -316,7 +331,10 @@ struct GenStmt {
 }
 
 /// The forms [`gen_program`] renders.
-const FORMS: u8 = 10;
+const FORMS: u8 = 14;
+
+/// The first form that indexes through two loop variables.
+const TWO_VARS: u8 = 10;
 
 fn gen_stmt() -> impl Strategy<Value = GenStmt> {
     (
@@ -346,19 +364,22 @@ impl GenStmt {
 }
 
 /// A kernel whose 64 threads each own eight elements of `v` (grouped,
-/// or transposed to one row per index) and of `u` (transposed), with
-/// atomics on `h`, and a two-deep loop nest over `[lo..hi]` ranges
+/// or transposed to one row per index) and of `u` (transposed), and one
+/// column of the 11 × 11 rows of `t` (indexed directly or transposed),
+/// with atomics on `h`, and a two-deep loop nest over `[lo..hi]` ranges
 /// inside `[0..8]`. Indices are `x + c` with `c` up to 3, below and
 /// above the trip counts, so a write and a read through the same row
-/// of `v`, or an atomic and a plain read of the same `h` cell, race
-/// exactly when some pair of iterations makes their indices meet; an
-/// index past the end of its array is out of bounds.
+/// of `v` or `t`, or an atomic and a plain read of the same `h` cell,
+/// race exactly when some pair of iterations makes their indices meet
+/// (at both steps, for `t`); an index past the end of its array is out
+/// of bounds.
 fn gen_program(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> String {
     let render = |s: &GenStmt| {
         let x = match s.offset {
             0 => s.var().to_string(),
             c => format!("{} + {c}", s.var()),
         };
+        let y = if s.inner && s.var() == "i" { "j" } else { "i" };
         match s.form {
             0 => format!("(*v).group::<8>[[thread]][{x}] = (*w).group::<8>[[thread]][{x}] * 2.0;"),
             1 => format!("(*u).group::<64>.transpose[[thread]][{x}] = 3.0;"),
@@ -369,7 +390,13 @@ fn gen_program(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Strin
             6 => format!("acc = acc + (*v).group::<8>.transpose[{x}].rev[[thread]];"),
             7 => "(*v).group::<8>[[thread]][0] = acc;".to_string(),
             8 => format!("atomic_add((*h)[{x}], 1);"),
-            _ => format!("hv = hv + (*h)[{x}];"),
+            9 => format!("hv = hv + (*h)[{x}];"),
+            10 => format!("(*t).group::<64>.group::<11>[{x}][{y}][[thread]] = acc;"),
+            11 => format!("acc = acc + (*t).group::<64>.group::<11>[{x}][{y}].rev[[thread]];"),
+            12 => format!("(*t).group::<64>.group::<11>.transpose[{x}][{y}][[thread]] = acc;"),
+            _ => format!(
+                "acc = acc + (*t).group::<64>.group::<11>.transpose[{x}][{y}].rev[[thread]];"
+            ),
         }
     };
     let body = |inner: bool| {
@@ -384,6 +411,7 @@ fn gen_program(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Strin
         r#"
 fn k(v: &uniq gpu.global [f64; 512], u: &uniq gpu.global [f64; 512],
      w: & gpu.global [f64; 512], h: &uniq gpu.global [i32; 16],
+     t: &uniq gpu.global [f64; 7744],
      out: &uniq gpu.global [f64; 64], hout: &uniq gpu.global [i32; 64])
 -[grid: gpu.grid<X<1>, X<64>>]-> () {{
     sched(X) block in grid {{
@@ -413,11 +441,12 @@ fn k(v: &uniq gpu.global [f64; 512], u: &uniq gpu.global [f64; 512],
 
 /// The [`Loops`] of a generated program the checker accepts. A loop of
 /// at least two trips is checked once (the inner loop then once inside
-/// it); any other loop per iteration, the inner loop once per outer
-/// iteration. A loop rolls when it runs at least twice over a non-empty
-/// body (the outer body always holds at least the inner loop's source
-/// marker) that indexes through its variable only bare, never `x + c`
-/// with `c > 0`.
+/// it), unless a path indexes through its variable at two steps (a
+/// two-variable form in the outer body); any other loop per iteration,
+/// the inner loop once per outer iteration. A loop checked once rolls
+/// when its body is not empty (the outer body always holds at least the
+/// inner loop's source marker) and indexes through its variable only
+/// bare, never `x + c` with `c > 0`.
 fn expected_loops(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Loops {
     let trips = |(lo, hi): (u64, u64)| (hi - lo) as u32;
     let (to, ti) = (trips(outer), trips(inner));
@@ -431,14 +460,15 @@ fn expected_loops(outer: (u64, u64), inner: (u64, u64), stmts: &[GenStmt]) -> Lo
     };
     let inner_rolls =
         usize::from(ti >= 2 && stmts.iter().any(|s| s.inner) && !offset_in("j", true));
-    let outer_rolls = to >= 2 && !offset_in("i", false);
+    let outer_once = to >= 2 && !stmts.iter().any(|s| !s.inner && s.form >= TWO_VARS);
+    let outer_rolls = outer_once && !offset_in("i", false);
     let rolled = if outer_rolls {
         1 + inner_rolls
     } else {
         to as usize * inner_rolls
     };
     let (inner_once, inner_per_iteration) = if ti >= 2 { (1, 0) } else { (0, 1) };
-    let checks = if to >= 2 {
+    let checks = if outer_once {
         LoopChecks {
             once: 1 + inner_once,
             per_iteration: inner_per_iteration,
