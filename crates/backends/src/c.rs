@@ -52,7 +52,7 @@ use crate::shared::{
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
-use descend_codegen::CodegenError;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{CheckedProgram, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
 use std::fmt::Write as _;
@@ -226,14 +226,18 @@ impl KernelBackend for CBackend {
         }
     }
 
-    fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
-        Ok(render_body(self, k, Phased::default())?.render(self, k))
+    fn emit_kernel<'k>(
+        &self,
+        k: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
+    ) -> Result<String, CodegenError> {
+        Ok(render_body(self, k, table, Phased::default())?.render(self, k))
     }
 
     fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "void descend_host_{name}(void) {{");
-        let mut sizes = HostSizes::new();
+        let mut sizes = HostSizes::default();
         // CPU buffers dump (in allocation order) after the body runs;
         // every allocation is freed on the way out.
         let mut cpu_bufs: Vec<(String, ScalarKind, u64)> = Vec::new();

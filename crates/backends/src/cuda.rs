@@ -9,7 +9,7 @@
 use crate::shared::{builtin_spelling, indent, render_body, Builtin, HostSizes, Nested};
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
-use descend_codegen::CodegenError;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{CheckedProgram, HostStmt, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
 use std::fmt::Write as _;
@@ -98,7 +98,11 @@ impl KernelBackend for CudaBackend {
         format!("#pragma unroll\nfor (int {var} = {lo}; {var} < {hi}; {var}++) {{")
     }
 
-    fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
+    fn emit_kernel<'k>(
+        &self,
+        k: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
+    ) -> Result<String, CodegenError> {
         let mut out = String::new();
         let _ = write!(out, "__global__ void {}(", k.name);
         for (i, p) in k.params.iter().enumerate() {
@@ -123,7 +127,7 @@ impl KernelBackend for CudaBackend {
                 total
             );
         }
-        let mut out = render_body(self, k, Nested::new(out))?.out;
+        let mut out = render_body(self, k, table, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }
@@ -131,7 +135,7 @@ impl KernelBackend for CudaBackend {
     fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "void {name}() {{");
-        let mut sizes = HostSizes::new();
+        let mut sizes = HostSizes::default();
         for s in stmts {
             sizes.record(s);
             indent(&mut out, 1);
@@ -195,13 +199,4 @@ impl KernelBackend for CudaBackend {
     fn prelude(&self, _checked: &CheckedProgram) -> String {
         String::from("#include <cuda_runtime.h>\n#include <cstdlib>\n\n")
     }
-}
-
-/// Emits CUDA C++ for one kernel.
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn kernel_to_cuda(k: &MonoKernel) -> Result<String, CodegenError> {
-    CudaBackend.emit_kernel(k)
 }

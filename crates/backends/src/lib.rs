@@ -44,14 +44,13 @@
 //! atomics, split conditions) into a *layout* that only decides
 //! placement: in place with `if`/`else`, loops and barriers for CUDA,
 //! OpenCL and WGSL, one thread loop per barrier phase for C. And,
-//! crucially,
-//! every memory-access index is built by
-//! [`descend_codegen::ir_gen::access_index_expr`], the one function the
-//! simulator IR ([`descend_codegen::kernel_to_ir`]) is lowered with, and
-//! printed by [`render_ir_expr`]. No backend has its own copy of index
-//! lowering or index printing, so all targets are structurally what the
-//! simulator executes by construction; the cross-backend consistency
-//! test in the workspace root checks the printed text against the IR.
+//! crucially, no backend lowers an index: each access is lowered once
+//! per kernel into a [`descend_codegen::IndexTable`], whose entries the
+//! simulator IR ([`descend_codegen::kernel_to_ir`]) instantiates per
+//! iteration and every backend prints with [`render_ir_expr`]. So all
+//! targets are structurally what the simulator executes by
+//! construction; the cross-backend consistency test in the workspace
+//! root checks the printed text against the IR.
 //!
 //! The layout of a translation unit is decided once as well:
 //! [`KernelBackend::assemble_program`] joins already rendered kernel
@@ -89,14 +88,11 @@ pub mod wgsl;
 pub use c::CBackend;
 pub use cuda::CudaBackend;
 pub use opencl::OpenClBackend;
-pub use shared::{
-    atomic_targets, emitted_index, for_each_stmt, ir_index_exprs, render_ir_expr, Builtin,
-    IndexNames,
-};
+pub use shared::{atomic_targets, for_each_stmt, render_ir_expr, Builtin};
 pub use wgsl::WgslBackend;
 
 use descend_ast::term::{AtomicOp, ShflKind};
-use descend_codegen::CodegenError;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{CheckedProgram, HostStmt, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
 
@@ -227,12 +223,18 @@ pub trait KernelBackend {
         format!("if ({cond}) {{ {call} }}")
     }
 
-    /// Renders one kernel.
+    /// Renders one kernel, printing each access's index from `table`,
+    /// `k`'s [`IndexTable`].
     ///
     /// # Errors
     ///
-    /// Propagates lowering failures (see [`CodegenError`]).
-    fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError>;
+    /// Propagates lowering failures (see [`CodegenError`]), and refuses
+    /// a table built for another kernel.
+    fn emit_kernel<'k>(
+        &self,
+        k: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
+    ) -> Result<String, CodegenError>;
 
     /// Renders the host-side stub for one host function.
     fn emit_host_fn(&self, name: &str, stmts: &[HostStmt], kernels: &[MonoKernel]) -> String;
@@ -267,7 +269,7 @@ pub trait KernelBackend {
     }
 
     /// Renders a complete translation unit: every kernel through
-    /// [`KernelBackend::emit_kernel`], then
+    /// [`KernelBackend::emit_kernel`] with its own [`IndexTable`], then
     /// [`KernelBackend::assemble_program`].
     ///
     /// # Errors
@@ -277,7 +279,7 @@ pub trait KernelBackend {
         let kernel_texts = checked
             .kernels
             .iter()
-            .map(|k| self.emit_kernel(k))
+            .map(|k| self.emit_kernel(k, &mut IndexTable::new(k)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(self.assemble_program(checked, &kernel_texts))
     }

@@ -15,7 +15,7 @@ use crate::shared::{
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
-use descend_codegen::CodegenError;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{CheckedProgram, ElabStmt, HostStmt, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
 use std::fmt::Write as _;
@@ -162,7 +162,11 @@ impl KernelBackend for OpenClBackend {
         format!("{} {name} = {init};", self.scalar_type(elem))
     }
 
-    fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
+    fn emit_kernel<'k>(
+        &self,
+        k: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
+    ) -> Result<String, CodegenError> {
         let mut out = String::new();
         if kernel_uses_shuffle(k) {
             // The host must pick a kernel-enqueue local size whose
@@ -193,7 +197,7 @@ impl KernelBackend for OpenClBackend {
                 total
             );
         }
-        let mut out = render_body(self, k, Nested::new(out))?.out;
+        let mut out = render_body(self, k, table, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }
@@ -206,7 +210,7 @@ impl KernelBackend for OpenClBackend {
              * and one cl_kernel `k_<name>` per kernel, built from this translation unit. */"
         );
         let _ = writeln!(out, "void {name}(void) {{");
-        let mut sizes = HostSizes::new();
+        let mut sizes = HostSizes::default();
         for s in stmts {
             sizes.record(s);
             indent(&mut out, 1);

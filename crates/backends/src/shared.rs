@@ -1,10 +1,11 @@
 //! The shared rendering layer every backend emits through.
 //!
-//! Index expressions are built exactly once, by
-//! [`descend_codegen::ir_gen::access_index_expr`] — the same function the
-//! simulator IR is lowered with. [`render_ir_expr`] then prints the
-//! expression with backend-supplied coordinate spellings, so no backend
-//! owns a private copy of index lowering or index printing and every
+//! Index expressions are lowered exactly once per access, into the
+//! kernel's [`descend_codegen::IndexTable`] — the same entries the
+//! simulator IR ([`descend_codegen::kernel_to_ir`]) instantiates per
+//! iteration. Every backend reads an access's entry and prints it with
+//! [`render_ir_expr`] and backend-supplied coordinate spellings, so no
+//! backend lowers an index or owns a private index printer, and every
 //! target's text is structurally the expression the simulator executes.
 //!
 //! Kernel bodies render the same way: one walker produces every
@@ -14,15 +15,12 @@
 use crate::KernelBackend;
 use descend_ast::term::BinOp as AstBinOp;
 use descend_ast::term::UnOp as AstUnOp;
-use descend_ast::ty::DimCompo;
-use descend_codegen::ir_gen::access_index_expr;
-use descend_codegen::CodegenError;
-use descend_exec::Space;
-use descend_places::DYN_IDX;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, HostStmt, MemKind, MonoKernel, ScalarKind};
-use gpu_sim::ir::{Axis, Expr, KernelIr, Stmt};
+use gpu_sim::ir::{Axis, Expr};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A hardware coordinate builtin, spelled per backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -47,8 +45,8 @@ pub fn indent(out: &mut String, level: usize) {
 /// Visits every statement of an elaborated body in syntactic order,
 /// recursing into both branches of splits and into rolled loop bodies —
 /// the one tree walk every whole-body query (atomic targets, scalar-kind
-/// scans, backend-specific feature detection) shares, so adding a
-/// nesting statement kind means updating exactly this function.
+/// and shuffle scans, backend-specific feature detection) shares, so
+/// adding a nesting statement kind means updating exactly this function.
 pub fn for_each_stmt<'a>(body: &'a [ElabStmt], f: &mut dyn FnMut(&'a ElabStmt)) {
     for s in body {
         f(s);
@@ -63,43 +61,30 @@ pub fn for_each_stmt<'a>(body: &'a [ElabStmt], f: &mut dyn FnMut(&'a ElabStmt)) 
     }
 }
 
-/// Visits every value expression of an elaborated body (statement
-/// operands and their subexpressions, in syntactic order) — the
-/// expression-level companion of [`for_each_stmt`], shared by feature
-/// scans such as [`kernel_uses_shuffle`].
-pub fn for_each_expr<'a>(body: &'a [ElabStmt], f: &mut dyn FnMut(&'a ElabExpr)) {
-    fn walk<'a>(e: &'a ElabExpr, f: &mut dyn FnMut(&'a ElabExpr)) {
-        f(e);
-        match e {
-            ElabExpr::Binary(_, a, b) => {
-                walk(a, f);
-                walk(b, f);
-            }
-            ElabExpr::Unary(_, a) | ElabExpr::Shfl { value: a, .. } => walk(a, f),
-            ElabExpr::Lit(..) | ElabExpr::Local(_) | ElabExpr::Load(_) => {}
-        }
-    }
-    for_each_stmt(body, &mut |s| match s {
-        ElabStmt::Local { init: e, .. } | ElabStmt::AssignLocal { value: e, .. } => walk(e, f),
-        ElabStmt::Store { value, .. } => walk(value, f),
-        ElabStmt::Atomic { index, value, .. } => {
-            if let Some(ie) = index {
-                walk(ie, f);
-            }
-            walk(value, f);
-        }
-        ElabStmt::Split { .. } | ElabStmt::ForNat { .. } | ElabStmt::Sync | ElabStmt::Src(_) => {}
-    });
-}
-
 /// Whether the kernel performs a warp shuffle anywhere. Backends whose
 /// targets gate subgroup operations behind a pragma or enable directive
 /// (OpenCL's `cl_khr_subgroup_shuffle*`, WGSL's `enable subgroups;`)
 /// key off this.
 pub fn kernel_uses_shuffle(k: &MonoKernel) -> bool {
+    fn shfl(e: &ElabExpr) -> bool {
+        match e {
+            ElabExpr::Shfl { .. } => true,
+            ElabExpr::Binary(_, a, b) => shfl(a) || shfl(b),
+            ElabExpr::Unary(_, a) => shfl(a),
+            ElabExpr::Lit(..) | ElabExpr::Local(_) | ElabExpr::Load(_) => false,
+        }
+    }
     let mut hit = false;
-    for_each_expr(&k.body, &mut |e| {
-        hit |= matches!(e, ElabExpr::Shfl { .. });
+    for_each_stmt(&k.body, &mut |s| {
+        hit |= match s {
+            ElabStmt::Local { init: e, .. }
+            | ElabStmt::AssignLocal { value: e, .. }
+            | ElabStmt::Store { value: e, .. } => shfl(e),
+            ElabStmt::Atomic { index, value, .. } => {
+                index.as_ref().is_some_and(shfl) || shfl(value)
+            }
+            _ => false,
+        };
     });
     hit
 }
@@ -115,20 +100,6 @@ pub fn atomic_targets(k: &MonoKernel) -> HashSet<MemKind> {
             out.insert(access.mem);
         }
     });
-    out
-}
-
-/// The rendered coordinate of an execution space along a dimension:
-/// the backend's block/thread builtin, or the derived
-/// `threadIdx.x / 32` / `threadIdx.x % 32` warp and lane coordinates —
-/// built as the IR expression
-/// [`descend_codegen::ir_gen::space_coord_expr`] produces and rendered
-/// through [`render_ir_expr`], so the text matches the simulator's
-/// split conditions node for node.
-fn space_coord(be: &dyn KernelBackend, space: Space, dim: DimCompo, k: &MonoKernel) -> String {
-    let expr = descend_codegen::ir_gen::space_coord_expr(space, dim);
-    let mut out = String::new();
-    render_ir_expr(be, &expr, k, IndexNames::default(), &mut out);
     out
 }
 
@@ -186,39 +157,20 @@ fn ir_binop(op: gpu_sim::ir::BinOp) -> &'static str {
     }
 }
 
-/// How the `Local` slots of an emitted index expression are spelled
-/// (see [`emitted_index`]): slot `i` is the variable of the `i`-th
-/// enclosing rolled loop, outermost first, and slot `loops.len()` an
-/// atomic scatter's index temporary. Any other slot — only hand-built
-/// IR has one — prints as `l<i>`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexNames<'a> {
-    /// The enclosing rolled loops' variables, outermost first.
-    pub loops: &'a [&'a str],
-    /// The scatter-index temporary's spelling at its use.
-    pub scatter: Option<&'a str>,
-}
-
-impl IndexNames<'_> {
-    fn local(&self, slot: usize) -> Option<&str> {
-        match self.loops.get(slot) {
-            Some(name) => Some(name),
-            None if slot == self.loops.len() => self.scatter,
-            None => None,
-        }
-    }
-}
-
 /// Renders an IR expression with the backend's coordinate and buffer
 /// spellings. Used for the index expressions, so every target's text
-/// matches the simulated lowering exactly; `names` spells the `Local`
-/// slots an emitted index carries (rolled loop variables, a scatter
-/// temporary).
+/// matches the simulated lowering exactly. In a printed index (see
+/// [`descend_codegen::IndexEntry::printed`]) `Local(i)` is the variable
+/// of the `i`-th enclosing rolled loop, spelled `loops[i]`, and
+/// `Local(loops.len())` an atomic scatter's index temporary, spelled
+/// `scatter`. Any other slot — only hand-built IR has one — prints as
+/// `l<i>`.
 pub fn render_ir_expr(
     be: &dyn KernelBackend,
     e: &Expr,
     k: &MonoKernel,
-    names: IndexNames<'_>,
+    loops: &[&str],
+    scatter: Option<&str>,
     out: &mut String,
 ) {
     match e {
@@ -235,7 +187,11 @@ pub fn render_ir_expr(
         Expr::ThreadIdx(a) => out.push_str(be.builtin(Builtin::ThreadIdx, *a)),
         Expr::BlockDim(a) => out.push_str(be.builtin(Builtin::BlockDim, *a)),
         Expr::GridDim(a) => out.push_str(be.builtin(Builtin::GridDim, *a)),
-        Expr::Local(i) => match names.local(*i) {
+        Expr::Local(i) => match loops
+            .get(*i)
+            .copied()
+            .or(scatter.filter(|_| *i == loops.len()))
+        {
             Some(n) => out.push_str(n),
             None => {
                 let _ = write!(out, "l{i}");
@@ -243,26 +199,26 @@ pub fn render_ir_expr(
         },
         Expr::LoadGlobal { buf, idx } => {
             let _ = write!(out, "{}[", k.params[*buf].name);
-            render_ir_expr(be, idx, k, names, out);
+            render_ir_expr(be, idx, k, loops, scatter, out);
             out.push(']');
         }
         Expr::LoadShared { buf, idx } => {
             let _ = write!(out, "{}[", k.shared[*buf].name);
-            render_ir_expr(be, idx, k, names, out);
+            render_ir_expr(be, idx, k, loops, scatter, out);
             out.push(']');
         }
         Expr::Bin(op @ (gpu_sim::ir::BinOp::Min | gpu_sim::ir::BinOp::Max), a, b) => {
             let _ = write!(out, "{}(", ir_binop(*op));
-            render_ir_expr(be, a, k, names, out);
+            render_ir_expr(be, a, k, loops, scatter, out);
             out.push_str(", ");
-            render_ir_expr(be, b, k, names, out);
+            render_ir_expr(be, b, k, loops, scatter, out);
             out.push(')');
         }
         Expr::Bin(op, a, b) => {
             out.push('(');
-            render_ir_expr(be, a, k, names, out);
+            render_ir_expr(be, a, k, loops, scatter, out);
             let _ = write!(out, " {} ", ir_binop(*op));
-            render_ir_expr(be, b, k, names, out);
+            render_ir_expr(be, b, k, loops, scatter, out);
             out.push(')');
         }
         Expr::Un(op, a) => {
@@ -271,31 +227,10 @@ pub fn render_ir_expr(
                 gpu_sim::ir::UnOp::Not => "!",
             });
             out.push('(');
-            render_ir_expr(be, a, k, names, out);
+            render_ir_expr(be, a, k, loops, scatter, out);
             out.push(')');
         }
     }
-}
-
-/// The index of an access as the emitters print it: [`access_index_expr`]
-/// with the variable of the `i`-th enclosing rolled loop (`loops`,
-/// outermost first) as `Local(i)` and, for an atomic scatter, the
-/// runtime index as `Local(loops.len())` — the slots [`IndexNames`]
-/// spells. The rolled loop variables reach the index the way the
-/// scatter temporary does, so the text and the simulator IR still share
-/// one lowering.
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-pub fn emitted_index(a: &ElabAccess, loops: &[&str], scatter: bool) -> Result<Expr, CodegenError> {
-    access_index_expr(a, &[], &|x| {
-        if x == DYN_IDX {
-            scatter.then_some(Expr::Local(loops.len()))
-        } else {
-            loops.iter().position(|l| *l == x).map(Expr::Local)
-        }
-    })
 }
 
 /// The declared name of the buffer an access targets.
@@ -304,64 +239,6 @@ fn buffer_name(k: &MonoKernel, mem: MemKind) -> &str {
         MemKind::GlobalParam(i) => &k.params[i].name,
         MemKind::Shared(i) => &k.shared[i].name,
     }
-}
-
-/// Renders a statically addressed access as `buffer[index]`:
-/// [`emitted_index`] printed by [`render_ir_expr`].
-///
-/// # Errors
-///
-/// Propagates lowering failures (see [`CodegenError`]).
-fn render_access(
-    be: &dyn KernelBackend,
-    k: &MonoKernel,
-    a: &ElabAccess,
-    loops: &[&str],
-    out: &mut String,
-) -> Result<(), CodegenError> {
-    let _ = write!(out, "{}[", buffer_name(k, a.mem));
-    let names = IndexNames {
-        loops,
-        scatter: None,
-    };
-    render_ir_expr(be, &emitted_index(a, loops, false)?, k, names, out);
-    out.push(']');
-    Ok(())
-}
-
-/// The target of an atomic scatter whose runtime index was bound to the
-/// temporary `tmp`: the rendered element index (the same
-/// [`emitted_index`], with the temporary in the runtime index's place)
-/// and the element count it must be guarded against.
-///
-/// # Errors
-///
-/// Propagates lowering failures; [`CodegenError::Lowering`] for a
-/// non-literal root dimension.
-fn scatter_index(
-    be: &dyn KernelBackend,
-    k: &MonoKernel,
-    a: &ElabAccess,
-    loops: &[&str],
-    tmp: &str,
-) -> Result<(String, u64), CodegenError> {
-    let tmp_use = be.scatter_index_use(tmp);
-    let mut text = String::new();
-    let idx = emitted_index(a, loops, true)?;
-    let names = IndexNames {
-        loops,
-        scatter: Some(&tmp_use),
-    };
-    render_ir_expr(be, &idx, k, names, &mut text);
-    let mut len = 1u64;
-    for d in &a.root_dims {
-        len *= d.as_lit().ok_or_else(|| {
-            CodegenError::Lowering(format!(
-                "non-literal root dimension `{d}` in atomic scatter bound"
-            ))
-        })?;
-    }
-    Ok((text, len))
 }
 
 fn binop_str(op: AstBinOp) -> &'static str {
@@ -509,9 +386,10 @@ impl Layout for Nested {
 /// # Errors
 ///
 /// Propagates lowering failures (see [`CodegenError`]).
-pub(crate) fn render_body<L: Layout>(
+pub(crate) fn render_body<'k, L: Layout>(
     be: &dyn KernelBackend,
-    kernel: &MonoKernel,
+    kernel: &'k MonoKernel,
+    table: &mut IndexTable<'k>,
     layout: L,
 ) -> Result<L, CodegenError> {
     let mut cx = BodyCx {
@@ -523,8 +401,11 @@ pub(crate) fn render_body<L: Layout>(
         atomic_bufs: atomic_targets(kernel),
         scatter_counter: 0,
         loops: Vec::new(),
+        indices: table,
     };
+    cx.indices.start(kernel)?;
     cx.stmts(&kernel.body)?;
+    cx.indices.finish()?;
     Ok(cx.layout)
 }
 
@@ -532,10 +413,9 @@ pub(crate) fn render_body<L: Layout>(
 /// backend: statement and expression text (the declare-then-rename rule
 /// for locals, stores, static and scatter atomics, split conditions)
 /// is fixed here; the backend only chooses spellings and the layout
-/// only chooses placement. All accesses go through
-/// [`access_index_expr`].
-struct BodyCx<'a, L> {
-    be: &'a dyn KernelBackend,
+/// only chooses placement. Every access prints its index table entry.
+struct BodyCx<'a, 't, L> {
+    be: &'t dyn KernelBackend,
     kernel: &'a MonoKernel,
     layout: L,
     /// Spelling and element kind per live local (uniquified on
@@ -550,9 +430,11 @@ struct BodyCx<'a, L> {
     /// The variables of the rolled loops being rendered, outermost
     /// first.
     loops: Vec<&'a str>,
+    /// The kernel's index table, read once per access.
+    indices: &'t mut IndexTable<'a>,
 }
 
-impl<'a, L: Layout> BodyCx<'a, L> {
+impl<'a, L: Layout> BodyCx<'a, '_, L> {
     fn local(&self, name: &str) -> Result<&str, CodegenError> {
         self.local_names
             .get(name)
@@ -560,13 +442,34 @@ impl<'a, L: Layout> BodyCx<'a, L> {
             .ok_or_else(|| CodegenError::UnknownLocal(name.to_string()))
     }
 
-    fn expr(&mut self, e: &ElabExpr, out: &mut String) -> Result<(), CodegenError> {
+    /// Prints access `a` as `buffer[index]`, the index from its table
+    /// entry (`scatter` spells an atomic scatter's runtime index), and
+    /// returns where the index sits in `out`.
+    fn access(
+        &mut self,
+        a: &'a ElabAccess,
+        scatter: Option<&str>,
+        out: &mut String,
+    ) -> Result<Range<usize>, CodegenError> {
+        let idx = self
+            .indices
+            .next(a, &self.loops, scatter.is_some())?
+            .printed()?;
+        let _ = write!(out, "{}[", buffer_name(self.kernel, a.mem));
+        let start = out.len();
+        render_ir_expr(self.be, idx, self.kernel, &self.loops, scatter, out);
+        let index = start..out.len();
+        out.push(']');
+        Ok(index)
+    }
+
+    fn expr(&mut self, e: &'a ElabExpr, out: &mut String) -> Result<(), CodegenError> {
         match e {
             ElabExpr::Lit(kind, v) => out.push_str(&self.be.literal(*kind, *v)),
             ElabExpr::Local(name) => out.push_str(self.local(name)?),
             ElabExpr::Load(a) => {
                 let mut text = String::new();
-                render_access(self.be, self.kernel, a, &self.loops, &mut text)?;
+                self.access(a, None, &mut text)?;
                 if self.atomic_bufs.contains(&a.mem) {
                     text = self.be.atomic_buffer_load(a.elem, text);
                 }
@@ -662,14 +565,14 @@ impl<'a, L: Layout> BodyCx<'a, L> {
                     let value_text = self.be.store_conversion(access.elem, value_text);
                     if self.atomic_bufs.contains(&access.mem) {
                         let mut target = String::new();
-                        render_access(self.be, self.kernel, access, &self.loops, &mut target)?;
+                        self.access(access, None, &mut target)?;
                         out.push_str(&self.be.atomic_buffer_store(
                             access.elem,
                             &target,
                             &value_text,
                         ));
                     } else {
-                        render_access(self.be, self.kernel, access, &self.loops, &mut out)?;
+                        self.access(access, None, &mut out)?;
                         out.push_str(" = ");
                         out.push_str(&value_text);
                         out.push(';');
@@ -683,7 +586,10 @@ impl<'a, L: Layout> BodyCx<'a, L> {
                     fst,
                     snd,
                 } => {
-                    let coord = space_coord(self.be, *space, *dim, self.kernel);
+                    // The simulator's split condition, node for node.
+                    let mut coord = String::new();
+                    let expr = descend_codegen::ir_gen::space_coord_expr(*space, *dim);
+                    render_ir_expr(self.be, &expr, self.kernel, &[], None, &mut coord);
                     self.layout.split_fst(&coord, *threshold);
                     self.stmts(fst)?;
                     if !snd.is_empty() {
@@ -708,7 +614,7 @@ impl<'a, L: Layout> BodyCx<'a, L> {
                             // node-for-node the simulator IR's, rendered
                             // with this backend's spellings.
                             let mut target = String::new();
-                            render_access(self.be, self.kernel, access, &self.loops, &mut target)?;
+                            self.access(access, None, &mut target)?;
                             out.push_str(&self.be.atomic_rmw(
                                 *op,
                                 access.elem,
@@ -735,14 +641,22 @@ impl<'a, L: Layout> BodyCx<'a, L> {
                             out.push_str(&self.be.local_decl(ScalarKind::I32, &tmp, &init));
                             self.layout.end(out);
                             out = self.layout.begin();
-                            let (idx_text, total) =
-                                scatter_index(self.be, self.kernel, access, &self.loops, &tmp)?;
-                            let target =
-                                format!("{}[{idx_text}]", buffer_name(self.kernel, access.mem));
+                            let mut target = String::new();
+                            let tmp_use = self.be.scatter_index_use(&tmp);
+                            let index = self.access(access, Some(&tmp_use), &mut target)?;
+                            let idx_text = &target[index];
+                            let mut total = 1u64;
+                            for d in &access.root_dims {
+                                total *= d.as_lit().ok_or_else(|| {
+                                    CodegenError::Lowering(format!(
+                                        "non-literal root dimension `{d}` in atomic scatter bound"
+                                    ))
+                                })?;
+                            }
+                            let cond = format!("0 <= {idx_text} && {idx_text} < {total}");
                             let call =
                                 self.be
                                     .atomic_rmw(*op, access.elem, global, &target, &value_text);
-                            let cond = format!("0 <= {idx_text} && {idx_text} < {total}");
                             out.push_str(&self.be.guard(&cond, &call));
                         }
                     }
@@ -774,11 +688,6 @@ pub struct HostSizes {
 }
 
 impl HostSizes {
-    /// A fresh, empty tracker.
-    pub fn new() -> HostSizes {
-        HostSizes::default()
-    }
-
     /// Records the allocation a statement introduces, if any. Call once
     /// per statement, in order, before rendering it.
     pub fn record(&mut self, s: &HostStmt) {
@@ -802,78 +711,4 @@ impl HostSizes {
             .copied()
             .unwrap_or((ScalarKind::F64, 0))
     }
-}
-
-/// Collects the index expressions of a simulator kernel that every
-/// backend prints inline (bracketed): all loads and stores, plus the
-/// targets of statically addressed atomics. A scatter atomic's address
-/// carries its runtime index — recognised here by the load or local it
-/// contains — and is printed through a bound, guarded temporary instead,
-/// so it is left out; the loads *inside* it do appear inline (in the
-/// temporary's initializer) and are included.
-///
-/// Each access contributes its index *as a unit*, without recursing
-/// into it.
-pub fn ir_index_exprs(ir: &KernelIr) -> Vec<Expr> {
-    fn reads_data(e: &Expr) -> bool {
-        match e {
-            Expr::Local(_) | Expr::LoadGlobal { .. } | Expr::LoadShared { .. } => true,
-            Expr::Bin(_, a, b) => reads_data(a) || reads_data(b),
-            Expr::Un(_, a) => reads_data(a),
-            _ => false,
-        }
-    }
-    fn walk_expr(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::LoadGlobal { idx, .. } | Expr::LoadShared { idx, .. } => {
-                out.push((**idx).clone());
-            }
-            Expr::Bin(_, a, b) => {
-                walk_expr(a, out);
-                walk_expr(b, out);
-            }
-            Expr::Un(_, a) => walk_expr(a, out),
-            _ => {}
-        }
-    }
-    fn walk_stmts(body: &[Stmt], out: &mut Vec<Expr>) {
-        for s in body {
-            match s {
-                Stmt::SetLocal(_, e) | Stmt::Shfl { value: e, .. } => walk_expr(e, out),
-                Stmt::StoreGlobal { idx, value, .. } | Stmt::StoreShared { idx, value, .. } => {
-                    out.push(idx.clone());
-                    walk_expr(value, out);
-                }
-                Stmt::AtomicGlobal { idx, value, .. } | Stmt::AtomicShared { idx, value, .. } => {
-                    if !reads_data(idx) {
-                        out.push(idx.clone());
-                    }
-                    // A scatter index may itself contain loads (the
-                    // histogram reads its bin from memory).
-                    walk_expr(idx, out);
-                    walk_expr(value, out);
-                }
-                Stmt::If {
-                    cond,
-                    then_s,
-                    else_s,
-                } => {
-                    walk_expr(cond, out);
-                    walk_stmts(then_s, out);
-                    walk_stmts(else_s, out);
-                }
-                Stmt::Loop {
-                    init, bound, body, ..
-                } => {
-                    walk_expr(init, out);
-                    walk_expr(bound, out);
-                    walk_stmts(body, out);
-                }
-                Stmt::Barrier | Stmt::Src(_) => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk_stmts(&ir.body, &mut out);
-    out
 }

@@ -22,7 +22,7 @@ use crate::shared::{
 };
 use crate::KernelBackend;
 use descend_ast::term::{AtomicOp, ShflKind};
-use descend_codegen::CodegenError;
+use descend_codegen::{CodegenError, IndexTable};
 use descend_typeck::{CheckedProgram, HostStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::Axis;
 use std::fmt::Write as _;
@@ -220,7 +220,11 @@ impl KernelBackend for WgslBackend {
         }
     }
 
-    fn emit_kernel(&self, k: &MonoKernel) -> Result<String, CodegenError> {
+    fn emit_kernel<'k>(
+        &self,
+        k: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
+    ) -> Result<String, CodegenError> {
         let atomics = atomic_targets(k);
         let mut out = String::new();
         let _ = writeln!(out, "// Kernel `{}` — standalone WGSL module.", k.name);
@@ -297,7 +301,7 @@ impl KernelBackend for WgslBackend {
             "fn {}(@builtin(workgroup_id) block_idx: vec3<u32>, @builtin(local_invocation_id) thread_idx: vec3<u32>, @builtin(num_workgroups) grid_dim: vec3<u32>) {{",
             k.name
         );
-        let mut out = render_body(self, k, Nested::new(out))?.out;
+        let mut out = render_body(self, k, table, Nested::new(out))?.out;
         out.push_str("}\n");
         Ok(out)
     }
@@ -306,7 +310,7 @@ impl KernelBackend for WgslBackend {
         let mut out = String::new();
         let _ = writeln!(out, "// Host function `{name}` (WebGPU JavaScript sketch;");
         out.push_str("// WGSL has no host side — sizes, dispatches and copies only):\n");
-        let mut sizes = HostSizes::new();
+        let mut sizes = HostSizes::default();
         for s in stmts {
             sizes.record(s);
             match s {

@@ -1,9 +1,10 @@
 //! Lowering of elaborated kernels to the simulator IR.
 
+use crate::index::IndexTable;
 use descend_ast::term::{AtomicOp as AstAtomicOp, BinOp as AstBinOp, ShflKind, UnOp as AstUnOp};
 use descend_ast::ty::DimCompo;
 use descend_exec::{Space, WARP_SIZE};
-use descend_places::{lower_scalar_access_at, Coord, IdxExpr, DYN_IDX};
+use descend_places::{Coord, IdxExpr};
 use descend_typeck::{ElabAccess, ElabExpr, ElabStmt, MemKind, MonoKernel, ScalarKind};
 use gpu_sim::ir::{
     AtomicOp, Axis, BinOp, ElemTy, Expr, KernelIr, ParamDecl, SharedDecl, ShflOp, Stmt, UnOp,
@@ -21,6 +22,8 @@ pub enum CodegenError {
     UnknownLocal(String),
     /// An index variable no binding covers (should not happen).
     ResidualVar(String),
+    /// An index table read for another kernel or out of walk order.
+    IndexTable(String),
 }
 
 impl fmt::Display for CodegenError {
@@ -31,6 +34,7 @@ impl fmt::Display for CodegenError {
             CodegenError::ResidualVar(n) => {
                 write!(f, "index variable `{n}` is unbound")
             }
+            CodegenError::IndexTable(m) => write!(f, "index table out of step: {m}"),
         }
     }
 }
@@ -96,44 +100,12 @@ pub fn space_coord_expr(space: Space, dim: DimCompo) -> Expr {
     }
 }
 
-/// Lowers one elaborated access to its flat element-index expression:
-/// the reverse-order view lowering of
-/// [`descend_places::lower_scalar_access`], converted to IR.
-///
-/// This is the *only* path from an access to an index expression — the
-/// kernel lowering calls it for every load, store and atomic, and every
-/// backend calls it for the text it prints — so the simulator and all
-/// emitted targets share one lowering by construction.
-///
-/// The index variables an access may contain are bound two ways:
-///
-/// - `iteration` binds the variables of the rolled loops around the
-///   access to the iteration being lowered (the kernel lowering, which
-///   unrolls). They are substituted into the path's nats *before*
-///   lowering, so each copy's index is exactly the one the iteration's
-///   own elaboration yields.
-/// - `var` spells every other variable as an expression spliced in
-///   after lowering: the runtime index of an atomic scatter in place of
-///   the [`DYN_IDX`] sentinel (the kernel lowering passes the lowered
-///   index value, the emitters the temporary they bound it to), and, in
-///   emitted text, the rolled loops' variables.
-///
-/// # Errors
-///
-/// [`CodegenError::Lowering`] when the path cannot be flattened,
-/// [`CodegenError::ResidualVar`] when an index variable survives that
-/// neither binds.
-pub fn access_index_expr(
-    a: &ElabAccess,
-    iteration: &[(&str, u64)],
+/// Converts a lowered index to IR, spelling each index variable by
+/// `var` ([`CodegenError::ResidualVar`] for one it does not spell).
+pub(crate) fn idx_to_expr(
+    idx: &IdxExpr,
     var: &dyn Fn(&str) -> Option<Expr>,
 ) -> Result<Expr, CodegenError> {
-    let idx = lower_scalar_access_at(&a.path, &a.root_dims, iteration)
-        .map_err(|e| CodegenError::Lowering(e.to_string()))?;
-    idx_to_expr(&idx, var)
-}
-
-fn idx_to_expr(idx: &IdxExpr, var: &dyn Fn(&str) -> Option<Expr>) -> Result<Expr, CodegenError> {
     Ok(match idx {
         IdxExpr::Const(v) => Expr::LitI(*v as i64),
         IdxExpr::Var(x) => var(x).ok_or_else(|| CodegenError::ResidualVar(x.clone()))?,
@@ -180,24 +152,27 @@ fn un_op(op: AstUnOp) -> UnOp {
     }
 }
 
-struct LowerCx<'k> {
+struct LowerCx<'t, 'k> {
     /// Live name -> local slot (rebinding allocates a fresh slot).
     locals: HashMap<String, usize>,
     /// The one slot counter: named locals and shuffle temporaries both
     /// take the next slot, in lowering order.
     next_slot: usize,
-    /// The iteration being lowered of each enclosing rolled loop,
-    /// outermost first.
+    /// The enclosing rolled loops' variables and the iteration being
+    /// lowered of each, outermost first.
+    loops: Vec<&'k str>,
     iteration: Vec<(&'k str, u64)>,
+    /// The kernel's index table, read once per iteration of each access.
+    indices: &'t mut IndexTable<'k>,
 }
 
-impl<'k> LowerCx<'k> {
+impl<'k> LowerCx<'_, 'k> {
     /// The index of an access in the iteration being lowered, with an
     /// atomic scatter's lowered runtime index spliced in.
-    fn index(&self, a: &ElabAccess, scatter: Option<&Expr>) -> Result<Expr, CodegenError> {
-        access_index_expr(a, &self.iteration, &|x| {
-            scatter.filter(|_| x == DYN_IDX).cloned()
-        })
+    fn index(&mut self, a: &'k ElabAccess, scatter: Option<&Expr>) -> Result<Expr, CodegenError> {
+        self.indices
+            .next(a, &self.loops, scatter.is_some())?
+            .instantiate(&self.iteration, scatter)
     }
 
     fn fresh_slot(&mut self) -> usize {
@@ -217,7 +192,7 @@ impl<'k> LowerCx<'k> {
     /// into a preceding [`Stmt::Shfl`] on a fresh temporary slot (depth
     /// first, so nested shuffles exchange in operand order): a shuffle
     /// is a warp-synchronous *instruction*, not a pure expression.
-    fn expr_in(&mut self, e: &ElabExpr, out: &mut Vec<Stmt>) -> Result<Expr, CodegenError> {
+    fn expr_in(&mut self, e: &'k ElabExpr, out: &mut Vec<Stmt>) -> Result<Expr, CodegenError> {
         Ok(match e {
             ElabExpr::Lit(kind, v) => match kind {
                 ScalarKind::F64 | ScalarKind::F32 => Expr::LitF(*v),
@@ -330,11 +305,16 @@ impl<'k> LowerCx<'k> {
                     });
                 }
                 ElabStmt::ForNat { var, lo, hi, body } => {
+                    // Each iteration reads the body's table entries anew.
+                    let first = self.indices.pos;
+                    self.loops.push(var);
                     for v in *lo..*hi {
+                        self.indices.pos = first;
                         self.iteration.push((var, v));
                         self.stmts_into(body, out)?;
                         self.iteration.pop();
                     }
+                    self.loops.pop();
                 }
                 ElabStmt::Sync => out.push(Stmt::Barrier),
                 ElabStmt::Src(span) => out.push(Stmt::Src(descend_trace::SrcSpan {
@@ -347,19 +327,27 @@ impl<'k> LowerCx<'k> {
     }
 }
 
-/// Lowers one elaborated kernel to the simulator IR.
+/// Lowers one elaborated kernel to the simulator IR, reading each
+/// access's index from `table`, `k`'s [`IndexTable`].
 ///
 /// # Errors
 ///
 /// See [`CodegenError`]; does not occur for kernels produced by the type
 /// checker from supported programs.
-pub fn kernel_to_ir(k: &MonoKernel) -> Result<KernelIr, CodegenError> {
+pub fn kernel_to_ir<'k>(
+    k: &'k MonoKernel,
+    table: &mut IndexTable<'k>,
+) -> Result<KernelIr, CodegenError> {
     let mut cx = LowerCx {
         locals: HashMap::new(),
         next_slot: 0,
+        loops: Vec::new(),
         iteration: Vec::new(),
+        indices: table,
     };
+    cx.indices.start(k)?;
     let body = cx.stmts(&k.body)?;
+    cx.indices.finish()?;
     Ok(KernelIr {
         name: k.name.clone(),
         params: k

@@ -8,28 +8,32 @@
 //! [`descend_places::lower_scalar_access`], `split` becomes a coordinate
 //! condition, and `sync` becomes a barrier.
 //!
-//! This crate owns the *semantic* half of that translation — the
-//! [`kernel_to_ir`] lowering the simulator executes and
-//! [`ir_gen::access_index_expr`], the one function from an access to its
-//! index expression. The *textual* half (CUDA C++, OpenCL C, WGSL, C)
-//! lives downstream in `descend_backends`, whose emitters call that same
-//! function for every index they print, so every target's text and the
-//! simulated kernel are renderings of one lowering.
+//! This crate owns the *semantic* half of that translation: each access
+//! of a kernel is lowered once, into the kernel's [`IndexTable`], whose
+//! entries [`kernel_to_ir`] instantiates per unrolled iteration and the
+//! printers of `descend_backends` (CUDA C++, OpenCL C, WGSL, C) print,
+//! so every target's text and the simulated kernel share one lowering.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod index;
 pub mod ir_gen;
 
+pub use index::{IndexEntry, IndexTable};
 pub use ir_gen::{kernel_to_ir, CodegenError};
 
 use descend_typeck::MonoKernel;
 
-/// Convenience: lowers every kernel of a checked program to IR.
+/// Convenience: lowers every kernel of a checked program to IR, each
+/// through its own [`IndexTable`].
 ///
 /// # Errors
 ///
 /// Propagates the first lowering failure (see [`CodegenError`]).
 pub fn all_kernels_to_ir(kernels: &[MonoKernel]) -> Result<Vec<gpu_sim::KernelIr>, CodegenError> {
-    kernels.iter().map(kernel_to_ir).collect()
+    kernels
+        .iter()
+        .map(|k| kernel_to_ir(k, &mut IndexTable::new(k)))
+        .collect()
 }

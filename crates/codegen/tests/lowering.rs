@@ -2,8 +2,8 @@
 //! CUDA text, with the kernels executed on the simulator and checked for
 //! functional correctness against scalar references.
 
-use descend_backends::cuda::kernel_to_cuda;
-use descend_codegen::kernel_to_ir;
+use descend_backends::{CudaBackend, KernelBackend};
+use descend_codegen::{kernel_to_ir, IndexTable};
 use descend_typeck::check_program;
 use gpu_sim::{Gpu, LaunchConfig};
 
@@ -33,7 +33,11 @@ fn scale_vec(v: &uniq gpu.global [f64; 1024]) -[grid: gpu.grid<X<32>, X<32>>]-> 
 #[test]
 fn scale_vec_runs_and_scales() {
     let checked = compile(SCALE_SRC);
-    let ir = kernel_to_ir(&checked.kernels[0]).expect("lowers");
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .expect("lowers");
     let mut gpu = Gpu::new();
     let data: Vec<f64> = (0..1024).map(|i| i as f64).collect();
     let buf = gpu.alloc_f64(&data);
@@ -50,7 +54,12 @@ fn scale_vec_runs_and_scales() {
 #[test]
 fn scale_vec_cuda_text_shape() {
     let checked = compile(SCALE_SRC);
-    let cuda = kernel_to_cuda(&checked.kernels[0]).expect("emits");
+    let cuda = CudaBackend
+        .emit_kernel(
+            &checked.kernels[0],
+            &mut IndexTable::new(&checked.kernels[0]),
+        )
+        .expect("emits");
     assert!(cuda.contains("__global__ void scale_vec(double* v)"));
     // group::<32>[[block]][[thread]] lowers to block*32 + thread.
     assert!(
@@ -85,7 +94,11 @@ fn transpose(input: & gpu.global [[f64; 128]; 128],
 #[test]
 fn transpose_is_functionally_correct() {
     let checked = compile(TRANSPOSE_SRC);
-    let ir = kernel_to_ir(&checked.kernels[0]).expect("lowers");
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .expect("lowers");
     let n = 128usize;
     let data: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
     let mut gpu = Gpu::new();
@@ -108,10 +121,19 @@ fn transpose_is_functionally_correct() {
 #[test]
 fn transpose_uses_shared_memory_and_barrier() {
     let checked = compile(TRANSPOSE_SRC);
-    let ir = kernel_to_ir(&checked.kernels[0]).unwrap();
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .unwrap();
     assert_eq!(ir.shared.len(), 1);
     assert_eq!(ir.shared[0].len, 1024);
-    let cuda = kernel_to_cuda(&checked.kernels[0]).unwrap();
+    let cuda = CudaBackend
+        .emit_kernel(
+            &checked.kernels[0],
+            &mut IndexTable::new(&checked.kernels[0]),
+        )
+        .unwrap();
     assert!(cuda.contains("__shared__ double tmp[1024];"));
     assert!(cuda.contains("__syncthreads();"));
 }
@@ -151,7 +173,11 @@ fn reduce(inp: & gpu.global [f64; 2048], out: &uniq gpu.global [f64; 4])
 }
 "#;
     let checked = compile(src);
-    let ir = kernel_to_ir(&checked.kernels[0]).unwrap();
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .unwrap();
     let data: Vec<f64> = (0..2048).map(|i| (i % 7) as f64).collect();
     let mut gpu = Gpu::new();
     let inp = gpu.alloc_f64(&data);
@@ -193,7 +219,11 @@ fn matmul(a: & gpu.global [[f64; 64]; 64], b: & gpu.global [[f64; 64]; 64],
 }
 "#;
     let checked = compile(src);
-    let ir = kernel_to_ir(&checked.kernels[0]).unwrap();
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .unwrap();
     let n = 64usize;
     let a: Vec<f64> = (0..n * n).map(|i| ((i * 7) % 5) as f64).collect();
     let b: Vec<f64> = (0..n * n).map(|i| ((i * 3) % 4) as f64).collect();
@@ -237,7 +267,12 @@ fn k(v: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
 }
 "#;
     let checked = compile(src);
-    let cuda = kernel_to_cuda(&checked.kernels[0]).unwrap();
+    let cuda = CudaBackend
+        .emit_kernel(
+            &checked.kernels[0],
+            &mut IndexTable::new(&checked.kernels[0]),
+        )
+        .unwrap();
     assert!(
         cuda.contains("if (threadIdx.x < 48) {"),
         "split should become a coordinate condition:\n{cuda}"
@@ -245,7 +280,11 @@ fn k(v: &uniq gpu.global [f64; 64]) -[grid: gpu.grid<X<1>, X<64>>]-> () {
     // The snd half indexes with an offset-adjusted coordinate:
     // tmp[(threadIdx.x - 48) + 48] folds to tmp[threadIdx.x]; check
     // execution instead of text for the offset logic.
-    let ir = kernel_to_ir(&checked.kernels[0]).unwrap();
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .unwrap();
     let mut gpu = Gpu::new();
     let buf = gpu.alloc_f64(&[0.0; 64]);
     gpu.launch(&ir, [1, 1, 1], [64, 1, 1], &[buf], &race_checked())
@@ -262,7 +301,7 @@ fn every_checked_kernel_is_race_free_dynamically() {
     for src in [SCALE_SRC, TRANSPOSE_SRC] {
         let checked = compile(src);
         for mk in &checked.kernels {
-            let ir = kernel_to_ir(mk).unwrap();
+            let ir = kernel_to_ir(mk, &mut IndexTable::new(mk)).unwrap();
             let mut gpu = Gpu::new();
             let args: Vec<_> = ir
                 .params

@@ -1,8 +1,8 @@
 //! Element-type coverage: f32 kernels flow through elaboration, IR
 //! lowering, CUDA emission and simulation just like f64.
 
-use descend_backends::cuda::kernel_to_cuda;
-use descend_codegen::kernel_to_ir;
+use descend_backends::{CudaBackend, KernelBackend};
+use descend_codegen::{kernel_to_ir, IndexTable};
 use descend_typeck::check_program;
 use gpu_sim::ir::ElemTy;
 use gpu_sim::{Gpu, LaunchConfig};
@@ -24,9 +24,11 @@ fn saxpyish(x: & gpu.global [f32; 128], y: &uniq gpu.global [f32; 128])
     let prog = descend_parser::parse(src).unwrap();
     let checked = check_program(&prog).expect("f32 kernels type-check");
     let mk = &checked.kernels[0];
-    let ir = kernel_to_ir(mk).unwrap();
+    let ir = kernel_to_ir(mk, &mut IndexTable::new(mk)).unwrap();
     assert!(ir.params.iter().all(|p| p.elem == ElemTy::F32));
-    let cuda = kernel_to_cuda(mk).unwrap();
+    let cuda = CudaBackend
+        .emit_kernel(mk, &mut IndexTable::new(mk))
+        .unwrap();
     assert!(cuda.contains("__global__ void saxpyish(const float* x, float* y)"));
     assert!(cuda.contains("2.0f"));
     // Execute.
@@ -80,7 +82,11 @@ fn fill(y: &uniq gpu.global [f32; 32]) -[grid: gpu.grid<X<1>, X<32>>]-> () {
 "#;
     let prog = descend_parser::parse(src).unwrap();
     let checked = check_program(&prog).unwrap();
-    let ir = kernel_to_ir(&checked.kernels[0]).unwrap();
+    let ir = kernel_to_ir(
+        &checked.kernels[0],
+        &mut IndexTable::new(&checked.kernels[0]),
+    )
+    .unwrap();
     let mut gpu = Gpu::new();
     let b = gpu.alloc_zeroed(ElemTy::F32, 32);
     let stats = gpu

@@ -19,7 +19,11 @@
 //! - **lower**: per kernel *instance* (simulator IR), keyed by the
 //!   defining function's slice plus the mangled instance name;
 //! - **emit**: per kernel instance *and backend*, same key plus the
-//!   backend's registry name;
+//!   backend's registry name. The instance's index table
+//!   ([`descend_codegen::IndexTable`]) is filled by the first of its
+//!   lower and emit queries that misses and read by the rest, so each
+//!   access is lowered once per compile, and not at all when every
+//!   query hits;
 //! - **emit-program**: per backend, over every item's slice (the
 //!   translation unit is assembled from the emit queries' kernel texts
 //!   plus prelude, host stubs and epilogue; no kernel renders twice).
@@ -41,7 +45,7 @@ use descend_ast::term::{FnDef, Item, Program};
 use descend_ast::ty::ExecTy;
 use descend_ast::Span;
 use descend_backends::{backend_by_name, KernelBackend, BACKEND_NAMES};
-use descend_codegen::kernel_to_ir;
+use descend_codegen::{kernel_to_ir, IndexTable};
 use descend_typeck::{
     check_context, check_fn, launch_callees, CheckedFn, CheckedProgram, HostStmt, MonoKernel,
 };
@@ -275,8 +279,8 @@ impl CompileSession {
         let cx = ProgramCx::new(&ast, src);
 
         // Per-function typeck queries, merged in check_program's order:
-        // non-generic GPU functions standalone first (deduplicated by
-        // instance name, as repeated instantiation would be), then host
+        // non-generic GPU functions standalone first (their names are
+        // unique: `check_context` rejects duplicates), then host
         // functions, whose generic instances are appended when not yet
         // seen and whose launches are remapped by instance name.
         let mut kernels: Vec<MonoKernel> = Vec::new();
@@ -285,10 +289,6 @@ impl CompileSession {
         for item in &ast.items {
             let Item::Fn(f) = item else { continue };
             if !(matches!(f.sig.exec_ty, ExecTy::GpuGrid(..)) && f.sig.generics.is_empty()) {
-                continue;
-            }
-            if kernel_index.contains_key(&f.sig.name) {
-                // A duplicate-named kernel is never re-instantiated.
                 continue;
             }
             for mono in self.typeck_query(&ast, &cx, f)?.kernels {
@@ -334,10 +334,12 @@ impl CompileSession {
         let mut compiled_kernels = Vec::new();
         for mk in &checked.kernels {
             let identity = cx.kernel_identity(mk);
-            let ir = self.lower_query(identity, &cx, mk)?;
+            // Filled by the first query that misses, read by the rest.
+            let mut table = IndexTable::new(mk);
+            let ir = self.lower_query(identity, &cx, mk, &mut table)?;
             let mut targets = BTreeMap::new();
             for be in &backends {
-                let text = self.emit_query(identity, be.as_ref(), mk)?;
+                let text = self.emit_query(identity, be.as_ref(), mk, &mut table)?;
                 targets.insert(be.name().to_string(), text);
             }
             compiled_kernels.push(CompiledKernel {
@@ -405,12 +407,14 @@ impl CompileSession {
         }
     }
 
-    /// The per-kernel-instance IR lowering query.
-    fn lower_query(
+    /// The per-kernel-instance IR lowering query; `table` is the
+    /// instance's index table, which a miss fills or reads.
+    fn lower_query<'k>(
         &mut self,
         identity: u64,
         cx: &ProgramCx<'_>,
-        mk: &MonoKernel,
+        mk: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
     ) -> Result<KernelIr, CompileError> {
         let key = mix(b"ir", identity);
         if let Some(stored) = self.lower_ok.get(&key) {
@@ -424,7 +428,7 @@ impl CompileSession {
             return Err(e.clone());
         }
         self.stats.lower.miss();
-        match kernel_to_ir(mk) {
+        match kernel_to_ir(mk, table) {
             Ok(ir) => {
                 self.lower_ok.insert(
                     key,
@@ -443,12 +447,14 @@ impl CompileSession {
         }
     }
 
-    /// The per-kernel-instance, per-backend emission query.
-    fn emit_query(
+    /// The per-kernel-instance, per-backend emission query; `table` as
+    /// for the lower query.
+    fn emit_query<'k>(
         &mut self,
         identity: u64,
         be: &dyn KernelBackend,
-        mk: &MonoKernel,
+        mk: &'k MonoKernel,
+        table: &mut IndexTable<'k>,
     ) -> Result<String, CompileError> {
         let mut h = DefaultHasher::new();
         h.write(b"emit");
@@ -464,7 +470,7 @@ impl CompileSession {
             return Err(e.clone());
         }
         self.stats.emit.miss();
-        match be.emit_kernel(mk) {
+        match be.emit_kernel(mk, table) {
             Ok(text) => {
                 self.emit_ok.insert(key, text.clone());
                 Ok(text)

@@ -276,6 +276,17 @@ pub const REGISTRY: &[CodeInfo] = &[
                       rename it.",
     },
     CodeInfo {
+        code: "E0123",
+        title: "item defined twice",
+        explanation: "Two functions, two views or two constants of one program share a \
+                      name. Items are looked up by name, so the first definition would \
+                      be used wherever the name appears and the second ignored — for a \
+                      function, its body would go unchecked and uncompiled. The second \
+                      definition is rejected, with the first marked; rename one of them. \
+                      A function, a view and a constant may still share a name: they are \
+                      looked up in different places.",
+    },
+    CodeInfo {
         code: LOWERING_FAILED,
         title: "lowering failed",
         explanation: "The type checker accepted the program but the IR lowering or a \

@@ -407,6 +407,41 @@ impl ExecExpr {
         Ok(st)
     }
 
+    /// Calls `f` with each op's position, the op and the space it
+    /// refines (`None` for `.to_warps()`, or past a fully scheduled
+    /// resource): the spaces [`ExecExpr::current_space`] gives each op's
+    /// prefix, from one replay that tracks only which dimensions are
+    /// scheduled, so nothing is allocated. Index lowering derives every
+    /// select's coordinate this way.
+    pub fn for_each_op_space(&self, mut f: impl FnMut(usize, &ExecOp, Option<Space>)) {
+        const SPACES: [Space; 4] = [Space::Block, Space::Thread, Space::Warp, Space::Lane];
+        let bit = |d: DimCompo| 1u8 << d as u8;
+        let open = |d: &Dim| d.components().fold(0, |m, (c, _)| m | bit(c));
+        // Unscheduled dimensions per space, in `SPACES` order: block,
+        // then thread, or warp and lane once `.to_warps()` replaced it.
+        let mut unscheduled = match &self.base {
+            ExecBase::CpuThread => [0; 4],
+            ExecBase::GpuGrid { blocks, threads } => [open(blocks), open(threads), 0, 0],
+        };
+        for (i, op) in self.ops.iter().enumerate() {
+            let current = unscheduled.iter().position(|m| *m != 0);
+            match op {
+                ExecOp::ToWarps => {
+                    unscheduled = [unscheduled[0], 0, bit(DimCompo::X), bit(DimCompo::X)];
+                    f(i, op, None);
+                    continue;
+                }
+                ExecOp::Forall(d) => {
+                    if let Some(s) = current {
+                        unscheduled[s] &= !bit(*d);
+                    }
+                }
+                ExecOp::Split { .. } => {}
+            }
+            f(i, op, current.map(|s| SPACES[s]));
+        }
+    }
+
     /// The space the *next* operation would refine, or `None` for a fully
     /// scheduled (single-thread) resource.
     pub fn current_space(&self) -> Option<Space> {
@@ -753,6 +788,57 @@ mod tests {
     fn fig1_grid() -> ExecExpr {
         // gpu.grid<XYZ<2,2,1>, XYZ<4,4,4>> from Figure 1 of the paper.
         ExecExpr::grid(Dim::xyz(2u64, 2u64, 1u64), Dim::xyz(4u64, 4u64, 4u64))
+    }
+
+    /// `for_each_op_space` reports, for every op, the space
+    /// `current_space` gives the op's prefix: through block and thread
+    /// splits of a 3-D grid, and through warps and lanes after
+    /// `to_warps`.
+    #[test]
+    fn op_spaces_match_prefix_replay() {
+        let grid = fig1_grid()
+            .forall(DimCompo::X)
+            .unwrap()
+            .split(DimCompo::Y, Nat::lit(1), Side::Snd)
+            .unwrap()
+            .forall(DimCompo::Y)
+            .unwrap()
+            .forall(DimCompo::Z)
+            .unwrap()
+            .forall(DimCompo::X)
+            .unwrap()
+            .split(DimCompo::Z, Nat::lit(2), Side::Fst)
+            .unwrap()
+            .forall(DimCompo::Z)
+            .unwrap();
+        let warps = ExecExpr::grid(Dim::x(2u64), Dim::x(64u64))
+            .forall(DimCompo::X)
+            .unwrap()
+            .to_warps()
+            .unwrap()
+            .split(DimCompo::X, Nat::lit(1), Side::Snd)
+            .unwrap()
+            .forall(DimCompo::X)
+            .unwrap()
+            .forall(DimCompo::X)
+            .unwrap();
+        for e in [grid, warps] {
+            let mut seen = Vec::new();
+            e.for_each_op_space(|i, op, space| {
+                let prefix = ExecExpr {
+                    base: e.base.clone(),
+                    ops: e.ops[..i].to_vec(),
+                };
+                let want = match op {
+                    ExecOp::ToWarps => None,
+                    _ => prefix.current_space(),
+                };
+                assert_eq!(space, want, "op {i} of {e:?}");
+                seen.push(space);
+            });
+            assert_eq!(seen.len(), e.ops.len());
+            assert!(seen.contains(&Some(Space::Thread)) || seen.contains(&Some(Space::Lane)));
+        }
     }
 
     #[test]

@@ -35,9 +35,7 @@ pub use conflict::{
     barrier_ordered, may_overlap, may_race, may_race_repeated, narrowing_violation, Access,
     AccessMode, SymIndex, SymSteps,
 };
-pub use lower::{
-    lower_scalar_access, lower_scalar_access_at, simplify_idx, Coord, IdxExpr, DYN_IDX,
-};
+pub use lower::{lower_scalar_access, simplify_idx, Coord, IdxExpr, DYN_IDX};
 pub use path::{PathStep, PlacePath, SelectStep};
 pub use view::{
     apply_view, resolve_view_app, windows_overlap, zip_ty, ViewDefs, ViewError, ViewStep,

@@ -133,6 +133,27 @@ impl IdxExpr {
             IdxExpr::Mul(a, b) => Ok(a.eval(coords, vars)? * b.eval(coords, vars)?),
         }
     }
+
+    /// The expression with each variable bound in `values` replaced by
+    /// its value, rebuilt through the folding constructors (a constant
+    /// subtraction that would underflow stays unfolded).
+    pub fn bind(&self, values: &[(&str, u64)]) -> IdxExpr {
+        match self {
+            IdxExpr::Var(x) => match values.iter().find(|(y, _)| y == x) {
+                Some(&(_, v)) => IdxExpr::Const(v),
+                None => self.clone(),
+            },
+            IdxExpr::Const(_) | IdxExpr::Coord(_) => self.clone(),
+            IdxExpr::Add(a, b) => a.bind(values) + b.bind(values),
+            IdxExpr::Mul(a, b) => a.bind(values) * b.bind(values),
+            IdxExpr::Sub(a, b) => match (a.bind(values), b.bind(values)) {
+                (IdxExpr::Const(x), IdxExpr::Const(y)) if x < y => {
+                    IdxExpr::Sub(Box::new(IdxExpr::Const(x)), Box::new(IdxExpr::Const(y)))
+                }
+                (a, b) => a - b,
+            },
+        }
+    }
 }
 
 /// Smart constructor folding constants.
@@ -239,6 +260,11 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 fn nat_to_idx(n: &Nat) -> Result<IdxExpr, LowerError> {
+    match n {
+        Nat::Lit(v) => return Ok(IdxExpr::Const(*v)),
+        Nat::Var(x) => return Ok(IdxExpr::Var(x.clone())),
+        _ => {}
+    }
     let s = n.simplify();
     if matches!(s, Nat::Div(..) | Nat::Mod(..)) {
         return Err(LowerError::OpaqueNat(n.to_string()));
@@ -317,79 +343,65 @@ fn apply_view_backward(step: &ViewStep, idx: &mut Vec<IdxExpr>) -> Result<(), Lo
     Ok(())
 }
 
-/// An atom of the linear normal form.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum LinAtom {
+/// An atom of the linear normal form, in its order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum LinAtom<'e> {
     Coord(Space, DimCompo),
-    Var(String),
+    Var(&'e str),
 }
 
-/// Converts to a linear combination `Σ coeff·atom + const`, or `None`
-/// when the expression is not linear (never the case for view lowerings,
-/// which compose affine index transformations).
-fn to_linear(e: &IdxExpr) -> Option<(std::collections::BTreeMap<LinAtom, i64>, i64)> {
-    use std::collections::BTreeMap;
-    Some(match e {
-        IdxExpr::Const(v) => (BTreeMap::new(), i64::try_from(*v).ok()?),
-        IdxExpr::Var(x) => {
-            let mut m = BTreeMap::new();
-            m.insert(LinAtom::Var(x.clone()), 1);
-            (m, 0)
-        }
+/// Adds `scale · e` to the linear combination `Σ coeff·atom + konst`, or
+/// fails when `e` is not linear (never the case for view lowerings,
+/// which compose affine index transformations). A product is linear
+/// when one factor has no atom at all.
+fn add_linear<'e>(
+    e: &'e IdxExpr,
+    scale: i64,
+    terms: &mut Vec<(LinAtom<'e>, i64)>,
+    konst: &mut i64,
+) -> Option<()> {
+    fn constant(e: &IdxExpr) -> Option<i64> {
+        Some(match e {
+            IdxExpr::Const(v) => i64::try_from(*v).ok()?,
+            IdxExpr::Var(_) | IdxExpr::Coord(_) => return None,
+            IdxExpr::Add(a, b) => constant(a)? + constant(b)?,
+            IdxExpr::Sub(a, b) => constant(a)? - constant(b)?,
+            IdxExpr::Mul(a, b) => constant(a)? * constant(b)?,
+        })
+    }
+    match e {
+        IdxExpr::Const(v) => *konst += scale * i64::try_from(*v).ok()?,
+        IdxExpr::Var(x) => terms.push((LinAtom::Var(x), scale)),
         IdxExpr::Coord(c) => {
-            let off = i64::try_from(c.offset.as_lit()?).ok()?;
-            let mut m = BTreeMap::new();
-            m.insert(LinAtom::Coord(c.space, c.dim), 1);
-            (m, -off)
+            *konst -= scale * i64::try_from(c.offset.as_lit()?).ok()?;
+            terms.push((LinAtom::Coord(c.space, c.dim), scale));
         }
         IdxExpr::Add(a, b) => {
-            let (mut ma, ca) = to_linear(a)?;
-            let (mb, cb) = to_linear(b)?;
-            for (k, v) in mb {
-                *ma.entry(k).or_insert(0) += v;
-            }
-            (ma, ca + cb)
+            add_linear(a, scale, terms, konst)?;
+            add_linear(b, scale, terms, konst)?;
         }
         IdxExpr::Sub(a, b) => {
-            let (mut ma, ca) = to_linear(a)?;
-            let (mb, cb) = to_linear(b)?;
-            for (k, v) in mb {
-                *ma.entry(k).or_insert(0) -= v;
-            }
-            (ma, ca - cb)
+            add_linear(a, scale, terms, konst)?;
+            add_linear(b, -scale, terms, konst)?;
         }
-        IdxExpr::Mul(a, b) => {
-            let (ma, ca) = to_linear(a)?;
-            let (mb, cb) = to_linear(b)?;
-            if ma.is_empty() {
-                (mb.into_iter().map(|(k, v)| (k, v * ca)).collect(), ca * cb)
-            } else if mb.is_empty() {
-                (ma.into_iter().map(|(k, v)| (k, v * cb)).collect(), ca * cb)
-            } else {
-                return None;
-            }
-        }
-    })
-}
-
-fn atom_to_idx(a: &LinAtom) -> IdxExpr {
-    match a {
-        LinAtom::Coord(space, dim) => IdxExpr::Coord(Coord {
-            space: *space,
-            dim: *dim,
-            offset: Nat::lit(0),
-        }),
-        LinAtom::Var(x) => IdxExpr::Var(x.clone()),
+        IdxExpr::Mul(a, b) => match (constant(a), constant(b)) {
+            (Some(ca), _) => add_linear(b, scale * ca, terms, konst)?,
+            (None, Some(cb)) => add_linear(a, scale * cb, terms, konst)?,
+            (None, None) => return None,
+        },
     }
+    Some(())
 }
 
 /// Simplifies an index expression by normalizing to a linear combination,
 /// folding away branch offsets that cancel (`(tid - k) + k` becomes
 /// `tid`), exactly like a production compiler would.
 pub fn simplify_idx(e: IdxExpr) -> IdxExpr {
-    let Some((terms, konst)) = to_linear(&e) else {
+    let (mut terms, mut konst) = (Vec::new(), 0);
+    if add_linear(&e, 1, &mut terms, &mut konst).is_none() {
         return e;
-    };
+    }
+    terms.sort_unstable_by_key(|(atom, _)| *atom);
     let mut pos: Option<IdxExpr> = None;
     let mut neg: Option<IdxExpr> = None;
     let push = |side: &mut Option<IdxExpr>, term: IdxExpr| {
@@ -398,17 +410,25 @@ pub fn simplify_idx(e: IdxExpr) -> IdxExpr {
             Some(acc) => IdxExpr::add(acc, term),
         });
     };
-    for (atom, coeff) in &terms {
-        if *coeff == 0 {
+    for same in terms.chunk_by(|a, b| a.0 == b.0) {
+        let coeff: i64 = same.iter().map(|(_, c)| c).sum();
+        if coeff == 0 {
             continue;
         }
-        let base = atom_to_idx(atom);
+        let base = match same[0].0 {
+            LinAtom::Coord(space, dim) => IdxExpr::Coord(Coord {
+                space,
+                dim,
+                offset: Nat::lit(0),
+            }),
+            LinAtom::Var(x) => IdxExpr::Var(x.to_string()),
+        };
         let term = if coeff.unsigned_abs() == 1 {
             base
         } else {
             IdxExpr::mul(base, IdxExpr::Const(coeff.unsigned_abs()))
         };
-        if *coeff > 0 {
+        if coeff > 0 {
             push(&mut pos, term);
         } else {
             push(&mut neg, term);
@@ -423,9 +443,11 @@ pub fn simplify_idx(e: IdxExpr) -> IdxExpr {
         (None, None) => IdxExpr::Const(0),
         (Some(p), None) => p,
         (Some(p), Some(n)) => IdxExpr::Sub(Box::new(p), Box::new(n)),
-        // A purely negative index cannot occur at runtime for a valid
-        // access; keep the original shape for transparency.
-        (None, Some(_)) => e,
+        // Nonpositive everywhere: valid only where every negative term is
+        // zero (a one-wide coordinate). Still a function of the linear
+        // form alone, so binding variables before or after lowering
+        // agrees here too.
+        (None, Some(n)) => IdxExpr::Sub(Box::new(IdxExpr::Const(0)), Box::new(n)),
     }
 }
 
@@ -436,43 +458,22 @@ pub fn simplify_idx(e: IdxExpr) -> IdxExpr {
 /// first (e.g. `[2048, 2048]` for `[[f64; 2048]; 2048]`). Leading `Deref`
 /// steps are skipped (the reference itself contributes no indexing).
 /// The result is simplified to linear normal form (see [`simplify_idx`]).
+/// Variables the path indexes through (rolled loop variables, the
+/// [`DYN_IDX`] sentinel) stay [`IdxExpr::Var`]s; binding them afterwards
+/// ([`IdxExpr::bind`], then [`simplify_idx`]) yields exactly the lowering
+/// of the path with their values in place.
 ///
 /// # Errors
 ///
 /// Returns a [`LowerError`] if the access is not scalar, contains real
 /// tuple projections, or an unprojected split.
 pub fn lower_scalar_access(path: &PlacePath, root_dims: &[Nat]) -> Result<IdxExpr, LowerError> {
-    lower_scalar_access_at(path, root_dims, &[])
-}
-
-/// [`lower_scalar_access`] at one iteration of the rolled loops the
-/// access sits in: an index step `Index(Nat::Var(x))` with `x` bound in
-/// `iteration` lowers as `Index(Nat::Lit(v))` would, so constant folding
-/// and the result are exactly those of the per-iteration path.
-///
-/// # Errors
-///
-/// As [`lower_scalar_access`].
-pub fn lower_scalar_access_at(
-    path: &PlacePath,
-    root_dims: &[Nat],
-    iteration: &[(&str, u64)],
-) -> Result<IdxExpr, LowerError> {
     let mut idx: Vec<IdxExpr> = Vec::new();
     for step in path.steps.iter().rev() {
         match step {
             PathStep::Deref => {}
             PathStep::Proj(_) => return Err(LowerError::TupleProjection),
-            PathStep::Index(n) => {
-                let bound = match n {
-                    Nat::Var(x) => iteration
-                        .iter()
-                        .find(|(y, _)| y == x)
-                        .map(|(_, v)| Nat::lit(*v)),
-                    _ => None,
-                };
-                idx.insert(0, nat_to_idx(bound.as_ref().unwrap_or(n))?);
-            }
+            PathStep::Index(n) => idx.insert(0, nat_to_idx(n)?),
             PathStep::Select(sel) => {
                 let (space, dim) = sel.space_dim();
                 idx.insert(
@@ -788,6 +789,26 @@ mod tests {
         assert_eq!(
             IdxExpr::add(IdxExpr::Const(0), IdxExpr::Var("x".into())),
             IdxExpr::Var("x".into())
+        );
+    }
+
+    /// Binding folds constants as the lowering does, but a constant
+    /// subtraction that would underflow (an index out of bounds in
+    /// some iteration) stays a subtraction instead of panicking.
+    #[test]
+    fn bind_folds_and_never_underflows() {
+        let i = || IdxExpr::Var("i".into());
+        let e = IdxExpr::Sub(Box::new(IdxExpr::Const(7)), Box::new(i()));
+        assert_eq!(e.bind(&[("i", 3)]), IdxExpr::Const(4));
+        assert_eq!(e.bind(&[("j", 3)]), e);
+        let under = e.bind(&[("i", 9)]);
+        assert_eq!(
+            under,
+            IdxExpr::Sub(Box::new(IdxExpr::Const(7)), Box::new(IdxExpr::Const(9)))
+        );
+        assert_eq!(
+            simplify_idx(under),
+            IdxExpr::Sub(Box::new(IdxExpr::Const(0)), Box::new(IdxExpr::Const(2)))
         );
     }
 

@@ -50,16 +50,14 @@ impl SelectStep {
             ExecOp::Forall(d) => *d,
             other => panic!("select level must be a forall, found {other:?}"),
         };
-        let mut prefix = ExecExpr {
-            base: self.exec.base.clone(),
-            ops: self.exec.ops[..self.level_index].to_vec(),
-        };
         // The space is determined by the state before the forall.
-        let space = prefix
-            .current_space()
-            .expect("validated exec has a space for every op");
-        prefix.ops.clear();
-        (space, dim)
+        let mut space = None;
+        self.exec.for_each_op_space(|i, _, s| {
+            if i == self.level_index {
+                space = s;
+            }
+        });
+        (space.expect("validated exec has a space for every op"), dim)
     }
 
     /// The accumulated coordinate offset of this level: the sum of `snd`
@@ -68,21 +66,19 @@ impl SelectStep {
     /// `c - offset`.
     pub fn coord_offset(&self) -> Nat {
         let (space, dim) = self.space_dim();
-        let mut offset = Nat::lit(0);
-        let mut prefix = ExecExpr {
-            base: self.exec.base.clone(),
-            ops: Vec::new(),
-        };
-        for op in &self.exec.ops[..self.level_index] {
+        let mut offset = None;
+        self.exec.for_each_op_space(|i, op, op_space| {
             if let ExecOp::Split { dim: d, pos, side } = op {
-                let op_space = prefix.current_space();
-                if *d == dim && op_space == Some(space) && *side == Side::Snd {
-                    offset = offset + pos.clone();
+                if i < self.level_index
+                    && *d == dim
+                    && op_space == Some(space)
+                    && *side == Side::Snd
+                {
+                    offset = Some(offset.take().unwrap_or(Nat::lit(0)) + pos.clone());
                 }
             }
-            prefix.ops.push(op.clone());
-        }
-        offset.simplify()
+        });
+        offset.map_or(Nat::lit(0), |o: Nat| o.simplify())
     }
 }
 

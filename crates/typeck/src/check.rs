@@ -64,7 +64,7 @@ pub const LOOP_BUDGET: u64 = 1 << 12;
 /// The first [`TypeError`] encountered, with a renderable diagnostic.
 pub fn check_program(program: &Program) -> TResult<CheckedProgram> {
     let mut cx = GlobalCx::new(program)?;
-    check_instance_names(program)?;
+    check_item_names(program)?;
     // Check non-generic GPU functions standalone.
     for item in &program.items {
         if let Item::Fn(f) = item {
@@ -108,8 +108,9 @@ pub struct CheckedFn {
 }
 
 /// Validates the program-wide item context all functions share: view
-/// definitions are registered, nat constants evaluate, and no
-/// non-generic function is named like a generic kernel instance.
+/// definitions are registered, nat constants evaluate, no two items of
+/// one kind share a name, and no non-generic function is named like a
+/// generic kernel instance.
 ///
 /// This is the program-level prefix of [`check_program`]; incremental
 /// drivers run it once per compile before issuing per-function
@@ -118,10 +119,35 @@ pub struct CheckedFn {
 /// # Errors
 ///
 /// The first [`TypeError`] from constant evaluation, else
+/// [`ErrorKind::DuplicateItem`] for the first item defined twice, else
 /// [`ErrorKind::InstanceNameCollision`] for the first function named
 /// like an instance.
 pub fn check_context(program: &Program) -> TResult<()> {
     GlobalCx::new(program)?;
+    check_item_names(program)
+}
+
+/// The name checks of [`check_context`]: items defined twice, then
+/// functions named like generic instances.
+fn check_item_names(program: &Program) -> TResult<()> {
+    let mut first: HashMap<(&str, &str), Span> = HashMap::new();
+    for item in &program.items {
+        let (kind, name, span) = match item {
+            Item::Fn(f) => ("function", f.sig.name.as_str(), f.span),
+            Item::View(v) => ("view", v.name.as_str(), v.span),
+            Item::Const(c) => ("constant", c.name.as_str(), c.span),
+        };
+        if let Some(&earlier) = first.get(&(kind, name)) {
+            return Err(TypeError::new(
+                ErrorKind::DuplicateItem,
+                span,
+                format!("the {kind} `{name}` is defined twice"),
+            )
+            .with_secondary(earlier, format!("`{name}` is first defined here"))
+            .with_help(format!("rename one of the two {kind}s")));
+        }
+        first.insert((kind, name), span);
+    }
     check_instance_names(program)
 }
 

@@ -59,13 +59,17 @@ pub enum ErrorKind {
     /// (`fill__64_2` beside `fill<n, c>`): instances are identified by
     /// those names.
     InstanceNameCollision,
+    /// Two items of one kind (functions, views or constants) share a
+    /// name: a later definition would shadow the first, and a second
+    /// function's body would go unchecked.
+    DuplicateItem,
 }
 
 impl ErrorKind {
     /// Every variant, in declaration (= code) order. Coverage tests
     /// iterate this to demand a conformance program and a documentation
     /// entry per kind.
-    pub const ALL: [ErrorKind; 22] = [
+    pub const ALL: [ErrorKind; 23] = [
         ErrorKind::MismatchedTypes,
         ErrorKind::ConflictingAccess,
         ErrorKind::NarrowingViolation,
@@ -88,6 +92,7 @@ impl ErrorKind {
         ErrorKind::NonStaticNat,
         ErrorKind::LoopBudgetExceeded,
         ErrorKind::InstanceNameCollision,
+        ErrorKind::DuplicateItem,
     ];
 
     /// The stable error code of this kind, one per variant in
@@ -118,6 +123,7 @@ impl ErrorKind {
             ErrorKind::NonStaticNat => "E0120",
             ErrorKind::LoopBudgetExceeded => "E0121",
             ErrorKind::InstanceNameCollision => "E0122",
+            ErrorKind::DuplicateItem => "E0123",
         }
     }
 }

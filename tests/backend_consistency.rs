@@ -1,14 +1,22 @@
 //! Cross-backend consistency: every backend's emitted text embeds the
 //! index expressions the simulator IR executes.
 //!
-//! That the text and the IR are *built* from one lowering needs no test:
-//! `descend_codegen::ir_gen::access_index_expr` is the only function
-//! that turns an access into an index, for the simulator and for all
-//! four emitters. What is checked here, over the whole `.descend` corpus
-//! and the paper's benchmark sources, is the printing: for each backend,
-//! its rendering of every index in the lowered `KernelIr` appears
-//! verbatim in that backend's kernel text — no emitter has a private
-//! index printer that could drift.
+//! Each access of a kernel is lowered once, into the kernel's
+//! `descend::codegen::IndexTable`; the simulator IR instantiates its
+//! entries per iteration and all four emitters print them. Checked
+//! here, over the whole `.descend` corpus and the paper's benchmark
+//! sources:
+//!
+//! - *Folding.* The IR the table yields equals the IR of the same kernel
+//!   with every rolled loop unrolled at the elaborated level, so that
+//!   each access is lowered with its loop values already in its path
+//!   (substitution before lowering, `support/unroll.rs`).
+//! - *Printing.* For each backend, its rendering of every index in the
+//!   lowered `KernelIr` appears verbatim in that backend's kernel text,
+//!   so no emitter has a private index printer that could drift.
+//! - *Walk order.* Rendering a kernel through all four backends reads
+//!   every table entry exactly once, and a table built for another
+//!   kernel is refused.
 //!
 //! Rolled for-nat loops print once, with the loop variable in the
 //! index, while the IR runs one unrolled copy per iteration. For an
@@ -17,14 +25,17 @@
 //! equal the index the IR executes in that iteration; every IR index
 //! must be either printed verbatim or one of those iteration indices.
 use descend::ast::ty::DimCompo;
-use descend::backends::{all_backends, emitted_index, ir_index_exprs, render_ir_expr, IndexNames};
-use descend::codegen::ir_gen::access_index_expr;
+use descend::backends::{all_backends, render_ir_expr, CudaBackend, KernelBackend};
+use descend::codegen::{kernel_to_ir, CodegenError, IndexTable};
 use descend::compiler::{Compiled, Compiler};
 use descend::exec::Space;
 use descend::places::lower_scalar_access;
-use descend::sim::ir::{Axis, BinOp, Expr};
+use descend::sim::ir::{Axis, BinOp, Expr, KernelIr, Stmt};
 use descend::typeck::{ElabAccess, ElabExpr, ElabStmt};
 use std::path::PathBuf;
+
+#[path = "support/unroll.rs"]
+mod unroll;
 
 fn corpus_sources() -> Vec<(String, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/descend");
@@ -62,20 +73,23 @@ fn corpus_sources() -> Vec<(String, String)> {
     out
 }
 
-/// An access inside rolled loops: the loops' variables and ranges,
-/// outermost first.
-struct RolledAccess<'k> {
+/// An access of a kernel body: the rolled loops around it (variables
+/// and ranges, outermost first) and whether it is an atomic scatter
+/// target.
+struct BodyAccess<'k> {
     loops: Vec<(&'k str, u64, u64)>,
     access: &'k ElabAccess,
+    scatter: bool,
 }
 
-/// Every statically addressed access inside a rolled loop (scatter
-/// targets bind their index to a temporary, as outside loops).
-fn rolled_accesses(body: &[ElabStmt]) -> Vec<RolledAccess<'_>> {
+/// Every access of a body, in the index table's walk order: statement
+/// by statement, a statement's value expressions left to right, then
+/// its own access.
+fn body_accesses(body: &[ElabStmt]) -> Vec<BodyAccess<'_>> {
     fn stmts<'k>(
         body: &'k [ElabStmt],
         loops: &mut Vec<(&'k str, u64, u64)>,
-        out: &mut Vec<RolledAccess<'k>>,
+        out: &mut Vec<BodyAccess<'k>>,
     ) {
         for s in body {
             let mut here = Vec::new();
@@ -93,8 +107,8 @@ fn rolled_accesses(body: &[ElabStmt]) -> Vec<RolledAccess<'_>> {
                     collect_loads(e, &mut here)
                 }
                 ElabStmt::Store { access, value } => {
-                    here.push(access);
                     collect_loads(value, &mut here);
+                    here.push((access, false));
                 }
                 ElabStmt::Atomic {
                     access,
@@ -102,25 +116,24 @@ fn rolled_accesses(body: &[ElabStmt]) -> Vec<RolledAccess<'_>> {
                     value,
                     ..
                 } => {
-                    match index {
-                        None => here.push(access),
-                        Some(i) => collect_loads(i, &mut here),
-                    }
                     collect_loads(value, &mut here);
+                    if let Some(i) = index {
+                        collect_loads(i, &mut here);
+                    }
+                    here.push((access, index.is_some()));
                 }
                 ElabStmt::Sync | ElabStmt::Src(_) => {}
             }
-            if !loops.is_empty() {
-                out.extend(here.into_iter().map(|access| RolledAccess {
-                    loops: loops.clone(),
-                    access,
-                }));
-            }
+            out.extend(here.into_iter().map(|(access, scatter)| BodyAccess {
+                loops: loops.clone(),
+                access,
+                scatter,
+            }));
         }
     }
-    fn collect_loads<'k>(e: &'k ElabExpr, out: &mut Vec<&'k ElabAccess>) {
+    fn collect_loads<'k>(e: &'k ElabExpr, out: &mut Vec<(&'k ElabAccess, bool)>) {
         match e {
-            ElabExpr::Load(a) => out.push(a),
+            ElabExpr::Load(a) => out.push((a, false)),
             ElabExpr::Binary(_, a, b) => {
                 collect_loads(a, out);
                 collect_loads(b, out);
@@ -131,6 +144,80 @@ fn rolled_accesses(body: &[ElabStmt]) -> Vec<RolledAccess<'_>> {
     }
     let mut out = Vec::new();
     stmts(body, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Collects the index expressions of a simulator kernel that every
+/// backend prints inline (bracketed): all loads and stores, plus the
+/// targets of statically addressed atomics. A scatter atomic's address
+/// carries its runtime index — recognised here by the load or local it
+/// contains — and is printed through a bound, guarded temporary instead,
+/// so it is left out; the loads *inside* it do appear inline (in the
+/// temporary's initializer) and are included.
+///
+/// Each access contributes its index *as a unit*, without recursing
+/// into it.
+fn ir_index_exprs(ir: &KernelIr) -> Vec<Expr> {
+    fn reads_data(e: &Expr) -> bool {
+        match e {
+            Expr::Local(_) | Expr::LoadGlobal { .. } | Expr::LoadShared { .. } => true,
+            Expr::Bin(_, a, b) => reads_data(a) || reads_data(b),
+            Expr::Un(_, a) => reads_data(a),
+            _ => false,
+        }
+    }
+    fn walk_expr(e: &Expr, out: &mut Vec<Expr>) {
+        match e {
+            Expr::LoadGlobal { idx, .. } | Expr::LoadShared { idx, .. } => {
+                out.push((**idx).clone());
+            }
+            Expr::Bin(_, a, b) => {
+                walk_expr(a, out);
+                walk_expr(b, out);
+            }
+            Expr::Un(_, a) => walk_expr(a, out),
+            _ => {}
+        }
+    }
+    fn walk_stmts(body: &[Stmt], out: &mut Vec<Expr>) {
+        for s in body {
+            match s {
+                Stmt::SetLocal(_, e) | Stmt::Shfl { value: e, .. } => walk_expr(e, out),
+                Stmt::StoreGlobal { idx, value, .. } | Stmt::StoreShared { idx, value, .. } => {
+                    out.push(idx.clone());
+                    walk_expr(value, out);
+                }
+                Stmt::AtomicGlobal { idx, value, .. } | Stmt::AtomicShared { idx, value, .. } => {
+                    if !reads_data(idx) {
+                        out.push(idx.clone());
+                    }
+                    // A scatter index may itself contain loads (the
+                    // histogram reads its bin from memory).
+                    walk_expr(idx, out);
+                    walk_expr(value, out);
+                }
+                Stmt::If {
+                    cond,
+                    then_s,
+                    else_s,
+                } => {
+                    walk_expr(cond, out);
+                    walk_stmts(then_s, out);
+                    walk_stmts(else_s, out);
+                }
+                Stmt::Loop {
+                    init, bound, body, ..
+                } => {
+                    walk_expr(init, out);
+                    walk_expr(bound, out);
+                    walk_stmts(body, out);
+                }
+                Stmt::Barrier | Stmt::Src(_) => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk_stmts(&ir.body, &mut out);
     out
 }
 
@@ -192,6 +279,13 @@ fn check_program(name: &str, compiled: &Compiled) -> usize {
     let mut rolled_checked = 0;
     for ck in &compiled.kernels {
         let k = &ck.mono;
+        // Folding: binding the loop values after lowering (the table)
+        // gives the IR that binding them before lowering gives.
+        assert!(
+            ck.ir == unroll::reference_ir(k),
+            "{name}/{}: the IR differs from the per-iteration lowering",
+            k.name
+        );
         // Every index the simulator executes and the emitters print
         // inline: loads, stores and static atomic targets (scatter
         // atomics bind their index to an emitted temporary; the
@@ -202,23 +296,32 @@ fn check_program(name: &str, compiled: &Compiled) -> usize {
             "{name}/{}: kernel without memory accesses",
             k.name
         );
-        // Each rolled access, per iteration: the index the IR executes,
-        // equal to the symbolic index evaluated at that iteration at
-        // every coordinate of the launch.
-        let rolled = rolled_accesses(&k.body);
+        // The table's entries, read in walk order by this independent
+        // walk; each rolled static access, per iteration: the index the
+        // IR executes, equal to the symbolic index evaluated at that
+        // iteration at every coordinate of the launch.
+        let mut table = IndexTable::new(k);
+        kernel_to_ir(k, &mut table).unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
+        table.start(k).expect("the kernel's own table");
         let coords = coordinates(k.grid_dim, k.block_dim);
         let mut iteration_indices = Vec::new();
-        for r in &rolled {
+        // Per rolled access: its loops' variables and printed index.
+        let mut rolled = Vec::new();
+        for r in body_accesses(&k.body) {
+            let loops: Vec<&str> = r.loops.iter().map(|l| l.0).collect();
+            let entry = table
+                .next(r.access, &loops, r.scatter)
+                .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
+            if loops.is_empty() || r.scatter {
+                continue;
+            }
             let symbolic = lower_scalar_access(&r.access.path, &r.access.root_dims)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
             for values in iterations(&r.loops) {
-                let bound: Vec<(&str, u64)> = r
-                    .loops
-                    .iter()
-                    .map(|l| l.0)
-                    .zip(values.iter().copied())
-                    .collect();
-                let ir_index = access_index_expr(r.access, &bound, &|_| None)
+                let bound: Vec<(&str, u64)> =
+                    loops.iter().copied().zip(values.iter().copied()).collect();
+                let ir_index = entry
+                    .instantiate(&bound, None)
                     .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
                 for &(b, t) in &coords {
                     let space = |s: Space, d: DimCompo| {
@@ -248,20 +351,18 @@ fn check_program(name: &str, compiled: &Compiled) -> usize {
                 }
                 iteration_indices.push(ir_index);
             }
+            rolled.push((loops, entry.printed().expect("lowers").clone()));
         }
+        table
+            .finish()
+            .unwrap_or_else(|e| panic!("{name}/{}: {e}", k.name));
         rolled_checked += rolled.len();
         for be in &backends {
             let text = &ck.targets[be.name()];
             // The symbolic index of every rolled access is printed.
-            for r in &rolled {
-                let loops: Vec<&str> = r.loops.iter().map(|l| l.0).collect();
-                let e = emitted_index(r.access, &loops, false).expect("lowers");
+            for (loops, printed) in &rolled {
                 let mut rendered = String::new();
-                let names = IndexNames {
-                    loops: &loops,
-                    scatter: None,
-                };
-                render_ir_expr(be.as_ref(), &e, k, names, &mut rendered);
+                render_ir_expr(be.as_ref(), printed, k, loops, None, &mut rendered);
                 assert!(
                     text.contains(&format!("[{rendered}]")),
                     "{name}/{}: backend `{}` text lacks rolled index `{rendered}`:\n{text}",
@@ -273,7 +374,7 @@ fn check_program(name: &str, compiled: &Compiled) -> usize {
             // rolled access's index at one iteration.
             for e in &inline {
                 let mut rendered = String::new();
-                render_ir_expr(be.as_ref(), e, k, IndexNames::default(), &mut rendered);
+                render_ir_expr(be.as_ref(), e, k, &[], None, &mut rendered);
                 assert!(
                     text.contains(&format!("[{rendered}]")) || iteration_indices.contains(e),
                     "{name}/{}: backend `{}` text lacks index `{rendered}`:\n{text}",
@@ -308,6 +409,98 @@ fn all_backends_share_the_lowering_across_the_corpus() {
     assert_eq!(
         rolled,
         ["transpose_tiles.descend", "bench:transpose", "bench:matmul"]
+    );
+}
+
+/// Walk-order guard, over the pass corpus and the Figure-8 programs at
+/// their trace sizes: each backend renders a kernel from its table,
+/// reading every entry exactly once (a read out of order or an unread
+/// entry is an error) to the text a compile emits, and refuses the
+/// table of any other kernel, as does the IR lowering.
+#[test]
+fn every_backend_reads_each_table_entry_once() {
+    use descend::benchmarks::sources;
+    let mut programs: Vec<(String, String)> = corpus_sources()
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("bench:"))
+        .collect();
+    for (name, src) in [
+        ("fig8:reduce", sources::reduce(8192)),
+        ("fig8:reduce_shfl", sources::reduce_shuffle(8192)),
+        ("fig8:scan_blocks", sources::scan_blocks(4096)),
+        ("fig8:scan_add", sources::scan_add_offsets(4096)),
+        ("fig8:histogram", sources::histogram(1 << 13)),
+        ("fig8:stencil", sources::stencil(8192)),
+        ("fig8:transpose", sources::transpose(128)),
+        ("fig8:mm", sources::matmul(64)),
+    ] {
+        programs.push((name.to_string(), src));
+    }
+    let compiler = Compiler::new();
+    let compiled: Vec<(String, Compiled)> = programs
+        .into_iter()
+        .map(|(name, src)| {
+            let c = compiler
+                .compile_source(&src)
+                .unwrap_or_else(|e| panic!("{name} failed to compile:\n{e}"));
+            (name, c)
+        })
+        .collect();
+    let kernels: Vec<(&str, &descend::compiler::CompiledKernel)> = compiled
+        .iter()
+        .flat_map(|(name, c)| c.kernels.iter().map(move |ck| (name.as_str(), ck)))
+        .collect();
+    let mut entries = 0;
+    for (i, (name, ck)) in kernels.iter().enumerate() {
+        let k = &ck.mono;
+        // Filled by the IR lowering, read by each backend (each reading
+        // every entry, or it fails), then read again by the IR lowering
+        // (which fails if a backend appended an entry).
+        let mut table = IndexTable::new(k);
+        assert_eq!(
+            kernel_to_ir(k, &mut table).expect("lowers"),
+            ck.ir,
+            "{name}"
+        );
+        for be in all_backends() {
+            let text = be
+                .emit_kernel(k, &mut table)
+                .unwrap_or_else(|e| panic!("{name}/{}: {}: {e}", k.name, be.name()));
+            assert_eq!(text, ck.targets[be.name()], "{name}: {}", be.name());
+        }
+        assert_eq!(
+            kernel_to_ir(k, &mut table).expect("lowers"),
+            ck.ir,
+            "{name}"
+        );
+        // Filled by a backend, then read by the IR lowering.
+        let mut table = IndexTable::new(k);
+        CudaBackend.emit_kernel(k, &mut table).expect("emits");
+        assert_eq!(
+            kernel_to_ir(k, &mut table).expect("lowers"),
+            ck.ir,
+            "{name}"
+        );
+        entries += body_accesses(&k.body).len();
+        let refused = |r: Result<String, CodegenError>| {
+            assert!(
+                matches!(r, Err(CodegenError::IndexTable(_))),
+                "{name}: a foreign table was accepted"
+            )
+        };
+        let (_, other) = kernels[(i + 1) % kernels.len()];
+        for be in all_backends() {
+            refused(be.emit_kernel(&other.mono, &mut table));
+        }
+        refused(kernel_to_ir(&other.mono, &mut table).map(|ir| format!("{ir:?}")));
+        // Equal content is not enough: the table is the kernel's own.
+        let copy = k.clone();
+        refused(CudaBackend.emit_kernel(&copy, &mut IndexTable::new(k)));
+    }
+    assert!(
+        kernels.len() >= 20 && entries >= 100,
+        "{} kernels, {entries} entries",
+        kernels.len()
     );
 }
 
@@ -389,13 +582,7 @@ fn atomic_addresses_share_the_lowering() {
                 let text = &ck.targets[be.name()];
                 for e in &sim_side {
                     let mut rendered = String::new();
-                    render_ir_expr(
-                        be.as_ref(),
-                        e,
-                        &ck.mono,
-                        IndexNames::default(),
-                        &mut rendered,
-                    );
+                    render_ir_expr(be.as_ref(), e, &ck.mono, &[], None, &mut rendered);
                     let inline_form = text.contains(&format!("[{rendered}]"));
                     let temp_form = text.contains(&format!("{rendered})"))
                         && text.contains("if (0 <= ")

@@ -471,6 +471,46 @@ fn fill__64_2(v: &uniq gpu.global [f64; 64])
     assert_identical(&cold, &back, "colliding function removed");
 }
 
+/// Two functions of one name (E0123): the first definition used to be
+/// taken for both, so the second body — a race here — went unchecked.
+/// The program-wide context check rejects it on every compile: adding
+/// the duplicate to a warm session rejects the program exactly as a
+/// cold compile and `check_program` do, and removing it again compiles
+/// as before.
+#[test]
+fn adding_a_duplicate_function_rejects_warm_as_cold() {
+    let src = std::fs::read_to_string(corpus_dir().join("scale.descend")).unwrap();
+    let duplicate = "
+fn scale(v: &uniq gpu.global [f64; 256]) -[grid: gpu.grid<X<8>, X<32>>]-> () {
+    sched(X) block in grid {
+        sched(X) thread in block {
+            (*v).group::<32>[[block]][[thread]] =
+                (*v).group::<32>[[block]].rev[[thread]];
+        }
+    }
+}
+";
+    let edited = format!("{src}{duplicate}");
+    let mut session = CompileSession::new();
+    session.compile_source(&src).expect("compiles");
+    let warm = session.compile_source(&edited).expect_err("rejects");
+    let cold = Compiler::new()
+        .compile_source(&edited)
+        .expect_err("rejects");
+    let reference = check_program(&parse(&edited)).expect_err("rejects");
+    assert_eq!(reference.kind, ErrorKind::DuplicateItem);
+    assert_eq!(cold.rendered, warm.rendered, "warm diagnostic differs");
+    assert_eq!(cold.diag, reference.diag, "session vs check_program");
+    assert_eq!(
+        cold.diag.primary.span.start as usize,
+        edited.rfind("fn scale").unwrap(),
+        "reported at the second definition"
+    );
+    let back = session.compile_source(&src).expect("compiles again");
+    let cold = Compiler::new().compile_source(&src).expect("compiles");
+    assert_identical(&cold, &back, "duplicate function removed");
+}
+
 fn parse(src: &str) -> Program {
     descend::parser::parse(src).expect("test sources parse")
 }

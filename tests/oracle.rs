@@ -8,7 +8,7 @@
 //! their Descend counterparts must already be rejected statically.
 
 use descend::benchmarks::{baselines, sources};
-use descend::codegen::kernel_to_ir;
+use descend::codegen::{kernel_to_ir, IndexTable};
 use descend::compiler::Compiler;
 use descend::sim::{Gpu, LaunchConfig, SimError};
 
@@ -37,7 +37,7 @@ fn accepted_kernels_are_dynamically_clean() {
     for src in &programs {
         let compiled = compiler.compile_source(src).expect("accepted");
         for ck in &compiled.kernels {
-            let ir = kernel_to_ir(&ck.mono).expect("lowers");
+            let ir = kernel_to_ir(&ck.mono, &mut IndexTable::new(&ck.mono)).expect("lowers");
             let mut gpu = Gpu::new();
             let args: Vec<_> = ir
                 .params

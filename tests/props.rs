@@ -195,6 +195,49 @@ proptest! {
         }
     }
 
+    /// Binding index variables after lowering (`IdxExpr::bind`, then
+    /// `simplify_idx`: how the index table instantiates a rolled loop's
+    /// iteration) gives exactly the lowering of the path with the
+    /// values in place, whether every variable is bound or only the
+    /// first (the others staying variables, as a scatter's index does).
+    #[test]
+    fn binding_after_lowering_equals_binding_before(steps in arb_view_chain(64)) {
+        let n = 64u64;
+        let dims = index_space(&steps, n);
+        let total: u64 = dims.iter().product();
+        prop_assume!(total <= 256);
+        let vars: Vec<String> = (0..dims.len()).map(|d| format!("v{d}")).collect();
+        let lower = |index: &dyn Fn(usize) -> Nat| {
+            let mut p = PlacePath::new("x", ExecExpr::cpu_thread());
+            for s in &steps {
+                p.push(PathStep::View(s.clone()));
+            }
+            for d in 0..dims.len() {
+                p.push(PathStep::Index(index(d)));
+            }
+            lower_scalar_access(&p, &[Nat::lit(n)]).unwrap()
+        };
+        let symbolic = lower(&|d| Nat::var(&vars[d]));
+        for flat in 0..total {
+            let mut midx = vec![0u64; dims.len()];
+            let mut rest = flat;
+            for d in (0..dims.len()).rev() {
+                midx[d] = rest % dims[d];
+                rest /= dims[d];
+            }
+            let all: Vec<(&str, u64)> =
+                vars.iter().map(String::as_str).zip(midx.iter().copied()).collect();
+            prop_assert_eq!(
+                simplify_idx(symbolic.bind(&all)),
+                lower(&|d| Nat::lit(midx[d]))
+            );
+            prop_assert_eq!(
+                simplify_idx(symbolic.bind(&all[..1])),
+                lower(&|d| if d == 0 { Nat::lit(midx[0]) } else { Nat::var(&vars[d]) })
+            );
+        }
+    }
+
     /// `simplify_idx` preserves the evaluated offset.
     #[test]
     fn simplify_idx_preserves_value(

@@ -7,7 +7,10 @@
 //! the two texts differ in where their statements sit), and on the
 //! buffers and `LaunchStats` of a launch under both executors with race
 //! detection on; a rejected program must be rejected by both with the
-//! same code and messages. Each case also states whether its loops roll,
+//! same code and messages. The loop form's IR must also equal its
+//! per-iteration lowering (`support/unroll.rs`): every index the IR
+//! unroller instantiates from the index table is the one lowering that
+//! iteration's path gives. Each case also states whether its loops roll,
 //! and which of its loops the checker checked once (the variable a
 //! symbolic index) rather than per iteration, so the comparison cannot
 //! pass on programs where nothing rolled or nothing was checked once.
@@ -17,6 +20,9 @@ use descend::compiler::{Compiled, Compiler};
 use descend::sim::{ExecMode, Gpu, KernelIr, LaunchConfig, Stmt};
 use descend::typeck::{ElabStmt, LoopChecks};
 use proptest::prelude::*;
+
+#[path = "support/unroll.rs"]
+mod unroll;
 
 /// `src` with every `for x in [lo..hi] { .. }` of literal bounds replaced
 /// by `hi - lo` copies of its body, `x` spelled as each value in turn
@@ -222,6 +228,14 @@ fn rolled_matches_unrolled(src: &str) -> Result<Option<Loops>, String> {
         loops.checks.per_iteration += r.mono.loop_checks.per_iteration;
         if rolled_loops(&u.mono.body) != 0 || u.mono.loop_checks != LoopChecks::default() {
             return Err("the unrolled text still has loops".into());
+        }
+        // Every access of every iteration indexes exactly as lowering the
+        // iteration's own path would (substitution before lowering).
+        if r.ir != unroll::reference_ir(&r.mono) {
+            return Err(format!(
+                "`{}`: IR differs from the per-iteration lowering",
+                r.mono.name
+            ));
         }
         let strip = |ir: &KernelIr| KernelIr {
             body: without_src(&ir.body),
